@@ -59,6 +59,7 @@ from .tradeoff import (
     exact_dp,
     gaussian_dp,
     gdp_to_approx_dp,
+    iterate_tradeoff,
     self_power,
     tensor_gdp,
     zcdp_group,

@@ -10,6 +10,7 @@ computation error. SEMIDP_SEED overrides --seed when set.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -63,6 +64,7 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one instance serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="semidp")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -6,16 +6,33 @@ slope 1 - 2c on [-1/2, 1/2] and extends one unit step at a time through
 F(x) = f(F(x + 1)) on the left and F(x) = 1 - f(1 - F(x - 1)) on the right.
 Adding noise drawn from F to an integer-valued statistic with unit
 sensitivity makes the unit-shift testing problem exactly as hard as f.
+
+Unrolling the steps, F(-|x|) = f^(k)(1/2 - r (1 - 2c)) with k = ceil(|x| - 1/2)
+and r = |x| - k, so the CDF is one closed-form k-fold iterate per point. For
+the Gaussian and (epsilon, delta) families that iterate also inverts in
+closed form, which gives the quantile (Awan & Vadhan, Ann. Stat. 2023; the
+pure epsilon case is the Tulap law of Awan & Slavkovic 2018).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from .rng import NoiseRng, RngSeed
-from .tradeoff import TradeoffSpec, eval_tradeoff, is_nontrivial
+from .tradeoff import (
+    EXACT_DP,
+    GAUSSIAN_DP,
+    SELF_POWER,
+    TradeoffSpec,
+    compose_self,
+    eval_tradeoff,
+    is_nontrivial,
+    iterate_tradeoff,
+)
 
 _FIXED_POINT_TOL = 1e-13
 _QUANTILE_TOL = 1e-13
@@ -37,12 +54,22 @@ class CndSpec:
             raise ValueError(f"c does not satisfy f(1-c)=c (residual {gap:.2e})")
 
 
-def solve_c(f: TradeoffSpec, tol: float = _FIXED_POINT_TOL) -> float:
-    """Fixed point of g(c) = f(1-c) - c on [0, 1/2] by bisection.
+def _closed_form(f: TradeoffSpec) -> TradeoffSpec | None:
+    """f as a gaussian_dp or exact_dp curve when it is one, else None."""
+    if f.family == SELF_POWER:
+        f = compose_self(f.base, f.power)
+    return f if f.family in (GAUSSIAN_DP, EXACT_DP) else None
 
-    g is strictly decreasing, g(0) = f(1) and g(1/2) = f(1/2) - 1/2 <= 0.
-    Trivial inputs (root at 1/2) and the perfect-distinguishability edge
-    f(1) = 0 (root at 0) are rejected.
+
+def solve_c(f: TradeoffSpec, tol: float = _FIXED_POINT_TOL) -> float:
+    """Fixed point c of f(1-c) = c on [0, 1/2].
+
+    g(c) = f(1-c) - c is strictly decreasing, g(0) = f(1) and
+    g(1/2) = f(1/2) - 1/2 <= 0. Trivial inputs (root at 1/2) and the
+    perfect-distinguishability edge f(1) = 0 (root at 0) are rejected.
+    Gaussian curves have c = Phi(-mu/2) and (epsilon, delta) curves
+    c = (1 - delta) / (1 + e^epsilon), where the two sloped branches meet;
+    other curves are solved by bisection on g.
     """
     if not is_nontrivial(f):
         raise ValueError("tradeoff function is trivial; no usable fixed point")
@@ -53,13 +80,19 @@ def solve_c(f: TradeoffSpec, tol: float = _FIXED_POINT_TOL) -> float:
     lo, hi = 0.0, 0.5
     if eval_tradeoff(f, 1.0 - hi) - hi > 0:
         raise ValueError("no sign change on [0, 1/2]; f is not a valid symmetric input")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if eval_tradeoff(f, 1.0 - mid) - mid > 0:
-            lo = mid
-        else:
-            hi = mid
-    c = 0.5 * (lo + hi)
+    closed = _closed_form(f)
+    if closed is None:
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if eval_tradeoff(f, 1.0 - mid) - mid > 0:
+                lo = mid
+            else:
+                hi = mid
+        c = 0.5 * (lo + hi)
+    elif closed.family == GAUSSIAN_DP:
+        c = float(ndtr(-0.5 * closed.mu))
+    else:
+        c = (1.0 - closed.delta) / (1.0 + math.exp(closed.epsilon))
     if c >= 0.5 - 1e-9:
         raise ValueError("fixed point sits at 1/2; tradeoff function is trivial")
     return c
@@ -70,59 +103,86 @@ def make_cnd(f: TradeoffSpec) -> CndSpec:
 
 
 def _cdf_array(spec: CndSpec, x: np.ndarray) -> np.ndarray:
-    f = spec.tradeoff
-    c = spec.c
-    steps = np.ceil(np.abs(x) - 0.5)
-    steps = np.where(steps < 0, 0, steps).astype(int)
-    centered = x - np.sign(x) * steps
-    out = 0.5 + centered * (1.0 - 2.0 * c)
-    kmax = int(steps.max(initial=0))
-    pos = x > 0.5
-    neg = x < -0.5
-    for k in range(1, kmax + 1):
-        live = steps >= k
-        up = live & pos
-        if np.any(up):
-            out[up] = 1.0 - eval_tradeoff(f, 1.0 - out[up])
-        down = live & neg
-        if np.any(down):
-            out[down] = eval_tradeoff(f, out[down])
-    return out
+    ax = np.abs(x)
+    steps = np.maximum(np.ceil(ax - 0.5), 0.0)
+    with np.errstate(invalid="ignore"):
+        # |x| = inf takes infinitely many steps from the band's edge: F(-inf) = 0
+        offset = np.where(np.isinf(ax), 0.5, ax - steps)
+    left = iterate_tradeoff(spec.tradeoff, 0.5 - offset * (1.0 - 2.0 * spec.c), steps)
+    return np.where(x > 0, 1.0 - left, left)
 
 
 def cnd_cdf(spec: CndSpec, x):
     """CDF of the canonical noise distribution; scalar or ndarray input."""
     arr = np.asarray(x, dtype=float)
-    out = _cdf_array(spec, np.atleast_1d(arr).copy())
+    out = _cdf_array(spec, np.atleast_1d(arr))
     if arr.ndim == 0:
         return float(out[0])
     return out.reshape(arr.shape)
 
 
-def cnd_quantile(spec: CndSpec, u):
-    """Inverse CDF by bracket expansion then bisection, resolved to 1e-12."""
-    arr = np.asarray(u, dtype=float)
-    flat = np.atleast_1d(arr).astype(float)
-    if np.any(flat <= 0.0) or np.any(flat >= 1.0):
-        raise ValueError("u must lie strictly inside (0, 1)")
+def _invert_iterate(f: TradeoffSpec, c: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Steps k and central level a in [c, 1 - c] with f^(k)(a) = u, for u <= 1/2.
+
+    Step k of the left tail covers [f^(k+1)(1 - c), f^(k)(1 - c)), so k is
+    the least integer with f^(k+1)(1 - c) <= u, and a is f^(-k)(u).
+    """
+    if f.family == GAUSSIAN_DP:
+        # f^(k)(1 - c) = Phi(mu/2 - k mu)
+        z = ndtri(u)
+        k = np.maximum(0.0, np.ceil((-z - 0.5 * f.mu) / f.mu))
+        return k, ndtr(z + k * f.mu)
+    eps, delta = f.epsilon, f.delta
+    if eps == 0.0:
+        # f(a) = a - delta, so f^(k)(1 - c) = c - (k - 1) delta
+        k = np.maximum(0.0, np.ceil((c - u) / delta))
+        return k, u + k * delta
+    # on [0, 1 - c] f^(k)(a) + d = e^(-k eps) (a + d) with d = delta / (e^eps - 1)
+    d = delta / math.expm1(eps)
+    k = np.maximum(0.0, np.ceil(np.log((c + d) / (u + d)) / eps))
+    return k, np.exp(k * eps) * u + delta * np.expm1(k * eps) / math.expm1(eps)
+
+
+def _bisect_quantile(spec: CndSpec, u: np.ndarray) -> np.ndarray:
+    """Quantile by bracket expansion then bisection on the CDF, to 1e-13."""
     lo, hi = -1.0, 1.0
     for _ in range(_MAX_BRACKET_DOUBLINGS):
-        if cnd_cdf(spec, lo) < flat.min() and cnd_cdf(spec, hi) > flat.max():
+        f_lo, f_hi = _cdf_array(spec, np.array([lo, hi]))
+        if f_lo < u.min() and f_hi > u.max():
             break
         lo *= 2.0
         hi *= 2.0
     else:
         raise RuntimeError("quantile bracket expansion failed")
-    los = np.full_like(flat, lo)
-    his = np.full_like(flat, hi)
+    los = np.full_like(u, lo)
+    his = np.full_like(u, hi)
     # fixed iteration count: halving until the bracket is below tolerance
     iters = int(np.ceil(np.log2((hi - lo) / _QUANTILE_TOL)))
     for _ in range(iters):
         mid = 0.5 * (los + his)
-        below = _cdf_array(spec, mid.copy()) < flat
+        below = _cdf_array(spec, mid) < u
         los = np.where(below, mid, los)
         his = np.where(below, his, mid)
-    out = 0.5 * (los + his)
+    return 0.5 * (los + his)
+
+
+def cnd_quantile(spec: CndSpec, u):
+    """Inverse CDF; closed form for Gaussian and (epsilon, delta) curves.
+
+    The left tail inverts the k-fold iterate directly and the right tail
+    follows by symmetry, Q(u) = -Q(1 - u). Other curves bisect the CDF.
+    """
+    arr = np.asarray(u, dtype=float)
+    flat = np.atleast_1d(arr)
+    if np.any(flat <= 0.0) or np.any(flat >= 1.0):
+        raise ValueError("u must lie strictly inside (0, 1)")
+    f = _closed_form(spec.tradeoff)
+    if f is None:
+        out = _bisect_quantile(spec, flat)
+    else:
+        steps, level = _invert_iterate(f, spec.c, np.minimum(flat, 1.0 - flat))
+        left = (level - 0.5) / (1.0 - 2.0 * spec.c) - steps
+        out = np.where(flat > 0.5, -left, left)
     if arr.ndim == 0:
         return float(out[0])
     return out.reshape(arr.shape)

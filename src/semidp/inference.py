@@ -19,6 +19,8 @@ from .cnd import CndSpec, cnd_cdf, cnd_quantile, cnd_sample
 from .rng import RngSeed
 
 _SIZE_TOL = 1e-12
+#: Overshoot of [0, 1] by a p-value that is rounding error, not a fault.
+_PVALUE_ROUNDING = 1e-12
 
 
 @dataclass(frozen=True)
@@ -177,4 +179,7 @@ def private_pvalue(table: Table2x2, spec: CndSpec, seed: RngSeed) -> TestResult:
     u = table.x11 + noise
     xs, pmf = nchg_distribution(t, 1.0)
     p = float(pmf @ cnd_cdf(spec, xs - u))
+    if -_PVALUE_ROUNDING <= p <= 1.0 + _PVALUE_ROUNDING:
+        # the pmf sums to 1 only up to rounding, so p can leave [0, 1] by a few ulps
+        p = min(max(p, 0.0), 1.0)
     return TestResult(phi_star=None, threshold=None, noisy_statistic=u, p_value=p)

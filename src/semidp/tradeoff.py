@@ -9,6 +9,9 @@ non-decreasing, convex, and f(alpha) <= alpha). Three families are supported:
 * ``gaussian_dp``  f for testing N(0,1) against N(mu,1),
 * ``self_power``   k-fold functional iteration of a base f (group privacy).
 
+``iterate_tradeoff`` evaluates the k-fold iterate f^(k) of any of them in
+closed form; a single evaluation is the case k = 1.
+
 All values are immutable and every function here is pure, so concurrent use
 is safe.
 """
@@ -92,29 +95,62 @@ def self_power(base: TradeoffSpec, k: int) -> TradeoffSpec:
 
 def eval_tradeoff(f: TradeoffSpec, alpha):
     """Evaluate f(alpha); accepts a scalar or an ndarray in [0, 1]."""
+    return iterate_tradeoff(f, alpha, 1)
+
+
+def iterate_tradeoff(f: TradeoffSpec, alpha, k):
+    """k-fold iterate f^(k)(alpha), elementwise over broadcast alpha and k.
+
+    alpha lies in [0, 1] and k holds non-negative integers (k = 0 is the
+    identity). Every family iterates in closed form, so the cost does not
+    grow with k.
+    """
     arr = np.asarray(alpha, dtype=float)
     if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise ValueError("alpha must lie in [0, 1]")
-    out = _eval(f, arr)
-    if np.isscalar(alpha) or np.ndim(alpha) == 0:
+    steps = np.asarray(k, dtype=float)
+    if np.any(steps < 0.0) or np.any(np.floor(steps) < steps):
+        raise ValueError("k must hold non-negative integers")
+    out = _iterate(f, arr, steps)
+    if np.ndim(alpha) == 0 and np.ndim(k) == 0:
         return float(out)
     return out
 
 
-def _eval(f: TradeoffSpec, arr: np.ndarray) -> np.ndarray:
-    if f.family == EXACT_DP:
-        e = math.exp(f.epsilon)
-        lower = (arr - f.delta) / e
-        upper = 1.0 - f.delta - e + e * arr
-        return np.maximum(0.0, np.maximum(lower, upper))
+def _iterate(f: TradeoffSpec, arr: np.ndarray, k: np.ndarray) -> np.ndarray:
     if f.family == GAUSSIAN_DP:
+        # G_mu^(k) = G_(k mu): each step shifts the normal quantile by mu
         with np.errstate(divide="ignore"):
             z = ndtri(arr)
-        return ndtr(z - f.mu)
-    out = np.asarray(arr, dtype=float)
-    for _ in range(f.power):
-        out = _eval(f.base, out)
-    return out
+        return ndtr(z - k * f.mu)
+    if f.family == SELF_POWER:
+        return _iterate(f.base, arr, k * f.power)
+    return _exact_dp_iterate(f.epsilon, f.delta, arr, k)
+
+
+def _exact_dp_iterate(eps: float, delta: float, a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """f^(k) for f(a) = max(0, e^-eps (a - delta), 1 - delta - e^eps (1 - a)).
+
+    Below the kink 1 - c, c = (1 - delta) / (1 + e^eps), f is the lower
+    branch, whose iterate is e^(-k eps) a - delta S_k with
+    S_k = sum_(j=1..k) e^(-j eps), clamped at 0. Above it, b = 1 - a follows
+    the upper branch b -> e^eps b + delta until b reaches c; those steps come
+    first because f(a) <= a.
+    """
+    if eps == 0.0:
+        return np.maximum(0.0, a - k * delta)
+    c = (1.0 - delta) / (1.0 + math.exp(eps))
+    b = 1.0 - a
+    above = b < c
+    if np.any(above):
+        d = delta / math.expm1(eps)  # the upper branch's repelling fixed point is b = -d
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            up = np.where(above, np.minimum(k, np.ceil(np.log((c + d) / (b + d)) / eps)), 0.0)
+            grown = np.exp(up * eps) * b + delta * np.expm1(up * eps) / math.expm1(eps)
+        # b = -d is a fixed point: pure DP keeps f(1) = 1 for every k
+        a = np.where(up > 0.0, 1.0 - np.where(b + d > 0.0, grown, b), a)
+        k = k - up
+    return np.maximum(0.0, np.exp(-k * eps) * a + delta * np.expm1(-k * eps) / math.expm1(eps))
 
 
 def breakpoints(f: TradeoffSpec) -> tuple[float, ...]:
@@ -141,8 +177,9 @@ def compose_self(f: TradeoffSpec, k: int) -> TradeoffSpec:
     """Tradeoff after k-fold functional iteration (protection at distance k).
 
     Gaussian curves iterate in closed form, G_mu -> G_{k mu}. Other families
-    stay as an explicit ``self_power`` and are evaluated by nesting; the
-    piecewise-linear family has no exact closed form under iteration.
+    stay as an explicit ``self_power``: the iterate of a piecewise-linear
+    curve is not another ``exact_dp`` curve, though ``iterate_tradeoff``
+    still evaluates it in closed form.
     """
     k = int(k)
     if k < 1:

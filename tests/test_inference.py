@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import semidp.inference
 from semidp.cnd import cnd_cdf, cnd_quantile, cnd_sample, make_cnd
 from semidp.inference import (
     Margins,
@@ -18,7 +19,7 @@ from semidp.inference import (
     umpu_test,
 )
 from semidp.rng import RngSeed
-from semidp.tradeoff import eval_tradeoff, gaussian_dp
+from semidp.tradeoff import eval_tradeoff, exact_dp, gaussian_dp
 
 SPEC = make_cnd(gaussian_dp(1.0))
 REF_MARGINS = Margins(t1dot=8, t2dot=6, tdot1=7, tdot2=7)
@@ -131,6 +132,18 @@ def test_umpu_exact_size_random_margins():
         assert abs(float(pmf @ cnd_cdf(SPEC, xs - m)) - 0.05) < 1e-8
 
 
+@pytest.mark.parametrize("f", [gaussian_dp(1.0), exact_dp(1.0), exact_dp(0.5, 1e-3)])
+def test_umpu_exact_size_at_large_n(f):
+    # n = 14,000 puts 7,001 points on the support, thousands of unit steps
+    # from the centre at the bracket ends
+    spec = make_cnd(f)
+    table = Table2x2(3500, 3500, 3500, 3500)
+    res = umpu_test(table, spec, 0.05)
+    xs, pmf = nchg_distribution(table.margins(), 1.0)
+    assert len(xs) == 7001
+    assert abs(float(pmf @ cnd_cdf(spec, xs - res.threshold)) - 0.05) < 1e-8
+
+
 def _phi_star_on_support(t, spec, alpha):
     m = solve_threshold_m(t, spec, alpha)
     lo, hi = t.support()
@@ -202,6 +215,27 @@ def test_pvalue_super_uniform_under_null():
     for alpha, count in hits.items():
         se = math.sqrt(alpha * (1 - alpha) / n)
         assert count / n <= alpha + 3 * se
+
+
+PVALUE_OVERSHOOT_CASE = (Table2x2(9, 44, 76, 8), make_cnd(gaussian_dp(1.206)), RngSeed(1534301711))
+
+
+def test_pvalue_rounding_overshoot_is_clamped():
+    # U falls far below the support, so every CDF term is 1 and p is the
+    # pmf's sum, which exceeds 1 by a few ulps here
+    assert private_pvalue(*PVALUE_OVERSHOOT_CASE).p_value == 1.0
+
+
+def test_pvalue_overshoot_beyond_rounding_still_raises(monkeypatch):
+    exact = semidp.inference.nchg_distribution
+
+    def inflated(t, w):
+        xs, pmf = exact(t, w)
+        return xs, 1.01 * pmf
+
+    monkeypatch.setattr(semidp.inference, "nchg_distribution", inflated)
+    with pytest.raises(ValueError, match="p_value"):
+        private_pvalue(*PVALUE_OVERSHOOT_CASE)
 
 
 def test_test_result_validation():
