@@ -21,7 +21,14 @@ import numpy as np
 from . import harness
 from .cnd import cnd_cdf, cnd_quantile, cnd_sample, make_cnd
 from .inference import Table2x2, private_pvalue, umpu_test
-from .mechanisms import gaussian_semi, knorm_optimal, lp_mechanism, naive_group_wrapper
+from .mechanisms import (
+    KIND_NORM,
+    TABLE_SINGLE_MOVE_SENSITIVITY,
+    gaussian_semi,
+    knorm_optimal,
+    lp_mechanism,
+    naive_group_wrapper,
+)
 from .rng import RngSeed
 from .sensitivity import (
     contingency_s_dp,
@@ -114,7 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=harness.MODELS, default="I")
     p.add_argument("--mu", type=float, default=None)
     p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--n", type=int, default=500)
     p.add_argument("--replicates", type=int, default=30)
     p.add_argument("--config", type=str, default=None, help="JSON file with config overrides")
     common(p)
@@ -180,9 +186,8 @@ def _run_mech(args: argparse.Namespace) -> None:
     else:
         if args.eps is None:
             raise ValueError("--eps is required for lp mechanisms")
-        p = {"l1": 1, "l2": 2, "linf": math.inf}[args.kind]
-        delta = {"l1": 2.0, "l2": math.sqrt(2.0), "linf": 1.0}[args.kind]
-        out = lp_mechanism(query, delta, args.eps, p, seed)
+        p = KIND_NORM[args.kind]
+        out = lp_mechanism(query, TABLE_SINGLE_MOVE_SENSITIVITY[p], args.eps, p, seed)
     _emit(args, out.to_json())
 
 
@@ -232,7 +237,6 @@ def _run_experiment(args: argparse.Namespace) -> None:
         model=overrides.get("model", args.model),
         mu=overrides.get("mu", args.mu),
         eps=overrides.get("eps", args.eps),
-        n=overrides.get("n", args.n),
         replicates=overrides.get("replicates", args.replicates),
         seed=_seed_from(args),
     )

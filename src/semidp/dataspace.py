@@ -17,12 +17,18 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
 #: Default ceiling on the raw dataspace size (#cells ** n) for enumeration.
 ENUMERATION_CAP = 10_000_000
+
+#: Ceiling on |S|^2, the dataset pairs a pairwise-distance scan over S visits.
+PAIR_CAP = 100_000_000
+
+#: Distances computed per block of the pairwise scan (4 bytes each).
+BLOCK_PAIRS = 4_000_000
 
 Dataset = tuple[tuple[int, ...], ...]
 InvariantValue = tuple[tuple[int, ...], ...]
@@ -203,22 +209,37 @@ def conforming_set(
     return out
 
 
-def _row_codes(space: DataspaceSpec, datasets: Sequence[Dataset]) -> np.ndarray:
-    # encode each record as a single joint-cell id so rows compare with ==
-    all_group = tuple(range(space.p))
-    return np.array(
-        [[_group_cell(row, all_group, space) for row in x] for x in datasets],
-        dtype=np.int64,
-    )
+def _record_codes(datasets: Sequence[Dataset]) -> np.ndarray:
+    """One row per dataset, each record replaced by a small integer id."""
+    lengths = {len(x) for x in datasets}
+    if len(lengths) > 1:
+        raise ValueError("datasets must have the same number of rows")
+    ids: dict[tuple[int, ...], int] = {}
+    codes = [[ids.setdefault(r, len(ids)) for r in x] for x in datasets]
+    return np.array(codes, dtype=np.int32).reshape(len(codes), max(lengths, default=0))
 
 
-def _pairwise_hamming(codes: np.ndarray, chunk: int = 512) -> np.ndarray:
-    m = codes.shape[0]
-    dist = np.empty((m, m), dtype=np.int32)
-    for start in range(0, m, chunk):
-        stop = min(start + chunk, m)
-        dist[start:stop] = (codes[start:stop, None, :] != codes[None, :, :]).sum(axis=2)
-    return dist
+def _hamming_blocks(codes: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Pairwise Hamming distances between the rows of ``codes``, in row blocks.
+
+    Yields (first, dist) where dist[i, j] is the distance between rows
+    first + i and j; each block holds about BLOCK_PAIRS entries. Refuses
+    before computing any distance when |S|^2 exceeds PAIR_CAP.
+    """
+    m = len(codes)
+    if m * m > PAIR_CAP:
+        raise EnumerationCapExceeded(f"{m}^2 dataset pairs exceed the cap of {PAIR_CAP}")
+    step = max(1, BLOCK_PAIRS // max(1, m))
+    columns = np.ascontiguousarray(codes.T)
+
+    def blocks() -> Iterator[tuple[int, np.ndarray]]:
+        for first in range(0, m, step):
+            dist = np.zeros((min(step, m - first), m), dtype=np.int32)
+            for column in columns:
+                dist += column[first:first + step, None] != column
+            yield first, dist
+
+    return blocks()
 
 
 def semi_adjacent_parameter(
@@ -240,20 +261,19 @@ def semi_adjacent_parameter(
         raise ValueError("conforming set is empty; invariant value is infeasible")
     if len(datasets) == 1:
         return 0
-    codes = _row_codes(space, datasets)
-    dist = _pairwise_hamming(codes)
+    codes = _record_codes(datasets)
+    # per position: datasets sorted by their record there, and where each record's run starts
+    runs = []
+    for column in codes.T:
+        order = np.argsort(column, kind="stable")
+        runs.append((order, np.flatnonzero(np.diff(column[order], prepend=-1))))
     worst = 0
-    for i in range(space.n):
-        column = codes[:, i]
-        values = np.unique(column)
-        index_groups = {int(v): np.nonzero(column == v)[0] for v in values}
-        for x_val, x_idx in index_groups.items():
-            for y_val, y_idx in index_groups.items():
-                if x_val == y_val:
-                    continue
-                # farthest X needing to reach the nearest Y holding y at i
-                block = dist[np.ix_(x_idx, y_idx)]
-                worst = max(worst, int(block.min(axis=1).max()))
+    for _, dist in _hamming_blocks(codes):
+        for order, starts in runs:
+            # distance from each X in the block to the nearest Y holding each record y
+            # at this position; y = X_i contributes 0 (Y = X), so it needs no exclusion
+            nearest = np.minimum.reduceat(dist[:, order], starts, axis=1)
+            worst = max(worst, int(nearest.max()))
     return worst
 
 
@@ -272,9 +292,11 @@ def indistinguishable_pairs(
         raise ValueError(f"radius must be >= 0, got {radius}")
     items = list(datasets)
     out: set[tuple[Dataset, Dataset]] = set()
-    for a, b in itertools.combinations(items, 2):
-        d = hamming_distance(a, b)
-        if 1 <= d <= radius:
+    for first, dist in _hamming_blocks(_record_codes(items)):
+        ii, jj = np.nonzero((dist >= 1) & (dist <= radius))
+        upper = ii + first < jj
+        for i, j in zip((ii[upper] + first).tolist(), jj[upper].tolist()):
+            a, b = items[i], items[j]
             out.add((a, b) if a <= b else (b, a))
     return out
 

@@ -1,10 +1,11 @@
 """Experiment harness and census-style accounting reports.
 
-The experiments draw one k x k table from a multinomial model, hold it
-fixed, and average the L2 noise cost of each mechanism over seeded
-replicates; output is plot-ready CSV. The census report converts advertised
-concentrated-DP budgets into the effective guarantee once a total-count
-invariant widens the adjacency radius to 2.
+The experiments average the L2 noise cost of each mechanism on a k x k
+table over seeded replicates; the cost depends on the noise only, so no
+table is drawn and the model only labels the rows. Output is plot-ready
+CSV. The census report converts advertised concentrated-DP budgets into
+the effective guarantee once a total-count invariant widens the adjacency
+radius to 2.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ class ExperimentConfig:
     model: str
     mu: float | None = None
     eps: float | None = None
-    n: int = 500
     replicates: int = 30
     seed: RngSeed = RngSeed(0)
 
@@ -45,27 +45,8 @@ class ExperimentConfig:
             raise ValueError(f"k must be >= 2, got {self.k}")
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
-
-
-def cell_probabilities(k: int, model: str) -> np.ndarray:
-    """Model I: uniform cells. Model II: linearly increasing cells."""
-    m = k * k
-    if model == "I":
-        return np.full(m, 1.0 / m)
-    if model == "II":
-        idx = np.arange(1, m + 1, dtype=float)
-        return idx / idx.sum()
-    raise ValueError(f"model must be one of {MODELS}, got {model!r}")
-
-
-def _draw_table(cfg: ExperimentConfig) -> np.ndarray:
-    # the table draw consumes the config's base stream; noise uses later streams
-    rng = NoiseRng(cfg.seed)
-    return rng.multinomial(cfg.n, cell_probabilities(cfg.k, cfg.model)).astype(float)
 
 
 def _row(cfg: ExperimentConfig, method: str, param: float, costs: np.ndarray) -> dict:
@@ -87,7 +68,6 @@ def run_gaussian_experiment(cfg: ExperimentConfig) -> list[dict]:
     """
     if cfg.mu is None or cfg.mu <= 0:
         raise ValueError("gaussian experiment requires a positive mu")
-    _draw_table(cfg)  # consumed for stream-layout parity; costs depend on noise only
     space = contingency_s_semi(cfg.k, cfg.k)
     reps = cfg.replicates
     semi_rng = NoiseRng(cfg.seed.with_stream(cfg.seed.stream + 1))
@@ -105,7 +85,6 @@ def run_knorm_experiment(cfg: ExperimentConfig) -> list[dict]:
     """Optimal hull mechanism at eps vs naive l1/l2/linf baselines at eps/3."""
     if cfg.eps is None or cfg.eps <= 0:
         raise ValueError("knorm experiment requires a positive eps")
-    _draw_table(cfg)
     space = contingency_s_semi(cfg.k, cfg.k)
     reps = cfg.replicates
     d = cfg.k * cfg.k

@@ -31,6 +31,9 @@ MAX_CONSECUTIVE_REJECTIONS = 10**6
 #: Single-record-change table sensitivities (one +1, one -1 per move).
 TABLE_SINGLE_MOVE_SENSITIVITY = {1: 2.0, 2: math.sqrt(2.0), math.inf: 1.0}
 
+#: The l_p norm each naive and classic mechanism kind is calibrated in.
+KIND_NORM = {"gaussian": 2, "l1": 1, "l2": 2, "linf": math.inf}
+
 
 class RejectionLimitExceeded(RuntimeError):
     """Raised when the box sampler keeps missing the hull."""
@@ -116,10 +119,7 @@ def hull_geometry(space: SensitivitySpace) -> HullGeometry:
     if basis.s == 0:
         return HullGeometry(basis=basis, box=np.zeros(0))
     coords = space.as_array() @ basis.vectors.T  # vertex coordinates, (m, s)
-    box = np.abs(coords).max(axis=0)
-    if np.any(coords.max(axis=0) > box + 1e-12) or np.any(coords.min(axis=0) < -box - 1e-12):
-        raise AssertionError("bounding box does not contain every hull vertex")
-    return HullGeometry(basis=basis, box=box)
+    return HullGeometry(basis=basis, box=np.abs(coords).max(axis=0))
 
 
 def knorm_noise_samples(
@@ -253,24 +253,16 @@ class NaiveGroupMechanism:
             raise ValueError("group size must be >= 1")
         if self.base_param <= 0:
             raise ValueError("privacy parameter must be positive")
-        if self.kind == "gaussian":
-            object.__setattr__(self, "delta", TABLE_SINGLE_MOVE_SENSITIVITY[2])
-        elif self.kind == "l1":
-            object.__setattr__(self, "delta", TABLE_SINGLE_MOVE_SENSITIVITY[1])
-        elif self.kind == "l2":
-            object.__setattr__(self, "delta", TABLE_SINGLE_MOVE_SENSITIVITY[2])
-        elif self.kind == "linf":
-            object.__setattr__(self, "delta", TABLE_SINGLE_MOVE_SENSITIVITY[math.inf])
-        else:
+        if self.kind not in KIND_NORM:
             raise ValueError(f"unknown mechanism kind {self.kind!r}")
+        object.__setattr__(self, "delta", TABLE_SINGLE_MOVE_SENSITIVITY[KIND_NORM[self.kind]])
         object.__setattr__(self, "scaled_param", self.base_param / self.group_size)
 
     def noise_samples(self, d: int, rng: NoiseRng, size: int) -> np.ndarray:
         if self.kind == "gaussian":
             sigma = self.delta / self.scaled_param
             return np.asarray(rng.normal(scale=sigma, size=(size, d)))
-        p = {"l1": 1, "l2": 2, "linf": math.inf}[self.kind]
-        return lp_noise_samples(self.delta, self.scaled_param, p, d, rng, size)
+        return lp_noise_samples(self.delta, self.scaled_param, KIND_NORM[self.kind], d, rng, size)
 
     def __call__(self, query_value, seed: RngSeed) -> MechanismOutput:
         query = _as_vector(query_value)

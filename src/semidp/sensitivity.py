@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dataspace import DataspaceSpec, Dataset, EnumerationCapExceeded
+from .dataspace import DataspaceSpec, Dataset, _hamming_blocks, _record_codes
 from .simplex import INFEASIBLE, OPTIMAL, LpResult, solve_lp
 
 DEFAULT_RANK_TOL = 1e-10
@@ -86,36 +86,26 @@ def brute_force_sensitivity_space(
     query: Callable[[Dataset], tuple[int, ...]],
     radius: int,
     label: str = "subset",
-    pair_cap: int = 100_000_000,
 ) -> SensitivitySpace:
-    """Exact difference set over all ordered pairs within the radius."""
+    """Exact difference set over all ordered pairs within the radius.
+
+    Refused with ``EnumerationCapExceeded`` when |subset|^2 exceeds
+    ``dataspace.PAIR_CAP``. ``space`` is not read; it stays in the
+    signature for callers that pass arguments positionally.
+    """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     subset = list(subset)
     if not subset:
         raise ValueError("subset must be non-empty")
-    if len(subset) ** 2 > pair_cap:
-        raise EnumerationCapExceeded(
-            f"{len(subset)}^2 ordered pairs exceed the cap of {pair_cap}"
-        )
+    blocks = _hamming_blocks(_record_codes(subset))
     values = np.array([query(x) for x in subset], dtype=np.int64)
-    dim = values.shape[1]
-    # encode records as ids so dataset distances vectorize
-    codes = np.empty((len(subset), space.n), dtype=np.int64)
-    record_ids: dict[tuple[int, ...], int] = {}
-    for i, x in enumerate(subset):
-        for j, r in enumerate(x):
-            codes[i, j] = record_ids.setdefault(r, len(record_ids))
     diffs: set[tuple[int, ...]] = set()
-    chunk = max(1, min(len(subset), 4_000_000 // max(1, len(subset))))
-    for start in range(0, len(subset), chunk):
-        stop = min(start + chunk, len(subset))
-        dist = (codes[start:stop, None, :] != codes[None, :, :]).sum(axis=2)
+    for first, dist in blocks:
         ii, jj = np.nonzero(dist <= radius)
-        block = values[ii + start] - values[jj]
-        for row in np.unique(block, axis=0):
+        for row in np.unique(values[ii + first] - values[jj], axis=0):
             diffs.add(tuple(int(v) for v in row))
-    return _make_space(diffs, dim, f"brute_force(radius={radius}, {label})")
+    return _make_space(diffs, values.shape[1], f"brute_force(radius={radius}, {label})")
 
 
 def contingency_s_semi(r: int, c: int) -> SensitivitySpace:

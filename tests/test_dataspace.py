@@ -1,8 +1,13 @@
 """Dataspace enumeration, invariants, and adjacency geometry."""
 
+import functools
+import itertools
+import resource
+
 import numpy as np
 import pytest
 
+from semidp import dataspace
 from semidp.dataspace import (
     DataspaceSpec,
     EnumerationCapExceeded,
@@ -19,6 +24,7 @@ from semidp.dataspace import (
     semi_adjacent_bound,
     semi_adjacent_parameter,
 )
+from semidp.sensitivity import brute_force_sensitivity_space, cell_count_query
 
 # the binary cube {0,1}^3 modeled as one 2-level feature per record,
 # with bit b stored as level b + 1
@@ -164,6 +170,7 @@ def test_semi_adjacent_parameter_respects_bound_on_random_sweep():
         t = invariant_eval(inv, x, space)
         a = semi_adjacent_parameter(space, inv, t)
         assert a <= semi_adjacent_bound(p)
+        assert a == _dense_semi_adjacent_parameter(space, inv, t)
         checked += 1
 
 
@@ -189,3 +196,118 @@ def test_invariant_value_json_round_trip():
     t = ((2, 1), (1, 1, 1))
     text = invariant_value_to_json(t)
     assert invariant_value_from_json(text) == t
+
+
+@pytest.fixture(params=["default_block", "small_block"])
+def block_size(request, monkeypatch):
+    """Run a test at the kernel's block size, and again with blocks of a few rows."""
+    if request.param == "small_block":
+        monkeypatch.setattr(dataspace, "BLOCK_PAIRS", 1000)
+    return request.param
+
+
+@functools.cache
+def _dense_semi_adjacent_parameter(space, spec, t):
+    """a(t) from the full |S| x |S| distance matrix: the reference algorithm."""
+    datasets = conforming_set(space, spec, t)
+    if len(datasets) == 1:
+        return 0
+    codes = np.array(
+        [[np.ravel_multi_index(np.subtract(r, 1), space.levels) for r in x] for x in datasets]
+    )
+    dist = (codes[:, None, :] != codes[None, :, :]).sum(axis=2)
+    worst = 0
+    for i in range(space.n):
+        column = codes[:, i]
+        groups = {v: np.nonzero(column == v)[0] for v in np.unique(column)}
+        for x_val, x_idx in groups.items():
+            for y_val, y_idx in groups.items():
+                if x_val != y_val:
+                    worst = max(worst, int(dist[np.ix_(x_idx, y_idx)].min(axis=1).max()))
+    return worst
+
+
+def _positive_compositions(n, parts):
+    if parts == 1:
+        if n >= 1:
+            yield (n,)
+        return
+    for first in range(1, n + 1):
+        for rest in _positive_compositions(n - first, parts - 1):
+            yield (first,) + rest
+
+
+def _acceptance_02_instances():
+    """Every (space, margins) instance acceptance criterion 02 enumerates."""
+    for rows, cols, r, c in [
+        ((3, 0), (2, 1), 2, 2),
+        ((2, 2, 0), (2, 1, 1), 3, 3),
+        ((4, 0), (2, 1, 1), 2, 3),
+    ]:
+        yield DataspaceSpec(n=sum(rows), levels=(r, c)), (rows, cols)
+    for r, c in ((2, 2), (2, 3), (3, 3)):
+        for n in range(max(r, c), 6):
+            for rows in _positive_compositions(n, r):
+                for cols in _positive_compositions(n, c):
+                    yield DataspaceSpec(n=n, levels=(r, c)), (rows, cols)
+
+
+def test_streamed_a_t_equals_dense_on_acceptance_02_instances(block_size):
+    inv = OneWayMargins((0, 1))
+    count = 0
+    for space, t in _acceptance_02_instances():
+        assert semi_adjacent_parameter(space, inv, t) == _dense_semi_adjacent_parameter(
+            space, inv, t
+        ), (space, t)
+        count += 1
+    assert count == 114
+
+
+def _pairs_oracle(datasets, radius):
+    return {
+        (a, b) if a <= b else (b, a)
+        for a, b in itertools.combinations(datasets, 2)
+        if 1 <= hamming_distance(a, b) <= radius
+    }
+
+
+def test_indistinguishable_pairs_match_combinations_oracle(block_size):
+    space = DataspaceSpec(n=4, levels=(2, 3))
+    conforming = conforming_set(space, OneWayMargins((0, 1)), ((2, 2), (1, 2, 1)))
+    rng = np.random.default_rng(5)
+    # arbitrary datasets with repeats, not only members of one conforming set
+    drawn = [
+        tuple(tuple(int(rng.integers(1, l + 1)) for l in space.levels) for _ in range(space.n))
+        for _ in range(80)
+    ]
+    for datasets in (conforming, drawn, drawn[:1], []):
+        for radius in range(space.n + 1):
+            assert indistinguishable_pairs(datasets, radius) == _pairs_oracle(datasets, radius)
+
+
+def test_ragged_dataset_lists_raise(block_size):
+    ragged = [bits(0, 1), bits(0, 1, 1)]
+    with pytest.raises(ValueError):
+        indistinguishable_pairs(ragged, 2)
+    with pytest.raises(ValueError):
+        brute_force_sensitivity_space(CUBE, ragged, cell_count_query(CUBE), 2)
+
+
+def test_pair_cap_refuses_before_allocating():
+    # |S| = 44,100 passes ENUMERATION_CAP (9^7 < 10^7), but a dense |S| x |S|
+    # int32 distance matrix would need 7.8 GB
+    space = DataspaceSpec(n=7, levels=(3, 3))
+    inv = OneWayMargins((0, 1))
+    t = ((3, 2, 2), (3, 2, 2))
+    before_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    conforming = conforming_set(space, inv, t)
+    assert len(conforming) ** 2 > dataspace.PAIR_CAP
+    with pytest.raises(EnumerationCapExceeded):
+        semi_adjacent_parameter(space, inv, t)
+    with pytest.raises(EnumerationCapExceeded):
+        brute_force_sensitivity_space(space, conforming, cell_count_query(space), 3)
+    with pytest.raises(EnumerationCapExceeded):
+        indistinguishable_pairs(conforming, 3)
+    growth_mb = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before_kib) / 1024
+    assert len(conforming) == 44_100
+    assert growth_mb < 200, f"peak RSS grew by {growth_mb:.0f} MB"

@@ -10,23 +10,12 @@ from semidp.harness import (
     CSV_HEADER,
     CensusBudget,
     ExperimentConfig,
-    cell_probabilities,
     census_report,
     rows_to_csv,
     run_gaussian_experiment,
     run_knorm_experiment,
 )
 from semidp.rng import RngSeed
-
-
-def test_cell_probabilities_models():
-    p1 = cell_probabilities(3, "I")
-    assert np.allclose(p1, 1.0 / 9.0)
-    p2 = cell_probabilities(2, "II")
-    assert np.allclose(p2, np.array([1, 2, 3, 4]) / 10.0)
-    assert p2.sum() == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        cell_probabilities(2, "III")
 
 
 def test_config_validation():

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from semidp.dataspace import DataspaceSpec, OneWayMargins, conforming_set, semi_adjacent_parameter
+from semidp import dataspace
+from semidp.dataspace import (
+    DataspaceSpec,
+    OneWayMargins,
+    conforming_set,
+    hamming_distance,
+    semi_adjacent_parameter,
+)
 from semidp.sensitivity import (
     SensitivitySpace,
     brute_force_sensitivity_space,
@@ -145,6 +152,33 @@ def test_three_by_three_distance_three_pairs_add_six_entry_vectors():
     # at radius 2 (plain swaps) the generator family is exactly recovered
     brute2 = brute_force_sensitivity_space(space, subset, cell_count_query(space), 2)
     assert set(brute2.vectors) == generators
+
+
+def _brute_force_oracle(subset, query, radius):
+    return {
+        tuple(a - b for a, b in zip(query(x), query(y)))
+        for x, y in itertools.product(subset, repeat=2)
+        if hamming_distance(x, y) <= radius
+    }
+
+
+@pytest.mark.parametrize("block_pairs", [None, 1000, 1])
+def test_brute_force_does_not_depend_on_block_size(block_pairs, monkeypatch):
+    if block_pairs is not None:
+        monkeypatch.setattr(dataspace, "BLOCK_PAIRS", block_pairs)
+    inv = OneWayMargins((0, 1))
+    for levels, t in [
+        ((2, 2), TABLE_T),
+        ((2, 3), ((2, 2), (1, 2, 1))),
+        ((3, 3), ((2, 1, 1), (1, 2, 1))),
+    ]:
+        space = DataspaceSpec(n=sum(t[0]), levels=levels)
+        subset = conforming_set(space, inv, t)
+        q = cell_count_query(space)
+        a_t = semi_adjacent_parameter(space, inv, t)
+        for radius in sorted({0, 1, 2, a_t}):
+            brute = brute_force_sensitivity_space(space, subset, q, radius)
+            assert set(brute.vectors) == _brute_force_oracle(subset, q, radius), (t, radius)
 
 
 def test_group_space_contains_conforming_space():
