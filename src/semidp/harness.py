@@ -47,6 +47,10 @@ class ExperimentConfig:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
+        for name in ("mu", "eps"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _row(cfg: ExperimentConfig, method: str, param: float, costs: np.ndarray) -> dict:
@@ -126,10 +130,10 @@ class CensusBudget:
     )
 
     def __post_init__(self) -> None:
-        if self.total_rho < 0:
-            raise ValueError("total_rho must be >= 0")
-        if any(rho < 0 for _, rho in self.components):
-            raise ValueError("component rho values must be >= 0")
+        if not 0 <= self.total_rho < math.inf:
+            raise ValueError("total_rho must be finite and >= 0")
+        if not all(0 <= rho < math.inf for _, rho in self.components):
+            raise ValueError("component rho values must be finite and >= 0")
         if sum(rho for _, rho in self.components) > self.total_rho + 1e-12:
             raise ValueError("component budgets exceed the total")
         if not 0.0 < self.delta < 1.0:

@@ -2,7 +2,8 @@
 
 Four samplers: a projected Gaussian that confines noise to the span of the
 sensitivity space, an optimal hull-calibrated mechanism driven by rejection
-sampling over a bounding box, the classic l1/l2/linf mechanisms, and naive
+sampling over the hull's bounding box in span coordinates (each try is one
+``hull_membership`` gauge LP), the classic l1/l2/linf mechanisms, and naive
 group-privacy baselines for the table query. All draws are keyed by
 (seed, stream) and are bit-reproducible.
 """
@@ -17,8 +18,8 @@ import numpy as np
 
 from .rng import NoiseRng, RngSeed
 from .sensitivity import (
-    OrthonormalBasis,
     SensitivitySpace,
+    hull_geometry,
     hull_membership,
     lp_sensitivity,
     projection_matrix,
@@ -82,8 +83,8 @@ def gaussian_semi(query_value, space: SensitivitySpace, mu: float, seed: RngSeed
     the span of the sensitivity space; directions the adjacent datasets
     cannot move are left exactly noiseless.
     """
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
+    if not 0 < mu < math.inf:
+        raise ValueError(f"mu must be positive and finite, got {mu}")
     query = _as_vector(query_value, space.ambient_dim)
     rng = NoiseRng(seed)
     basis = span_basis(space)
@@ -102,40 +103,20 @@ def gaussian_semi(query_value, space: SensitivitySpace, mu: float, seed: RngSeed
     return MechanismOutput(value=query + noise, noise=noise, meta=meta)
 
 
-@dataclass(frozen=True)
-class HullGeometry:
-    """Span basis plus the axis-aligned box bounding the hull in basis coordinates."""
-
-    basis: OrthonormalBasis
-    box: np.ndarray  # per-axis half-widths
-
-    @property
-    def s(self) -> int:
-        return self.basis.s
-
-
-def hull_geometry(space: SensitivitySpace) -> HullGeometry:
-    basis = span_basis(space)
-    if basis.s == 0:
-        return HullGeometry(basis=basis, box=np.zeros(0))
-    coords = space.as_array() @ basis.vectors.T  # vertex coordinates, (m, s)
-    return HullGeometry(basis=basis, box=np.abs(coords).max(axis=0))
-
-
 def knorm_noise_samples(
     space: SensitivitySpace,
     epsilon: float,
     rng: NoiseRng,
     size: int,
     delta_k: float = 1.0,
-    membership_tol: float = 1e-9,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
     """Bulk hull-mechanism draws.
 
     Returns (noise, radii, directions, rejection counts): noise[i] equals
     radii[i] * directions[i], where each direction is drawn uniformly from
-    the hull by rejection from its bounding box and each radius is an
-    independent Gamma(s + 1, epsilon / delta_k) variate.
+    the hull by rejection from its bounding box (one ``hull_membership``
+    call per try) and each radius is an independent
+    Gamma(s + 1, epsilon / delta_k) variate.
     """
     geom = hull_geometry(space)
     s, d = geom.s, space.ambient_dim
@@ -149,7 +130,7 @@ def knorm_noise_samples(
         while True:
             u = np.asarray(rng.uniform(-1.0, 1.0, size=s))
             v = (u * geom.box) @ geom.basis.vectors
-            if hull_membership(space, v, tol=membership_tol):
+            if hull_membership(space, v):
                 directions[i] = v
                 break
             misses += 1
@@ -171,8 +152,8 @@ def knorm_optimal(
     where K is the convex hull of the sensitivity space; in hull-gauge units
     the worst adjacent move has length exactly 1, so delta_k defaults to 1.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     query = _as_vector(query_value, space.ambient_dim)
     rng = NoiseRng(seed)
     basis = span_basis(space)
@@ -221,8 +202,8 @@ def lp_mechanism(query_value, delta: float, epsilon: float, p, seed: RngSeed) ->
     the unit sphere for p=2, and a gamma radius times a uniform box point
     for p=inf.
     """
-    if delta <= 0 or epsilon <= 0:
-        raise ValueError("delta and epsilon must be positive")
+    if not (0 < delta < math.inf and 0 < epsilon < math.inf):
+        raise ValueError("delta and epsilon must be positive and finite")
     query = _as_vector(query_value)
     rng = NoiseRng(seed)
     noise = lp_noise_samples(delta, epsilon, p, query.shape[0], rng, 1)[0]
@@ -251,8 +232,8 @@ class NaiveGroupMechanism:
     def __post_init__(self) -> None:
         if self.group_size < 1:
             raise ValueError("group size must be >= 1")
-        if self.base_param <= 0:
-            raise ValueError("privacy parameter must be positive")
+        if not 0 < self.base_param < math.inf:
+            raise ValueError("privacy parameter must be positive and finite")
         if self.kind not in KIND_NORM:
             raise ValueError(f"unknown mechanism kind {self.kind!r}")
         object.__setattr__(self, "delta", TABLE_SINGLE_MOVE_SENSITIVITY[KIND_NORM[self.kind]])

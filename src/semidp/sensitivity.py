@@ -3,8 +3,11 @@
 A sensitivity space collects phi(X) - phi(X') over all dataset pairs the
 adjacency relation protects. Its span tells a mechanism which directions
 need noise at all; its convex hull is the unit ball of the gauge norm used
-by the optimal hull-calibrated mechanism. Hull membership and gauge values
-are decided by the in-package simplex solver.
+by the optimal hull-calibrated mechanism. The hull is held once per space in
+span coordinates (``hull_geometry``), and one LP over it serves both the
+gauge and hull membership: the gauge is the support function of the polar
+body, solved by the one-phase simplex in ``simplex``, and membership is the
+same LP stopped once the gauge passes 1.
 """
 
 from __future__ import annotations
@@ -17,10 +20,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dataspace import DataspaceSpec, Dataset, _hamming_blocks, _record_codes
-from .simplex import INFEASIBLE, OPTIMAL, LpResult, solve_lp
+from .simplex import solve_lp
 
 DEFAULT_RANK_TOL = 1e-10
-DEFAULT_FEASIBILITY_TOL = 1e-9
+
+#: Hull tolerance: membership accepts gauges up to 1 + HULL_TOL, and a point
+#: whose residual off the span exceeds HULL_TOL * max(1, |v|) has gauge inf.
+HULL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -248,49 +254,75 @@ def validate_projection(P: np.ndarray, s: int, tol: float = 1e-9) -> None:
         raise ValueError(f"projection trace {np.trace(P)} != rank {s}")
 
 
-def hull_membership(
-    space: SensitivitySpace, v, tol: float = DEFAULT_FEASIBILITY_TOL
-) -> bool:
-    """True when v is a convex combination of the space's vectors.
+@dataclass(frozen=True)
+class HullGeometry:
+    """The hull of a space in span coordinates.
 
-    Decided by phase-one simplex feasibility of sum(lambda) = 1,
-    S' lambda = v, lambda >= 0 at the given feasibility tolerance.
+    ``coords`` holds each vector's coordinates in the span basis, one row
+    per vector, and ``box`` the half-widths of the axis-aligned box that
+    bounds them.
+    """
+
+    basis: OrthonormalBasis
+    coords: np.ndarray  # (m, s)
+    box: np.ndarray  # (s,)
+
+    @property
+    def s(self) -> int:
+        return self.basis.s
+
+
+@lru_cache(maxsize=128)
+def hull_geometry(space: SensitivitySpace) -> HullGeometry:
+    """The space's hull in span coordinates, computed once per space."""
+    basis = span_basis(space)
+    coords = _vectors_array(space) @ basis.vectors.T
+    box = np.abs(coords).max(axis=0)
+    coords.setflags(write=False)
+    box.setflags(write=False)
+    return HullGeometry(basis=basis, coords=coords, box=box)
+
+
+def _gauge_lp(space: SensitivitySpace, v, stop_above: float) -> float:
+    """Gauge of v over hull(space), or a value above ``stop_above``.
+
+    inf outside the span. Inside it, with y the span coordinates of v and C
+    the vertex coordinates, the gauge is the support function of the polar
+    body: max y'z subject to Cz <= 1, with z = z+ - z- split into
+    non-negative parts.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (space.ambient_dim,):
         raise ValueError("v must match the ambient dimension")
-    result = solve_membership(space, v, tol)
-    return result.status == OPTIMAL
+    if not np.isfinite(v).all():
+        raise ValueError("v must be finite")
+    geom = hull_geometry(space)
+    y = geom.basis.vectors @ v
+    residual = v - y @ geom.basis.vectors
+    if math.sqrt(residual @ residual) > HULL_TOL * max(1.0, math.sqrt(v @ v)):
+        return math.inf
+    C = geom.coords
+    return solve_lp(
+        np.hstack([C, -C]), np.ones(C.shape[0]), np.concatenate([y, -y]), stop_above=stop_above
+    )
 
 
-def solve_membership(space: SensitivitySpace, v: np.ndarray, tol: float) -> LpResult:
-    S = _vectors_array(space).T
-    m = S.shape[1]
-    A = np.vstack([S, np.ones((1, m))])
-    b = np.concatenate([v, [1.0]])
-    return solve_lp(A, b, np.zeros(m), tol=tol)
+def hull_membership(space: SensitivitySpace, v) -> bool:
+    """True when v lies in the convex hull of the space's vectors, that is,
+    when its gauge is at most 1 + ``HULL_TOL``. The gauge LP stops as soon
+    as it passes that bound.
+    """
+    return _gauge_lp(space, v, 1.0 + HULL_TOL) <= 1.0 + HULL_TOL
 
 
-def gauge_norm(space: SensitivitySpace, v, tol: float = DEFAULT_FEASIBILITY_TOL) -> float:
-    """Gauge of v with unit ball hull(space): min total weight writing
-    v as a non-negative combination of the space's vectors.
+def gauge_norm(space: SensitivitySpace, v) -> float:
+    """Gauge of v with unit ball hull(space): the least t >= 0 with v in
+    t * hull(space).
 
     Returns inf when v lies outside the span (no finite scaling of the hull
     can reach it).
     """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (space.ambient_dim,):
-        raise ValueError("v must match the ambient dimension")
-    basis = span_basis(space)
-    residual = v - basis.vectors.T @ (basis.vectors @ v) if basis.s else v
-    if float(np.linalg.norm(residual)) > tol * max(1.0, float(np.linalg.norm(v))):
-        return math.inf
-    S = _vectors_array(space).T
-    m = S.shape[1]
-    result = solve_lp(S, v, np.ones(m), tol=tol)
-    if result.status == INFEASIBLE:
-        return math.inf
-    return max(0.0, float(result.objective))
+    return _gauge_lp(space, v, math.inf)
 
 
 def sensitivity_space_to_csv(space: SensitivitySpace) -> str:

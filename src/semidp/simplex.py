@@ -1,53 +1,78 @@
-"""Small dense primal simplex solver for equality-form linear programs.
+"""Small dense one-phase simplex solver for the hull gauge LP.
 
-Solves min c'x subject to Ax = b, x >= 0 via a two-phase tableau method
-with Bland's anti-cycling rule. The problems solved in this package (convex
-hull membership and gauge norms over sensitivity spaces) have at most a few
-hundred variables and a few dozen rows, so a robust dense implementation is
-preferred over generality or speed.
+Solves max c'x subject to Ax <= b, x >= 0 with b >= 0. With b >= 0 the
+slack basis is feasible, so one phase of tableau pivots under Bland's
+anti-cycling rule solves the problem. The solver stops early once the
+objective passes a given bound, which is all a hull-membership test needs.
+The problems solved in this package (the gauge of a point over the hull of
+a sensitivity space, in span coordinates) have a few dozen variables and at
+most a few hundred rows, so a robust dense implementation is preferred over
+generality or speed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
-
-DEFAULT_TOL = 1e-9
+PIVOT_TOL = 1e-9
 
 
 class IterationLimitExceeded(RuntimeError):
     """Raised when the simplex loop hits its iteration cap."""
 
 
-@dataclass(frozen=True)
-class LpResult:
-    status: str
-    x: np.ndarray | None
-    objective: float | None
+class UnboundedLp(RuntimeError):
+    """Raised when the objective has no upper bound on the feasible set."""
 
 
-def _iterate(tableau: np.ndarray, basis: list[int], ncols: int, tol: float, max_iter: int) -> str:
-    """Run simplex pivots in place; columns >= ncols are never entered."""
-    m = tableau.shape[0] - 1
-    for _ in range(max_iter):
-        negative = tableau[-1, :ncols] < -tol
-        if not negative.any():
-            return OPTIMAL
-        entering = int(np.argmax(negative))  # Bland: smallest eligible index
+def solve_lp(
+    A: np.ndarray,
+    b: np.ndarray,
+    c: np.ndarray,
+    stop_above: float = math.inf,
+    max_iter: int = 10_000,
+) -> float:
+    """Maximize c'x over Ax <= b, x >= 0, for b >= 0.
+
+    Returns the optimal value. Once the objective exceeds ``stop_above`` the
+    pivots stop and that objective is returned: a value above the bound and
+    at most the optimum, since every pivot keeps x feasible and never lowers
+    the objective.
+    """
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    b = np.asarray(b, dtype=float)
+    c = np.asarray(c, dtype=float)
+    m, n = A.shape
+    if b.shape != (m,) or c.shape != (n,):
+        raise ValueError("inconsistent LP dimensions")
+    if np.any(b < 0):
+        raise ValueError("b must be >= 0 so that the slack basis is feasible")
+
+    # rows [A | I | b] over the objective row [-c | 0 | z]
+    tableau = np.zeros((m + 1, n + m + 1))
+    tableau[:m, :n] = A
+    tableau[np.arange(m), n + np.arange(m)] = 1.0
+    tableau[:m, -1] = b
+    tableau[-1, :n] = -c
+    basis = list(range(n, n + m))
+
+    for pivots in range(max_iter + 1):
+        objective = float(tableau[-1, -1])
+        eligible = (tableau[-1, :-1] < -PIVOT_TOL).nonzero()[0]
+        if objective > stop_above or eligible.size == 0:
+            return objective
+        if pivots == max_iter:
+            break
+        entering = int(eligible[0])  # Bland: smallest eligible index
         col = tableau[:m, entering]
-        positive = col > tol
-        if not positive.any():
-            return UNBOUNDED
-        ratios = np.full(m, np.inf)
-        ratios[positive] = tableau[:m, -1][positive] / col[positive]
-        best = ratios.min()
-        candidates = np.nonzero(ratios <= best + tol)[0]
-        leaving = int(min(candidates, key=lambda i: basis[i]))  # Bland tie-break
+        rows = (col > PIVOT_TOL).nonzero()[0]
+        if rows.size == 0:
+            raise UnboundedLp("the LP objective is unbounded above")
+        ratios = tableau[rows, -1] / col[rows]
+        ties = rows[ratios <= ratios.min() + PIVOT_TOL]
+        leaving = int(min(ties, key=basis.__getitem__))  # Bland tie-break
         _pivot(tableau, basis, leaving, entering)
     raise IterationLimitExceeded(f"simplex exceeded {max_iter} iterations")
 
@@ -56,78 +81,5 @@ def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
     tableau[row] /= tableau[row, col]
     multipliers = tableau[:, col].copy()
     multipliers[row] = 0.0
-    tableau -= np.outer(multipliers, tableau[row])
+    tableau -= multipliers[:, None] * tableau[row]
     basis[row] = col
-
-
-def solve_lp(
-    A: np.ndarray,
-    b: np.ndarray,
-    c: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = 10_000,
-) -> LpResult:
-    """Minimize c'x over Ax = b, x >= 0."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    b = np.asarray(b, dtype=float).copy()
-    c = np.asarray(c, dtype=float)
-    m, n = A.shape
-    if b.shape != (m,) or c.shape != (n,):
-        raise ValueError("inconsistent LP dimensions")
-
-    A = A.copy()
-    flip = b < 0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
-
-    # phase 1: artificial basis, minimize the sum of artificials
-    tableau = np.zeros((m + 1, n + m + 1))
-    tableau[:m, :n] = A
-    tableau[:m, n : n + m] = np.eye(m)
-    tableau[:m, -1] = b
-    basis = list(range(n, n + m))
-    tableau[-1, n : n + m] = 1.0
-    tableau[-1] -= tableau[:m].sum(axis=0)
-
-    status = _iterate(tableau, basis, n + m, tol, max_iter)
-    if status != OPTIMAL:
-        raise IterationLimitExceeded("phase-1 subproblem did not terminate optimally")
-    if -tableau[-1, -1] > tol:
-        return LpResult(status=INFEASIBLE, x=None, objective=None)
-
-    # drive any artificial still basic out of the basis, or drop its row
-    keep_rows = []
-    for i in range(m):
-        if basis[i] >= n:
-            pivot_col = -1
-            for j in range(n):
-                if abs(tableau[i, j]) > tol:
-                    pivot_col = j
-                    break
-            if pivot_col >= 0:
-                _pivot(tableau, basis, i, pivot_col)
-                keep_rows.append(i)
-            # else: redundant row, drop it
-        else:
-            keep_rows.append(i)
-    if len(keep_rows) < m:
-        rows = keep_rows + [m]
-        tableau = tableau[rows]
-        basis = [basis[i] for i in keep_rows]
-        m = len(keep_rows)
-
-    # phase 2: restore the true objective over the original columns
-    tableau = np.delete(tableau, np.s_[n : n + (tableau.shape[1] - 1 - n)], axis=1)
-    tableau[-1, :] = 0.0
-    tableau[-1, :n] = c
-    for i, bi in enumerate(basis):
-        tableau[-1] -= c[bi] * tableau[i]
-
-    status = _iterate(tableau, basis, n, tol, max_iter)
-    if status == UNBOUNDED:
-        return LpResult(status=UNBOUNDED, x=None, objective=None)
-
-    x = np.zeros(n)
-    for i, bi in enumerate(basis):
-        x[bi] = tableau[i, -1]
-    return LpResult(status=OPTIMAL, x=x, objective=float(c @ x))

@@ -55,15 +55,15 @@ class TradeoffSpec:
         if self.family == EXACT_DP:
             if self.epsilon is None or self.delta is None:
                 raise ValueError("exact_dp requires epsilon and delta")
-            if self.epsilon < 0:
-                raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+            if not 0 <= self.epsilon < math.inf:
+                raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
             if not 0.0 <= self.delta <= 1.0:
                 raise ValueError(f"delta must be in [0, 1], got {self.delta}")
         elif self.family == GAUSSIAN_DP:
             if self.mu is None:
                 raise ValueError("gaussian_dp requires mu")
-            if self.mu < 0:
-                raise ValueError(f"mu must be >= 0, got {self.mu}")
+            if not 0 <= self.mu < math.inf:
+                raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
         elif self.family == SELF_POWER:
             if self.base is None or self.power is None:
                 raise ValueError("self_power requires base and power")

@@ -160,3 +160,26 @@ def test_config_file_overrides(tmp_path, capsys):
     assert code == 0
     rows = json.loads(out)
     assert all(r["k"] == 3 for r in rows)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mech", "--query", "5,3,2,4", "--kind", "knorm", "--eps", "inf"],
+        ["mech", "--query", "5,3,2,4", "--kind", "gaussian", "--mu", "nan"],
+        ["mech", "--query", "5,3,2,4", "--kind", "l2", "--eps", "inf"],
+        ["mech", "--query", "5,3,2,4", "--kind", "naive-linf", "--eps", "inf"],
+        ["experiment", "knorm", "--k", "2", "--eps", "inf", "--replicates", "3"],
+        ["experiment", "gaussian", "--k", "2", "--mu", "nan", "--replicates", "3"],
+        ["cnd", "--f", "gdp:inf", "--cdf", "0", "--quantile", "0.5"],
+        ["cnd", "--f", "eps:nan"],
+        ["test", "--table", "5,3,2,4", "--f", "eps:inf"],
+        ["census", "--rho-person", "nan", "--rho-housing", "0.07", "--delta", "1e-10"],
+        ["census", "--rho-person", "2.56", "--rho-housing", "inf", "--delta", "1e-10"],
+    ],
+)
+def test_non_finite_privacy_parameters_exit_1(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "finite" in err

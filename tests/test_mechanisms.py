@@ -9,7 +9,6 @@ import scipy.stats as st
 from semidp.mechanisms import (
     gaussian_noise_samples,
     gaussian_semi,
-    hull_geometry,
     knorm_noise_samples,
     knorm_optimal,
     lp_mechanism,
@@ -21,6 +20,7 @@ from semidp.sensitivity import (
     SensitivitySpace,
     contingency_s_semi,
     gauge_norm,
+    hull_geometry,
     projection_matrix,
     span_basis,
 )

@@ -263,19 +263,56 @@ def test_hull_membership_basics():
     assert not hull_membership(space, (1.0, 0.0, 0.0, 0.0))
 
 
+#: Spaces the scipy-oracle hull tests run on: semi spaces of growing span
+#: dimension and a single-move space, whose span is the sum-zero subspace.
+ORACLE_SPACES = (
+    contingency_s_semi(3, 3),
+    contingency_s_semi(2, 3),
+    contingency_s_semi(3, 4),
+    contingency_s_dp(2, 3),
+)
+
+
+def _oracle_points(space, rng, count, scale):
+    """Random span points, then three nonzero vectors of the space scaled
+    by 1 - 1e-7 (inside the hull) and 1 + 1e-7 (outside): every nonzero
+    vector of these spaces has the same l2 norm, so each is a vertex."""
+    basis = span_basis(space)
+    points = [rng.normal(size=basis.s) @ basis.vectors * rng.uniform(0.0, scale) for _ in range(count)]
+    vertices = [np.array(v, dtype=float) for v in space.nonzero()[:3]]
+    near = [(v * (1.0 - 1e-7), True) for v in vertices] + [(v * (1.0 + 1e-7), False) for v in vertices]
+    return points, near
+
+
+def _scipy_member(S, v):
+    m = S.shape[0]
+    A = np.vstack([S.T, np.ones((1, m))])
+    b = np.concatenate([v, [1.0]])
+    ref = linprog(
+        np.zeros(m), A_eq=A, b_eq=b, bounds=[(0, None)] * m, method="highs",
+        options={"primal_feasibility_tolerance": 1e-10},
+    )
+    return ref.status == 0
+
+
 def test_hull_membership_against_scipy():
     rng = np.random.default_rng(9)
-    space = contingency_s_semi(3, 3)
-    S = space.as_array()
-    m = S.shape[0]
-    basis = span_basis(space)
-    for _ in range(25):
-        coeff = rng.normal(size=basis.s)
-        v = coeff @ basis.vectors * rng.uniform(0.0, 2.0)
-        A = np.vstack([S.T, np.ones((1, m))])
-        b = np.concatenate([v, [1.0]])
-        ref = linprog(np.zeros(m), A_eq=A, b_eq=b, bounds=[(0, None)] * m, method="highs")
-        assert hull_membership(space, v) == (ref.status == 0)
+    for space in ORACLE_SPACES:
+        S = space.as_array()
+        points, near = _oracle_points(space, rng, 25, 2.0)
+        for v in points:
+            assert hull_membership(space, v) == _scipy_member(S, v)
+        for v, inside in near:
+            assert hull_membership(space, v) == inside == _scipy_member(S, v)
+
+
+def test_hull_tests_refuse_non_finite_points():
+    space = contingency_s_semi(2, 2)
+    for bad in ((math.nan, 0, 0, 0), (math.inf, -1, -1, 1), (0, 0, 0, -math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            gauge_norm(space, bad)
+        with pytest.raises(ValueError, match="finite"):
+            hull_membership(space, bad)
 
 
 def test_gauge_norm_values():
@@ -302,15 +339,16 @@ def test_gauge_norm_axioms_on_span():
 
 def test_gauge_matches_scipy_min_weight():
     rng = np.random.default_rng(31)
-    space = contingency_s_semi(3, 3)
-    S = space.as_array().T
-    m = S.shape[1]
-    basis = span_basis(space)
-    for _ in range(15):
-        v = rng.normal(size=basis.s) @ basis.vectors * rng.uniform(0.0, 3.0)
-        ref = linprog(np.ones(m), A_eq=S, b_eq=v, bounds=[(0, None)] * m, method="highs")
-        assert ref.status == 0
-        assert gauge_norm(space, v) == pytest.approx(ref.fun, abs=1e-7)
+    for space in ORACLE_SPACES:
+        S = space.as_array().T
+        m = S.shape[1]
+        points, near = _oracle_points(space, rng, 15, 3.0)
+        for v in points + [v for v, _ in near]:
+            ref = linprog(np.ones(m), A_eq=S, b_eq=v, bounds=[(0, None)] * m, method="highs")
+            assert ref.status == 0
+            assert gauge_norm(space, v) == pytest.approx(ref.fun, abs=1e-7)
+        for v, inside in near:
+            assert gauge_norm(space, v) == pytest.approx(1.0 - 1e-7 if inside else 1.0 + 1e-7, abs=1e-12)
 
 
 def test_csv_exports():
