@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -159,8 +160,16 @@ def conforming_set(
 
     Enumeration is a depth-first search over rows with pruning on the
     remaining per-cell budgets, refused outright when the raw dataspace
-    exceeds ``cap`` states.
+    exceeds ``cap`` states. The last few sets are cached; each call returns
+    a fresh list.
     """
+    return list(_conforming_tuple(space, spec, tuple(map(tuple, t)), cap))
+
+
+@lru_cache(maxsize=8)
+def _conforming_tuple(
+    space: DataspaceSpec, spec: InvariantSpec, t: InvariantValue, cap: int
+) -> tuple[Dataset, ...]:
     if space.size() > cap:
         raise EnumerationCapExceeded(
             f"dataspace has {space.size()} states, above the cap of {cap}"
@@ -175,7 +184,7 @@ def conforming_set(
         if any(c < 0 for c in vec):
             raise ValueError("invariant counts must be non-negative")
     if any(sum(vec) != space.n for vec in t):
-        return []
+        return ()
 
     row_values = list(itertools.product(*[range(1, l + 1) for l in space.levels]))
     row_cells = [
@@ -206,7 +215,7 @@ def conforming_set(
                 remaining[gi][cell] += 1
 
     recurse(0)
-    return out
+    return tuple(out)
 
 
 def _record_codes(datasets: Sequence[Dataset]) -> np.ndarray:

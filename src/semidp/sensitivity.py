@@ -48,6 +48,13 @@ class SensitivitySpace:
                 raise ValueError("all vectors must have the ambient dimension")
             if tuple(-x for x in v) not in seen:
                 raise ValueError("sensitivity space must be closed under negation")
+        # Tuples do not cache their hash, and every cache keyed on a space
+        # hashes it; provenance is left out so the value is the same in every
+        # process (str hashes are salted per process).
+        object.__setattr__(self, "_hash", hash((self.vectors, self.ambient_dim)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def as_array(self) -> np.ndarray:
         return _vectors_array(self).copy()
@@ -55,11 +62,6 @@ class SensitivitySpace:
     def nonzero(self) -> tuple[tuple[int, ...], ...]:
         zero = (0,) * self.ambient_dim
         return tuple(v for v in self.vectors if v != zero)
-
-
-def _make_space(vectors, dim: int, provenance: str) -> SensitivitySpace:
-    dedup = sorted(set(tuple(int(x) for x in v) for v in vectors))
-    return SensitivitySpace(vectors=tuple(dedup), ambient_dim=dim, provenance=provenance)
 
 
 @lru_cache(maxsize=128)
@@ -95,9 +97,10 @@ def brute_force_sensitivity_space(
 ) -> SensitivitySpace:
     """Exact difference set over all ordered pairs within the radius.
 
-    Refused with ``EnumerationCapExceeded`` when |subset|^2 exceeds
-    ``dataspace.PAIR_CAP``. ``space`` is not read; it stays in the
-    signature for callers that pass arguments positionally.
+    Pairs are reduced to pairs of distinct query values before any
+    difference is taken. Refused with ``EnumerationCapExceeded`` when
+    |subset|^2 exceeds ``dataspace.PAIR_CAP``. ``space`` is not read; it
+    stays in the signature for callers that pass arguments positionally.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
@@ -106,12 +109,15 @@ def brute_force_sensitivity_space(
         raise ValueError("subset must be non-empty")
     blocks = _hamming_blocks(_record_codes(subset))
     values = np.array([query(x) for x in subset], dtype=np.int64)
-    diffs: set[tuple[int, ...]] = set()
+    unique, vid = np.unique(values, axis=0, return_inverse=True)
+    vid = vid.reshape(-1)
+    seen = np.zeros((len(unique), len(unique)), dtype=bool)
     for first, dist in blocks:
         ii, jj = np.nonzero(dist <= radius)
-        for row in np.unique(values[ii + first] - values[jj], axis=0):
-            diffs.add(tuple(int(v) for v in row))
-    return _make_space(diffs, values.shape[1], f"brute_force(radius={radius}, {label})")
+        seen[vid[ii + first], vid[jj]] = True
+    a, b = np.nonzero(seen)
+    diffs = sorted(set(map(tuple, (unique[a] - unique[b]).tolist())))
+    return SensitivitySpace(tuple(diffs), values.shape[1], f"brute_force(radius={radius}, {label})")
 
 
 def contingency_s_semi(r: int, c: int) -> SensitivitySpace:
@@ -129,40 +135,37 @@ def contingency_s_semi(r: int, c: int) -> SensitivitySpace:
     """
     if r < 2 or c < 2:
         raise ValueError("r and c must both be >= 2")
-    d = r * c
-    vectors = {(0,) * d}
-    for i in range(r):
-        for k in range(r):
-            if i == k:
-                continue
-            for j in range(c):
-                for l in range(c):
-                    if j == l:
-                        continue
-                    v = [0] * d
-                    v[i * c + j] += 1
-                    v[k * c + l] += 1
-                    v[i * c + l] -= 1
-                    v[k * c + j] -= 1
-                    vectors.add(tuple(v))
-    return _make_space(vectors, d, f"contingency_margins({r}x{c})")
+    return _table_space("semi", r, c)
 
 
 def contingency_s_dp(r: int, c: int) -> SensitivitySpace:
     """Single-record moves of an r x c table: one +1, one -1, plus zero."""
     if r < 1 or c < 1:
         raise ValueError("r and c must both be >= 1")
+    return _table_space("dp", r, c)
+
+
+@lru_cache(maxsize=32)
+def _table_space(kind: str, r: int, c: int) -> SensitivitySpace:
+    """The semi or dp space of an r x c table, built once per (kind, r, c)."""
     d = r * c
-    vectors = {(0,) * d}
-    for a in range(d):
-        for b in range(d):
-            if a == b:
-                continue
-            v = [0] * d
-            v[a] += 1
-            v[b] -= 1
-            vectors.add(tuple(v))
-    return _make_space(vectors, d, f"contingency_single_move({r}x{c})")
+    if kind == "semi":
+        # one row per move with i < k and j != l; (k, i, l, j) is the same move
+        upper = np.triu(np.ones((r, r), dtype=bool), 1)
+        i, k, j, l = np.nonzero(upper[:, :, None, None] & ~np.eye(c, dtype=bool))
+        plus, minus = (i * c + j, k * c + l), (i * c + l, k * c + j)
+    else:
+        # one row per ordered pair of distinct cells
+        a, b = np.nonzero(~np.eye(d, dtype=bool))
+        plus, minus = (a,), (b,)
+    V = np.zeros((len(plus[0]) + 1, d), dtype=np.int64)
+    rows = np.arange(1, len(V))
+    for cells in plus:
+        V[rows, cells] = 1
+    for cells in minus:
+        V[rows, cells] = -1
+    name = "contingency_margins" if kind == "semi" else "contingency_single_move"
+    return SensitivitySpace(tuple(sorted(map(tuple, V.tolist()))), d, f"{name}({r}x{c})")
 
 
 def lp_sensitivity(space: SensitivitySpace, p) -> float:
@@ -245,15 +248,6 @@ def projection_matrix(basis: OrthonormalBasis, d: int) -> np.ndarray:
     return basis.vectors.T @ basis.vectors
 
 
-def validate_projection(P: np.ndarray, s: int, tol: float = 1e-9) -> None:
-    if not np.allclose(P, P.T, atol=tol):
-        raise ValueError("projection must be symmetric")
-    if not np.allclose(P @ P, P, atol=tol):
-        raise ValueError("projection must be idempotent")
-    if abs(float(np.trace(P)) - s) > tol:
-        raise ValueError(f"projection trace {np.trace(P)} != rank {s}")
-
-
 @dataclass(frozen=True)
 class HullGeometry:
     """The hull of a space in span coordinates.
@@ -329,6 +323,3 @@ def sensitivity_space_to_csv(space: SensitivitySpace) -> str:
     """One vector per line, components comma-separated."""
     return "\n".join(",".join(str(x) for x in v) for v in space.vectors) + "\n"
 
-
-def matrix_to_csv(P: np.ndarray) -> str:
-    return "\n".join(",".join(repr(float(x)) for x in row) for row in np.atleast_2d(P)) + "\n"

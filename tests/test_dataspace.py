@@ -100,6 +100,18 @@ def test_conforming_set_binary_cube():
     assert conforming_set(CUBE, CUBE_INV, ((1, 1),)) == []
 
 
+def test_conforming_set_returns_a_fresh_list():
+    first = conforming_set(CUBE, CUBE_INV, ((1, 2),))
+    expected = list(first)
+    first.append(bits(1, 1, 1))
+    first.reverse()
+    assert conforming_set(CUBE, CUBE_INV, ((1, 2),)) == expected
+    assert conforming_set(CUBE, CUBE_INV, [[1, 2]]) == expected
+    for _ in range(2):  # refusals are never cached
+        with pytest.raises(ValueError):
+            conforming_set(CUBE, CUBE_INV, ((1, 1, 1),))
+
+
 def test_conforming_set_members_reproduce_invariant():
     space = DataspaceSpec(n=4, levels=(2, 3))
     inv = OneWayMargins((0, 1))
@@ -259,6 +271,32 @@ def test_streamed_a_t_equals_dense_on_acceptance_02_instances(block_size):
         assert semi_adjacent_parameter(space, inv, t) == _dense_semi_adjacent_parameter(
             space, inv, t
         ), (space, t)
+        count += 1
+    assert count == 114
+
+
+@functools.cache
+def _per_block_brute_force(space, spec, t, radius):
+    """Brute force by one np.unique per distance block: the reference."""
+    subset = conforming_set(space, spec, t)
+    values = np.array([cell_count_query(space)(x) for x in subset], dtype=np.int64)
+    diffs = set()
+    for first, dist in dataspace._hamming_blocks(dataspace._record_codes(subset)):
+        ii, jj = np.nonzero(dist <= radius)
+        for row in np.unique(values[ii + first] - values[jj], axis=0):
+            diffs.add(tuple(int(v) for v in row))
+    return tuple(sorted(diffs))
+
+
+def test_brute_force_equals_per_block_oracle_on_acceptance_02_instances(block_size):
+    inv = OneWayMargins((0, 1))
+    count = 0
+    for space, t in _acceptance_02_instances():
+        subset = conforming_set(space, inv, t)
+        query = cell_count_query(space)
+        for radius in sorted({0, 1, 2, semi_adjacent_parameter(space, inv, t)}):
+            got = brute_force_sensitivity_space(space, subset, query, radius)
+            assert got.vectors == _per_block_brute_force(space, inv, t, radius), (space, t, radius)
         count += 1
     assert count == 114
 

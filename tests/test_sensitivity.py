@@ -24,11 +24,9 @@ from semidp.sensitivity import (
     gauge_norm,
     hull_membership,
     lp_sensitivity,
-    matrix_to_csv,
     projection_matrix,
     sensitivity_space_to_csv,
     span_basis,
-    validate_projection,
 )
 
 V = (1, -1, -1, 1)
@@ -93,6 +91,68 @@ def test_single_move_space_shape_and_sensitivities():
     assert lp_sensitivity(space, 1) == 2.0
     assert lp_sensitivity(space, 2) == pytest.approx(math.sqrt(2.0))
     assert lp_sensitivity(space, math.inf) == 1.0
+
+
+def _loop_semi(r, c):
+    """The pure-Python semi builder the cached one replaced: the reference."""
+    if r < 2 or c < 2:
+        raise ValueError("r and c must both be >= 2")
+    d = r * c
+    vectors = {(0,) * d}
+    for i, k in itertools.permutations(range(r), 2):
+        for j, l in itertools.permutations(range(c), 2):
+            v = [0] * d
+            v[i * c + j] += 1
+            v[k * c + l] += 1
+            v[i * c + l] -= 1
+            v[k * c + j] -= 1
+            vectors.add(tuple(v))
+    return SensitivitySpace(tuple(sorted(vectors)), d, f"contingency_margins({r}x{c})")
+
+
+def _loop_dp(r, c):
+    """The pure-Python dp builder the cached one replaced: the reference."""
+    if r < 1 or c < 1:
+        raise ValueError("r and c must both be >= 1")
+    d = r * c
+    vectors = {(0,) * d}
+    for a, b in itertools.permutations(range(d), 2):
+        v = [0] * d
+        v[a] += 1
+        v[b] -= 1
+        vectors.add(tuple(v))
+    return SensitivitySpace(tuple(sorted(vectors)), d, f"contingency_single_move({r}x{c})")
+
+
+@pytest.mark.parametrize("build, oracle", [(contingency_s_semi, _loop_semi), (contingency_s_dp, _loop_dp)])
+def test_table_builders_equal_loop_oracle(build, oracle):
+    for r in range(-1, 9):
+        for c in range(-1, 9):
+            try:
+                want = oracle(r, c)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{exc}$"):
+                    build(r, c)
+                continue
+            got = build(r, c)
+            assert got.vectors == want.vectors, (r, c)
+            assert (got.ambient_dim, got.provenance) == (want.ambient_dim, want.provenance)
+            assert all(type(x) is int for x in got.vectors[-1])
+            assert got == want and hash(got) == hash(want)
+
+
+def test_table_builders_return_one_object_per_shape():
+    assert contingency_s_semi(3, 4) is contingency_s_semi(3, 4)
+    assert contingency_s_dp(3, 4) is contingency_s_dp(3, 4)
+    assert contingency_s_semi(3, 4) != contingency_s_semi(4, 3)
+
+
+def test_equal_spaces_hash_equal():
+    space = contingency_s_semi(3, 3)
+    copy = SensitivitySpace(tuple(map(tuple, map(list, space.vectors))), 9, space.provenance)
+    assert copy is not space and copy == space and hash(copy) == hash(space)
+    relabelled = SensitivitySpace(copy.vectors, 9, "other")
+    assert relabelled != space
 
 
 def test_lp_sensitivity_zero_space():
@@ -228,7 +288,9 @@ def test_projection_two_by_two_quarter_matrix():
         [[1, -1, -1, 1], [-1, 1, 1, -1], [-1, 1, 1, -1], [1, -1, -1, 1]], dtype=float
     )
     assert np.allclose(P, expected, atol=1e-12)
-    validate_projection(P, 1)
+    assert np.allclose(P, P.T, atol=1e-9)
+    assert np.allclose(P @ P, P, atol=1e-9)
+    assert abs(float(np.trace(P)) - 1) <= 1e-9
 
 
 def test_projection_edge_cases():
@@ -356,5 +418,3 @@ def test_csv_exports():
     text = sensitivity_space_to_csv(space)
     assert text.splitlines()[0].count(",") == 3
     assert len(text.strip().splitlines()) == len(space.vectors)
-    P = projection_matrix(span_basis(space), 4)
-    assert len(matrix_to_csv(P).strip().splitlines()) == 4
