@@ -31,10 +31,10 @@ from .inference import (
 )
 from .mechanisms import (
     MechanismOutput,
+    NaiveGroupMechanism,
     gaussian_semi,
     knorm_optimal,
     lp_mechanism,
-    naive_group_wrapper,
 )
 from .rng import NoiseRng, RngSeed
 from .sensitivity import (

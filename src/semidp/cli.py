@@ -24,10 +24,10 @@ from .inference import Table2x2, private_pvalue, umpu_test
 from .mechanisms import (
     KIND_NORM,
     TABLE_SINGLE_MOVE_SENSITIVITY,
+    NaiveGroupMechanism,
     gaussian_semi,
     knorm_optimal,
     lp_mechanism,
-    naive_group_wrapper,
 )
 from .rng import RngSeed
 from .sensitivity import (
@@ -59,13 +59,12 @@ def _seed_from(args: argparse.Namespace) -> RngSeed:
     env = os.environ.get("SEMIDP_SEED")
     if env is not None:
         return RngSeed(int(env))
-    return RngSeed(int(getattr(args, "seed", 0) or 0))
+    return RngSeed(args.seed)
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
@@ -76,16 +75,19 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="semidp")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=0)
+    def common(p: argparse.ArgumentParser, seed: bool = False, fmt: bool = False) -> None:
+        # only the subcommands that read --seed or --format accept them
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", choices=("csv", "json"), default="json")
+        if fmt:
+            p.add_argument("--format", choices=("csv", "json"), default="json")
 
     p = sub.add_parser("sens", help="sensitivity space of a table query")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--space", choices=("semi", "dp"), default="semi")
-    common(p)
+    common(p, fmt=True)
 
     p = sub.add_parser("mech", help="one mechanism draw")
     p.add_argument("--query", type=str, required=True, help="comma-separated cell values")
@@ -100,20 +102,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--c", type=int, default=None)
     p.add_argument("--group-size", type=int, default=harness.TABLE_GROUP_SIZE)
-    common(p)
+    common(p, seed=True)
 
     p = sub.add_parser("cnd", help="canonical noise distribution")
     p.add_argument("--f", type=str, required=True, help="gdp:MU or eps:EPS[,DELTA]")
     p.add_argument("--cdf", type=float, default=None)
     p.add_argument("--quantile", type=float, default=None)
     p.add_argument("--sample", type=int, default=None)
-    common(p)
+    common(p, seed=True)
 
     p = sub.add_parser("test", help="private odds-ratio test for a 2x2 table")
     p.add_argument("--table", type=str, required=True, help="x11,x12,x21,x22")
     p.add_argument("--f", type=str, required=True)
     p.add_argument("--alpha", type=float, default=0.05)
-    common(p)
+    common(p, seed=True)
 
     p = sub.add_parser("experiment", help="noise-cost comparison experiments")
     p.add_argument("which", choices=("gaussian", "knorm"))
@@ -123,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--replicates", type=int, default=30)
     p.add_argument("--config", type=str, default=None, help="JSON file with config overrides")
-    common(p)
+    common(p, seed=True, fmt=True)
 
     p = sub.add_parser("census", help="advertised vs effective budget report")
     p.add_argument("--rho-person", type=float, required=True)
@@ -182,7 +184,7 @@ def _run_mech(args: argparse.Namespace) -> None:
         param = args.mu if kind == "gaussian" else args.eps
         if param is None:
             raise ValueError("naive mechanisms need --mu (gaussian) or --eps (lp)")
-        out = naive_group_wrapper(kind, args.group_size, param)(query, seed)
+        out = NaiveGroupMechanism(kind, args.group_size, param)(query, seed)
     else:
         if args.eps is None:
             raise ValueError("--eps is required for lp mechanisms")

@@ -30,7 +30,6 @@ from .tradeoff import (
     TradeoffSpec,
     compose_self,
     eval_tradeoff,
-    is_nontrivial,
     iterate_tradeoff,
 )
 
@@ -61,28 +60,23 @@ def _closed_form(f: TradeoffSpec) -> TradeoffSpec | None:
     return f if f.family in (GAUSSIAN_DP, EXACT_DP) else None
 
 
-def solve_c(f: TradeoffSpec, tol: float = _FIXED_POINT_TOL) -> float:
+def solve_c(f: TradeoffSpec) -> float:
     """Fixed point c of f(1-c) = c on [0, 1/2].
 
     g(c) = f(1-c) - c is strictly decreasing, g(0) = f(1) and
-    g(1/2) = f(1/2) - 1/2 <= 0. Trivial inputs (root at 1/2) and the
-    perfect-distinguishability edge f(1) = 0 (root at 0) are rejected.
-    Gaussian curves have c = Phi(-mu/2) and (epsilon, delta) curves
-    c = (1 - delta) / (1 + e^epsilon), where the two sloped branches meet;
-    other curves are solved by bisection on g.
+    g(1/2) = f(1/2) - 1/2 <= 0, since every tradeoff family has f(a) <= a.
+    Trivial inputs (root at 1/2) and the perfect-distinguishability edge
+    f(1) = 0 (root at 0) are rejected. Gaussian curves have c = Phi(-mu/2)
+    and (epsilon, delta) curves c = (1 - delta) / (1 + e^epsilon), where the
+    two sloped branches meet; other curves are solved by bisection on g.
     """
-    if not is_nontrivial(f):
-        raise ValueError("tradeoff function is trivial; no usable fixed point")
-    g0 = eval_tradeoff(f, 1.0)
-    if g0 <= tol:
+    if eval_tradeoff(f, 1.0) <= _FIXED_POINT_TOL:
         raise ValueError("f(1) = 0: distributions are perfectly distinguishable at "
                          "the endpoint; the construction degenerates")
-    lo, hi = 0.0, 0.5
-    if eval_tradeoff(f, 1.0 - hi) - hi > 0:
-        raise ValueError("no sign change on [0, 1/2]; f is not a valid symmetric input")
     closed = _closed_form(f)
     if closed is None:
-        while hi - lo > tol:
+        lo, hi = 0.0, 0.5
+        while hi - lo > _FIXED_POINT_TOL:
             mid = 0.5 * (lo + hi)
             if eval_tradeoff(f, 1.0 - mid) - mid > 0:
                 lo = mid

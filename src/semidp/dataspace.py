@@ -15,14 +15,13 @@ lexicographic and deterministic.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-#: Default ceiling on the raw dataspace size (#cells ** n) for enumeration.
+#: Ceiling on the raw dataspace size (#cells ** n) for enumeration.
 ENUMERATION_CAP = 10_000_000
 
 #: Ceiling on |S|^2, the dataset pairs a pairwise-distance scan over S visits.
@@ -150,30 +149,25 @@ def invariant_eval(spec: InvariantSpec, x: Dataset, space: DataspaceSpec) -> Inv
     return tuple(tuple(c) for c in counts)
 
 
-def conforming_set(
-    space: DataspaceSpec,
-    spec: InvariantSpec,
-    t: InvariantValue,
-    cap: int = ENUMERATION_CAP,
-) -> list[Dataset]:
+def conforming_set(space: DataspaceSpec, spec: InvariantSpec, t: InvariantValue) -> list[Dataset]:
     """All datasets whose invariant equals t, in lexicographic order.
 
     Enumeration is a depth-first search over rows with pruning on the
     remaining per-cell budgets, refused outright when the raw dataspace
-    exceeds ``cap`` states. The last few sets are cached; each call returns
-    a fresh list.
+    exceeds ``ENUMERATION_CAP`` states. The last few sets are cached; each
+    call returns a fresh list.
     """
-    return list(_conforming_tuple(space, spec, tuple(map(tuple, t)), cap))
+    if space.size() > ENUMERATION_CAP:
+        raise EnumerationCapExceeded(
+            f"dataspace has {space.size()} states, above the cap of {ENUMERATION_CAP}"
+        )
+    return list(_conforming_tuple(space, spec, tuple(map(tuple, t))))
 
 
 @lru_cache(maxsize=8)
 def _conforming_tuple(
-    space: DataspaceSpec, spec: InvariantSpec, t: InvariantValue, cap: int
+    space: DataspaceSpec, spec: InvariantSpec, t: InvariantValue
 ) -> tuple[Dataset, ...]:
-    if space.size() > cap:
-        raise EnumerationCapExceeded(
-            f"dataspace has {space.size()} states, above the cap of {cap}"
-        )
     groups = _validated_groups(spec, space)
     sizes = _group_sizes(groups, space)
     if len(t) != len(groups):
@@ -251,12 +245,7 @@ def _hamming_blocks(codes: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     return blocks()
 
 
-def semi_adjacent_parameter(
-    space: DataspaceSpec,
-    spec: InvariantSpec,
-    t: InvariantValue,
-    cap: int = ENUMERATION_CAP,
-) -> int:
+def semi_adjacent_parameter(space: DataspaceSpec, spec: InvariantSpec, t: InvariantValue) -> int:
     """Worst-case replacement radius within the invariant-conforming set.
 
     For every conforming dataset X, record position i, and feasible record
@@ -265,7 +254,7 @@ def semi_adjacent_parameter(
     (X, i, y) of the distance to the nearest such Y. A singleton conforming
     set yields 0: nothing is left to protect.
     """
-    datasets = conforming_set(space, spec, t, cap=cap)
+    datasets = conforming_set(space, spec, t)
     if not datasets:
         raise ValueError("conforming set is empty; invariant value is infeasible")
     if len(datasets) == 1:
@@ -308,23 +297,3 @@ def indistinguishable_pairs(
             a, b = items[i], items[j]
             out.add((a, b) if a <= b else (b, a))
     return out
-
-
-def dataset_to_csv(x: Dataset) -> str:
-    """One record per line, feature levels comma-separated."""
-    return "\n".join(",".join(str(v) for v in row) for row in x) + "\n"
-
-
-def dataset_from_csv(text: str) -> Dataset:
-    rows = []
-    for line in text.strip().splitlines():
-        rows.append(tuple(int(v) for v in line.split(",")))
-    return tuple(rows)
-
-
-def invariant_value_to_json(t: InvariantValue) -> str:
-    return json.dumps([list(vec) for vec in t])
-
-
-def invariant_value_from_json(text: str) -> InvariantValue:
-    return tuple(tuple(int(v) for v in vec) for vec in json.loads(text))

@@ -42,9 +42,6 @@ class Table2x2:
             tdot2=self.x12 + self.x22,
         )
 
-    def vector(self) -> tuple[int, int, int, int]:
-        return (self.x11, self.x12, self.x21, self.x22)
-
 
 @dataclass(frozen=True)
 class Margins:

@@ -104,25 +104,21 @@ def gaussian_semi(query_value, space: SensitivitySpace, mu: float, seed: RngSeed
 
 
 def knorm_noise_samples(
-    space: SensitivitySpace,
-    epsilon: float,
-    rng: NoiseRng,
-    size: int,
-    delta_k: float = 1.0,
+    space: SensitivitySpace, epsilon: float, rng: NoiseRng, size: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
     """Bulk hull-mechanism draws.
 
     Returns (noise, radii, directions, rejection counts): noise[i] equals
     radii[i] * directions[i], where each direction is drawn uniformly from
     the hull by rejection from its bounding box (one ``hull_membership``
-    call per try) and each radius is an independent
-    Gamma(s + 1, epsilon / delta_k) variate.
+    call per try) and each radius is an independent Gamma(s + 1, epsilon)
+    variate, since every adjacent move has hull gauge at most 1.
     """
     geom = hull_geometry(space)
     s, d = geom.s, space.ambient_dim
     if s == 0:
         raise ValueError("sensitivity space has empty span; nothing to randomize")
-    radii = np.atleast_1d(np.asarray(rng.gamma(s + 1.0, epsilon / delta_k, size=(size,))))
+    radii = np.atleast_1d(np.asarray(rng.gamma(s + 1.0, epsilon, size=(size,))))
     directions = np.empty((size, d))
     rejections: list[int] = []
     for i in range(size):
@@ -143,14 +139,13 @@ def knorm_noise_samples(
     return noise, radii, directions, rejections
 
 
-def knorm_optimal(
-    query_value, space: SensitivitySpace, epsilon: float, seed: RngSeed, delta_k: float = 1.0
-) -> MechanismOutput:
+def knorm_optimal(query_value, space: SensitivitySpace, epsilon: float, seed: RngSeed) -> MechanismOutput:
     """Optimal hull-calibrated mechanism for a possibly rank-deficient space.
 
     The noise density is proportional to exp(-epsilon * ||v||_K) on the span,
     where K is the convex hull of the sensitivity space; in hull-gauge units
-    the worst adjacent move has length exactly 1, so delta_k defaults to 1.
+    the worst adjacent move has length exactly 1, which the meta records as
+    ``delta_k``.
     """
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
@@ -166,11 +161,11 @@ def knorm_optimal(
             "warning": "degenerate sensitivity space; query is constant, no noise added",
         }
         return MechanismOutput(value=query, noise=np.zeros_like(query), meta=meta)
-    noise, radii, _, rejections = knorm_noise_samples(space, epsilon, rng, 1, delta_k=delta_k)
+    noise, radii, _, rejections = knorm_noise_samples(space, epsilon, rng, 1)
     meta = {
         "mechanism": "knorm_optimal",
         "epsilon": epsilon,
-        "delta_k": delta_k,
+        "delta_k": 1.0,
         "span_dim": basis.s,
         "radius": repr(float(radii[0])),
         "rejections": rejections[0],
@@ -258,8 +253,3 @@ class NaiveGroupMechanism:
             "rng": rng.meta(),
         }
         return MechanismOutput(value=query + noise, noise=noise, meta=meta)
-
-
-def naive_group_wrapper(kind: str, group_size: int, base_param: float) -> NaiveGroupMechanism:
-    """Configure a naive group-privacy baseline mechanism for the table query."""
-    return NaiveGroupMechanism(kind=kind, group_size=group_size, base_param=base_param)

@@ -42,12 +42,7 @@ class RngSeed:
 class NoiseRng:
     """Deterministic distribution sampler over one Philox stream."""
 
-    def __init__(self, seed: RngSeed | int, stream: int | None = None):
-        if isinstance(seed, RngSeed):
-            if stream is not None:
-                seed = seed.with_stream(stream)
-        else:
-            seed = RngSeed(int(seed), int(stream or 0))
+    def __init__(self, seed: RngSeed):
         self.seed = seed
         key = np.array([seed.seed, seed.stream], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))

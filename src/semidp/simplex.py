@@ -18,6 +18,9 @@ import numpy as np
 
 PIVOT_TOL = 1e-9
 
+#: Pivots allowed per solve before ``IterationLimitExceeded``.
+MAX_PIVOTS = 10_000
+
 
 class IterationLimitExceeded(RuntimeError):
     """Raised when the simplex loop hits its iteration cap."""
@@ -32,7 +35,6 @@ def solve_lp(
     b: np.ndarray,
     c: np.ndarray,
     stop_above: float = math.inf,
-    max_iter: int = 10_000,
 ) -> float:
     """Maximize c'x over Ax <= b, x >= 0, for b >= 0.
 
@@ -58,12 +60,12 @@ def solve_lp(
     tableau[-1, :n] = -c
     basis = list(range(n, n + m))
 
-    for pivots in range(max_iter + 1):
+    for pivots in range(MAX_PIVOTS + 1):
         objective = float(tableau[-1, -1])
         eligible = (tableau[-1, :-1] < -PIVOT_TOL).nonzero()[0]
         if objective > stop_above or eligible.size == 0:
             return objective
-        if pivots == max_iter:
+        if pivots == MAX_PIVOTS:
             break
         entering = int(eligible[0])  # Bland: smallest eligible index
         col = tableau[:m, entering]
@@ -74,7 +76,7 @@ def solve_lp(
         ties = rows[ratios <= ratios.min() + PIVOT_TOL]
         leaving = int(min(ties, key=basis.__getitem__))  # Bland tie-break
         _pivot(tableau, basis, leaving, entering)
-    raise IterationLimitExceeded(f"simplex exceeded {max_iter} iterations")
+    raise IterationLimitExceeded(f"simplex exceeded {MAX_PIVOTS} iterations")
 
 
 def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:

@@ -34,7 +34,7 @@ SELF_POWER = "self_power"
 #: than exact tradeoff curves.
 LOWER_BOUND = "LOWER_BOUND"
 
-#: Grid used by default for pointwise tradeoff comparisons.
+#: Grid for pointwise tradeoff comparisons.
 DEFAULT_COMPARISON_GRID = tuple(np.linspace(0.0, 1.0, 101))
 
 _COMPARISON_TOL = 1e-9
@@ -167,12 +167,6 @@ def breakpoints(f: TradeoffSpec) -> tuple[float, ...]:
     return ()
 
 
-def is_nontrivial(f: TradeoffSpec, grid: Sequence[float] = DEFAULT_COMPARISON_GRID) -> bool:
-    """True when f(alpha) < alpha somewhere on the grid."""
-    arr = np.asarray(grid, dtype=float)
-    return bool(np.any(arr - eval_tradeoff(f, arr) > 1e-12))
-
-
 def compose_self(f: TradeoffSpec, k: int) -> TradeoffSpec:
     """Tradeoff after k-fold functional iteration (protection at distance k).
 
@@ -226,12 +220,9 @@ class CompositionOrderReport:
     ordered: bool
 
 
-def composition_order_check(
-    fs: Sequence[TradeoffSpec],
-    a: int,
-    grid: Sequence[float] = DEFAULT_COMPARISON_GRID,
-) -> CompositionOrderReport:
-    """Check (f1 x ... x fk)^(a) <= f1^(a) x ... x fk^(a) on a grid.
+def composition_order_check(fs: Sequence[TradeoffSpec], a: int) -> CompositionOrderReport:
+    """Check (f1 x ... x fk)^(a) <= f1^(a) x ... x fk^(a) on
+    ``DEFAULT_COMPARISON_GRID``.
 
     Implemented for the Gaussian family, where both sides have closed forms;
     there they coincide exactly.
@@ -245,7 +236,7 @@ def composition_order_check(
     mus = np.array([f.mu for f in fs], dtype=float)
     lhs = compose_self(gaussian_dp(float(np.sqrt(np.sum(mus**2)))), a)
     rhs = gaussian_dp(float(np.sqrt(np.sum((a * mus) ** 2))))
-    arr = np.asarray(grid, dtype=float)
+    arr = np.asarray(DEFAULT_COMPARISON_GRID, dtype=float)
     lv = eval_tradeoff(lhs, arr)
     rv = eval_tradeoff(rhs, arr)
     gap = float(np.max(lv - rv))
@@ -357,18 +348,18 @@ def compare_guarantees(
     g2: PrivacyGuarantee,
     ind1: Iterable,
     ind2: Iterable,
-    grid: Sequence[float] = DEFAULT_COMPARISON_GRID,
 ) -> str:
     """Order two guarantees by protected pairs and tradeoff strength.
 
     g1 is at least as strong as g2 when every pair g2 protects is protected
-    by g1 and g2's tradeoff sits below g1's on the grid. Returns one of
+    by g1 and g2's tradeoff sits below g1's on ``DEFAULT_COMPARISON_GRID``
+    and both curves' breakpoints. Returns one of
     ``g1_stronger``, ``g2_stronger``, ``equal``, ``incomparable``.
     """
     pairs1 = _canonical_pairs(ind1)
     pairs2 = _canonical_pairs(ind2)
     arr = np.asarray(
-        sorted(set(float(x) for x in grid) | set(breakpoints(g1.tradeoff)) | set(breakpoints(g2.tradeoff))),
+        sorted(set(DEFAULT_COMPARISON_GRID) | set(breakpoints(g1.tradeoff)) | set(breakpoints(g2.tradeoff))),
         dtype=float,
     )
     g2_below_g1 = pairs2 <= pairs1 and _pointwise_le(g2.tradeoff, g1.tradeoff, arr)

@@ -23,6 +23,29 @@ def test_unknown_flag_exits_2(capsys):
     assert code == 2
 
 
+CENSUS = ["census", "--rho-person", "2.56", "--rho-housing", "0.07", "--delta", "1e-10"]
+ACCOUNT = ["account", "--zcdp", "2.56", "--delta", "1e-10"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mech", "--query", "5,3,2,4", "--kind", "l1", "--eps", "0.5", "--format", "csv"],
+        ["cnd", "--f", "gdp:1", "--cdf", "0", "--format", "csv"],
+        ["test", "--table", "5,3,2,4", "--f", "gdp:1", "--format", "csv"],
+        [*CENSUS, "--format", "csv"],
+        [*ACCOUNT, "--format", "csv"],
+        ["sens", "--r", "2", "--c", "2", "--seed", "1"],
+        [*CENSUS, "--seed", "1"],
+        [*ACCOUNT, "--seed", "1"],
+    ],
+)
+def test_flags_a_subcommand_ignores_exit_2(capsys, argv):
+    code, out, _ = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+
+
 def test_computation_error_exits_1(capsys):
     code, _, err = run(capsys, ["cnd", "--f", "eps:0,0"])  # identity curve
     assert code == 1

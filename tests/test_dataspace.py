@@ -14,13 +14,9 @@ from semidp.dataspace import (
     JointMargins,
     OneWayMargins,
     conforming_set,
-    dataset_from_csv,
-    dataset_to_csv,
     hamming_distance,
     indistinguishable_pairs,
     invariant_eval,
-    invariant_value_from_json,
-    invariant_value_to_json,
     semi_adjacent_bound,
     semi_adjacent_parameter,
 )
@@ -128,6 +124,18 @@ def test_conforming_set_cap_refusal():
         conforming_set(big, OneWayMargins((0, 1)), ((10,) * 10, (10,) * 10))
 
 
+def test_lowered_enumeration_cap_refuses_after_a_cached_success(monkeypatch):
+    # the cube has 2^3 = 8 states; the cap is read at call time, ahead of the cache
+    t = ((1, 2),)
+    assert len(conforming_set(CUBE, CUBE_INV, t)) == 3
+    assert semi_adjacent_parameter(CUBE, CUBE_INV, t) == 2
+    monkeypatch.setattr(dataspace, "ENUMERATION_CAP", CUBE.size() - 1)
+    with pytest.raises(EnumerationCapExceeded):
+        conforming_set(CUBE, CUBE_INV, t)
+    with pytest.raises(EnumerationCapExceeded):
+        semi_adjacent_parameter(CUBE, CUBE_INV, t)
+
+
 def test_semi_adjacent_parameter_worked_values():
     assert semi_adjacent_parameter(CUBE, CUBE_INV, ((1, 2),)) == 2
     assert semi_adjacent_parameter(CUBE, CUBE_INV, ((3, 0),)) == 0
@@ -195,19 +203,6 @@ def test_indistinguishable_pairs():
     # pairs are unordered and canonically sorted
     for a, b in pairs2:
         assert a <= b
-
-
-def test_dataset_csv_round_trip():
-    x = ((1, 2), (2, 1), (2, 2))
-    text = dataset_to_csv(x)
-    assert text == "1,2\n2,1\n2,2\n"
-    assert dataset_from_csv(text) == x
-
-
-def test_invariant_value_json_round_trip():
-    t = ((2, 1), (1, 1, 1))
-    text = invariant_value_to_json(t)
-    assert invariant_value_from_json(text) == t
 
 
 @pytest.fixture(params=["default_block", "small_block"])

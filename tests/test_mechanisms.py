@@ -7,13 +7,13 @@ import pytest
 import scipy.stats as st
 
 from semidp.mechanisms import (
+    NaiveGroupMechanism,
     gaussian_noise_samples,
     gaussian_semi,
     knorm_noise_samples,
     knorm_optimal,
     lp_mechanism,
     lp_noise_samples,
-    naive_group_wrapper,
 )
 from semidp.rng import NoiseRng, RngSeed
 from semidp.sensitivity import (
@@ -197,7 +197,7 @@ def test_lp_mechanism_output():
 
 
 def test_naive_group_wrapper_parameters():
-    gauss = naive_group_wrapper("gaussian", 3, 1.0)
+    gauss = NaiveGroupMechanism("gaussian", 3, 1.0)
     assert gauss.scaled_param == pytest.approx(1.0 / 3.0)
     assert gauss.delta == pytest.approx(math.sqrt(2.0))
     # noise is iid with per-coordinate sd 3*sqrt(2)/mu
@@ -205,18 +205,18 @@ def test_naive_group_wrapper_parameters():
     sd = 3.0 * math.sqrt(2.0)
     assert abs(noise.std() - sd) < 0.05
 
-    unchanged = naive_group_wrapper("l2", 1, 0.7)
+    unchanged = NaiveGroupMechanism("l2", 1, 0.7)
     assert unchanged.scaled_param == 0.7
 
-    l1 = naive_group_wrapper("l1", 3, 0.3)
+    l1 = NaiveGroupMechanism("l1", 3, 0.3)
     assert l1.delta / l1.scaled_param == pytest.approx(20.0)
 
     with pytest.raises(ValueError):
-        naive_group_wrapper("cauchy", 2, 1.0)
+        NaiveGroupMechanism("cauchy", 2, 1.0)
 
 
 def test_naive_group_wrapper_call():
-    out = naive_group_wrapper("linf", 3, 0.9)(QUERY, RngSeed(17))
+    out = NaiveGroupMechanism("linf", 3, 0.9)(QUERY, RngSeed(17))
     assert np.array_equal(out.value, QUERY + out.noise)
     assert out.meta["mechanism"] == "naive_linf"
 
@@ -226,7 +226,7 @@ def test_projected_gaussian_beats_naive_group_noise(k):
     space = contingency_s_semi(k, k)
     mu = 1.0
     semi = gaussian_noise_samples(space, mu, NoiseRng(RngSeed(18, k)), 1000)
-    naive = naive_group_wrapper("gaussian", 3, mu).noise_samples(
+    naive = NaiveGroupMechanism("gaussian", 3, mu).noise_samples(
         k * k, NoiseRng(RngSeed(19, k)), 1000
     )
     assert np.linalg.norm(semi, axis=1).mean() < np.linalg.norm(naive, axis=1).mean()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from semidp import simplex
 from semidp.simplex import IterationLimitExceeded, UnboundedLp, solve_lp
 
 
@@ -67,10 +68,12 @@ def test_degenerate_pivots_terminate():
     assert solve_lp(A, b, c) == pytest.approx(1.25, abs=1e-12)
 
 
-def test_iteration_cap_raises():
+def test_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(simplex, "MAX_PIVOTS", 1)
     with pytest.raises(IterationLimitExceeded):
-        solve_lp(KNOWN_A, KNOWN_B, KNOWN_C, max_iter=1)
-    assert solve_lp(KNOWN_A, KNOWN_B, KNOWN_C, max_iter=2) == pytest.approx(5.0, abs=1e-12)
+        solve_lp(KNOWN_A, KNOWN_B, KNOWN_C)
+    monkeypatch.setattr(simplex, "MAX_PIVOTS", 2)
+    assert solve_lp(KNOWN_A, KNOWN_B, KNOWN_C) == pytest.approx(5.0, abs=1e-12)
 
 
 def test_random_problems_match_scipy():
