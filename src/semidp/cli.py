@@ -59,7 +59,7 @@ def _seed_from(args: argparse.Namespace) -> RngSeed:
     env = os.environ.get("SEMIDP_SEED")
     if env is not None:
         return RngSeed(int(env))
-    return RngSeed(args.seed)
+    return RngSeed(0 if args.seed is None else args.seed)
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -76,9 +76,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, seed: bool = False, fmt: bool = False) -> None:
-        # only the subcommands that read --seed or --format accept them
+        # only subcommands that read --seed/--format take them; no --seed is None, read as 0
         if seed:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", type=str, default=None)
         if fmt:
             p.add_argument("--format", choices=("csv", "json"), default="json")
@@ -101,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--c", type=int, default=None)
-    p.add_argument("--group-size", type=int, default=harness.TABLE_GROUP_SIZE)
+    p.add_argument("--group-size", type=int, default=None)
     common(p, seed=True)
 
     p = sub.add_parser("cnd", help="canonical noise distribution")
@@ -144,6 +144,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unread_flag(args: argparse.Namespace) -> str | None:
+    """Why a flag that was given goes unread by the request, or None."""
+    label, reads = "", {}
+    if args.command == "mech":
+        table, gaussian = args.kind in ("gaussian", "knorm"), args.kind.endswith("gaussian")
+        label, reads = f"mech --kind {args.kind}", {
+            "mu": gaussian, "eps": not gaussian, "r": table, "c": table,
+            "group_size": args.kind.startswith("naive-")}
+    elif args.command == "experiment":
+        gaussian = args.which == "gaussian"
+        label, reads = f"experiment {args.which}", {"mu": gaussian, "eps": not gaussian}
+    elif args.command == "cnd":
+        label, reads = "cnd without --sample", {"seed": args.sample is not None}
+    for dest, read in reads.items():
+        if not read and getattr(args, dest) is not None:
+            return f"{label} does not read --{dest.replace('_', '-')}"
+    return None
+
+
 def _run_sens(args: argparse.Namespace) -> None:
     space = contingency_s_semi(args.r, args.c) if args.space == "semi" else contingency_s_dp(args.r, args.c)
     if args.format == "csv":
@@ -153,7 +172,7 @@ def _run_sens(args: argparse.Namespace) -> None:
     payload = {
         "provenance": space.provenance,
         "ambient_dim": space.ambient_dim,
-        "num_vectors": len(space.vectors),
+        "num_vectors": len(space.array),
         "span_dim": basis.s,
         "delta_1": lp_sensitivity(space, 1),
         "delta_2": lp_sensitivity(space, 2),
@@ -184,7 +203,8 @@ def _run_mech(args: argparse.Namespace) -> None:
         param = args.mu if kind == "gaussian" else args.eps
         if param is None:
             raise ValueError("naive mechanisms need --mu (gaussian) or --eps (lp)")
-        out = NaiveGroupMechanism(kind, args.group_size, param)(query, seed)
+        group_size = harness.TABLE_GROUP_SIZE if args.group_size is None else args.group_size
+        out = NaiveGroupMechanism(kind, group_size, param)(query, seed)
     else:
         if args.eps is None:
             raise ValueError("--eps is required for lp mechanisms")
@@ -301,6 +321,9 @@ def cli_dispatch(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        unread = _unread_flag(args)
+        if unread is not None:
+            parser.error(unread)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:

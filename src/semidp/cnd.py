@@ -24,7 +24,6 @@ from scipy.special import ndtr, ndtri
 
 from .rng import NoiseRng, RngSeed
 from .tradeoff import (
-    EXACT_DP,
     GAUSSIAN_DP,
     SELF_POWER,
     TradeoffSpec,
@@ -53,40 +52,31 @@ class CndSpec:
             raise ValueError(f"c does not satisfy f(1-c)=c (residual {gap:.2e})")
 
 
-def _closed_form(f: TradeoffSpec) -> TradeoffSpec | None:
-    """f as a gaussian_dp or exact_dp curve when it is one, else None."""
-    if f.family == SELF_POWER:
-        f = compose_self(f.base, f.power)
-    return f if f.family in (GAUSSIAN_DP, EXACT_DP) else None
-
-
 def solve_c(f: TradeoffSpec) -> float:
     """Fixed point c of f(1-c) = c on [0, 1/2].
 
-    g(c) = f(1-c) - c is strictly decreasing, g(0) = f(1) and
-    g(1/2) = f(1/2) - 1/2 <= 0, since every tradeoff family has f(a) <= a.
-    Trivial inputs (root at 1/2) and the perfect-distinguishability edge
-    f(1) = 0 (root at 0) are rejected. Gaussian curves have c = Phi(-mu/2)
-    and (epsilon, delta) curves c = (1 - delta) / (1 + e^epsilon), where the
-    two sloped branches meet; other curves are solved by bisection on g.
+    f(1-c) - c decreases strictly from f(1) at c = 0 to f(1/2) - 1/2 <= 0
+    at c = 1/2, so the root is unique. Trivial inputs (root at 1/2) and the
+    perfect-distinguishability edge f(1) = 0 (root at 0) are rejected.
+    Every case is closed form. The p-fold iterate of a Gaussian curve is
+    G_(p mu), with c = Phi(-p mu / 2). An (epsilon, delta) curve g has
+    c_g = (1 - delta) / (1 + e^epsilon), where its sloped branches meet, and
+    its p-fold iterate has c = g^(p/2)(1/2) for even p, c = g^((p-1)/2)(c_g)
+    for odd p: g is symmetric, g(1 - g(a)) = 1 - a, so g^(floor(p/2)) carries
+    1 - c to 1/2 or to 1 - c_g, and the remaining steps carry that to c.
     """
     if eval_tradeoff(f, 1.0) <= _FIXED_POINT_TOL:
         raise ValueError("f(1) = 0: distributions are perfectly distinguishable at "
                          "the endpoint; the construction degenerates")
-    closed = _closed_form(f)
-    if closed is None:
-        lo, hi = 0.0, 0.5
-        while hi - lo > _FIXED_POINT_TOL:
-            mid = 0.5 * (lo + hi)
-            if eval_tradeoff(f, 1.0 - mid) - mid > 0:
-                lo = mid
-            else:
-                hi = mid
-        c = 0.5 * (lo + hi)
-    elif closed.family == GAUSSIAN_DP:
-        c = float(ndtr(-0.5 * closed.mu))
+    g, p = f, 1
+    while g.family == SELF_POWER:
+        g, p = g.base, p * g.power
+    if g.family == GAUSSIAN_DP:
+        c = float(ndtr(-0.5 * (p * g.mu)))
+    elif p > 1:
+        c = iterate_tradeoff(g, 0.5 if p % 2 == 0 else solve_c(g), p // 2)
     else:
-        c = (1.0 - closed.delta) / (1.0 + math.exp(closed.epsilon))
+        c = (1.0 - g.delta) / (1.0 + math.exp(g.epsilon))
     if c >= 0.5 - 1e-9:
         raise ValueError("fixed point sits at 1/2; tradeoff function is trivial")
     return c
@@ -170,8 +160,10 @@ def cnd_quantile(spec: CndSpec, u):
     flat = np.atleast_1d(arr)
     if np.any(flat <= 0.0) or np.any(flat >= 1.0):
         raise ValueError("u must lie strictly inside (0, 1)")
-    f = _closed_form(spec.tradeoff)
-    if f is None:
+    f = spec.tradeoff
+    if f.family == SELF_POWER:
+        f = compose_self(f.base, f.power)
+    if f.family == SELF_POWER:
         out = _bisect_quantile(spec, flat)
     else:
         steps, level = _invert_iterate(f, spec.c, np.minimum(flat, 1.0 - flat))

@@ -15,6 +15,7 @@ lexicographic and deterministic.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence, Union
@@ -56,10 +57,7 @@ class DataspaceSpec:
         return len(self.levels)
 
     def cell_count(self) -> int:
-        out = 1
-        for l in self.levels:
-            out *= l
-        return out
+        return math.prod(self.levels)
 
     def size(self) -> int:
         return self.cell_count() ** self.n
@@ -102,13 +100,7 @@ def _validated_groups(spec: InvariantSpec, space: DataspaceSpec) -> tuple[tuple[
 
 
 def _group_sizes(groups: Sequence[tuple[int, ...]], space: DataspaceSpec) -> list[int]:
-    out = []
-    for g in groups:
-        size = 1
-        for f in g:
-            size *= space.levels[f]
-        out.append(size)
-    return out
+    return [math.prod(space.levels[f] for f in g) for g in groups]
 
 
 def _group_cell(row: tuple[int, ...], group: tuple[int, ...], space: DataspaceSpec) -> int:

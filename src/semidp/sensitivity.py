@@ -12,6 +12,7 @@ same LP stopped once the gauge passes 1.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -30,46 +31,46 @@ RANK_TOL = 1e-10
 HULL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SensitivitySpace:
-    """A finite, negation-closed set of integer difference vectors."""
+    """A finite, negation-closed set of integer difference vectors: a
+    read-only (m, d) int64 array, rows put in lexicographic order by the
+    constructor (so they are distinct when they strictly increase, and
+    negation-closed when negating reverses them). Equality compares
+    provenance too; the hash, the same in every process, leaves it out.
+    """
 
-    vectors: tuple[tuple[int, ...], ...]
-    ambient_dim: int
+    array: np.ndarray
     provenance: str
 
     def __post_init__(self) -> None:
-        if not self.vectors:
-            raise ValueError("sensitivity space must contain at least one vector")
-        seen = set(self.vectors)
-        if len(seen) != len(self.vectors):
+        arr = np.asarray(self.array, dtype=np.int64)
+        if arr.ndim != 2 or arr.size == 0:
+            raise ValueError("sensitivity space must be a non-empty (m, d) array of vectors")
+        arr = arr[np.lexsort(arr.T[::-1])]
+        if not (arr[1:] != arr[:-1]).any(axis=1).all():
             raise ValueError("sensitivity vectors must be deduplicated")
-        for v in self.vectors:
-            if len(v) != self.ambient_dim:
-                raise ValueError("all vectors must have the ambient dimension")
-            if tuple(-x for x in v) not in seen:
-                raise ValueError("sensitivity space must be closed under negation")
-        # Tuples do not cache their hash, and every cache keyed on a space
-        # hashes it; provenance is left out so the value is the same in every
-        # process (str hashes are salted per process).
-        object.__setattr__(self, "_hash", hash((self.vectors, self.ambient_dim)))
+        if not np.array_equal(arr, -arr[::-1]):
+            raise ValueError("sensitivity space must be closed under negation")
+        arr.setflags(write=False)
+        object.__setattr__(self, "array", arr)
+        digest = hashlib.blake2b(arr, digest_size=8).digest()
+        object.__setattr__(self, "_hash", hash((arr.shape, int.from_bytes(digest, "little"))))
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, SensitivitySpace) and self._hash == other._hash
+                and self.provenance == other.provenance and np.array_equal(self.array, other.array))
 
     def __hash__(self) -> int:
         return self._hash
 
-    def as_array(self) -> np.ndarray:
-        return _vectors_array(self).copy()
+    @property
+    def ambient_dim(self) -> int:
+        return self.array.shape[1]
 
-    def nonzero(self) -> tuple[tuple[int, ...], ...]:
-        zero = (0,) * self.ambient_dim
-        return tuple(v for v in self.vectors if v != zero)
-
-
-@lru_cache(maxsize=128)
-def _vectors_array(space: SensitivitySpace) -> np.ndarray:
-    arr = np.array(space.vectors, dtype=float)
-    arr.setflags(write=False)
-    return arr
+    @property
+    def vectors(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.array.tolist()))
 
 
 def cell_count_query(space: DataspaceSpec) -> Callable[[Dataset], tuple[int, ...]]:
@@ -77,8 +78,7 @@ def cell_count_query(space: DataspaceSpec) -> Callable[[Dataset], tuple[int, ...
     sizes = space.levels
 
     def query(x: Dataset) -> tuple[int, ...]:
-        d = space.cell_count()
-        counts = [0] * d
+        counts = [0] * space.cell_count()
         for row in x:
             idx = 0
             for f, level in enumerate(row):
@@ -116,8 +116,8 @@ def brute_force_sensitivity_space(
         ii, jj = np.nonzero(dist <= radius)
         seen[vid[ii + first], vid[jj]] = True
     a, b = np.nonzero(seen)
-    diffs = sorted(set(map(tuple, (unique[a] - unique[b]).tolist())))
-    return SensitivitySpace(tuple(diffs), values.shape[1], f"brute_force(radius={radius}, subset)")
+    diffs = np.unique(unique[a] - unique[b], axis=0)
+    return SensitivitySpace(diffs, f"brute_force(radius={radius}, subset)")
 
 
 def contingency_s_semi(r: int, c: int) -> SensitivitySpace:
@@ -159,27 +159,23 @@ def _table_space(kind: str, r: int, c: int) -> SensitivitySpace:
         a, b = np.nonzero(~np.eye(d, dtype=bool))
         plus, minus = (a,), (b,)
     V = np.zeros((len(plus[0]) + 1, d), dtype=np.int64)
-    rows = np.arange(1, len(V))
-    for cells in plus:
-        V[rows, cells] = 1
-    for cells in minus:
-        V[rows, cells] = -1
+    rows = np.arange(1, len(V))[:, None]
+    V[rows, np.transpose(plus)] = 1
+    V[rows, np.transpose(minus)] = -1
     name = "contingency_margins" if kind == "semi" else "contingency_single_move"
-    return SensitivitySpace(tuple(sorted(map(tuple, V.tolist()))), d, f"{name}({r}x{c})")
+    return SensitivitySpace(V, f"{name}({r}x{c})")
 
 
 def lp_sensitivity(space: SensitivitySpace, p) -> float:
     """Largest l_p norm over the space, p in {1, 2, inf}."""
-    arr = _vectors_array(space)
+    arr = space.array
     if p == 1:
-        norms = np.abs(arr).sum(axis=1)
-    elif p == 2:
-        norms = np.sqrt((arr**2).sum(axis=1))
-    elif p in (math.inf, np.inf, "inf"):
-        norms = np.abs(arr).max(axis=1)
-    else:
-        raise ValueError(f"p must be 1, 2, or inf, got {p!r}")
-    return float(norms.max())
+        return float(np.abs(arr).sum(axis=1).max())
+    if p == 2:
+        return math.sqrt(np.einsum("ij,ij->i", arr, arr).max())
+    if p in (math.inf, "inf"):
+        return float(np.abs(arr).max())
+    raise ValueError(f"p must be 1, 2, or inf, got {p!r}")
 
 
 @dataclass(frozen=True)
@@ -199,10 +195,6 @@ class OrthonormalBasis:
     def s(self) -> int:
         return int(self.vectors.shape[0])
 
-    @property
-    def d(self) -> int:
-        return int(self.vectors.shape[1])
-
 
 def span_basis(space: SensitivitySpace) -> OrthonormalBasis:
     """Orthonormal span basis by modified Gram-Schmidt with pivoting.
@@ -218,12 +210,8 @@ def span_basis(space: SensitivitySpace) -> OrthonormalBasis:
 
 @lru_cache(maxsize=128)
 def _span_basis_cached(space: SensitivitySpace) -> OrthonormalBasis:
-    arr = space.as_array()
-    d = space.ambient_dim
-    residual = arr.copy()
-    max_norm = float(np.sqrt((arr**2).sum(axis=1)).max(initial=0.0))
-    if max_norm == 0.0:
-        return OrthonormalBasis(vectors=np.zeros((0, d)))
+    residual = space.array.astype(float)
+    max_norm = float(np.sqrt((residual**2).sum(axis=1)).max())
     threshold = RANK_TOL * max_norm
     basis: list[np.ndarray] = []
     while True:
@@ -237,17 +225,15 @@ def _span_basis_cached(space: SensitivitySpace) -> OrthonormalBasis:
             u = -u
         basis.append(u)
         residual -= np.outer(residual @ u, u)
-    vectors = np.array(basis).reshape(len(basis), d)
+    vectors = np.array(basis).reshape(len(basis), space.ambient_dim)
     vectors.setflags(write=False)
     return OrthonormalBasis(vectors=vectors)
 
 
 def projection_matrix(basis: OrthonormalBasis, d: int) -> np.ndarray:
     """Orthogonal projector onto the basis span: sum of u u'."""
-    if basis.vectors.size and basis.d != d:
-        raise ValueError(f"basis has dimension {basis.d}, expected {d}")
-    if basis.s == 0:
-        return np.zeros((d, d))
+    if basis.vectors.shape[1] != d:
+        raise ValueError(f"basis has dimension {basis.vectors.shape[1]}, expected {d}")
     return basis.vectors.T @ basis.vectors
 
 
@@ -273,7 +259,7 @@ class HullGeometry:
 def hull_geometry(space: SensitivitySpace) -> HullGeometry:
     """The space's hull in span coordinates, computed once per space."""
     basis = span_basis(space)
-    coords = _vectors_array(space) @ basis.vectors.T
+    coords = space.array.astype(float) @ basis.vectors.T
     box = np.abs(coords).max(axis=0)
     coords.setflags(write=False)
     box.setflags(write=False)
@@ -324,5 +310,5 @@ def gauge_norm(space: SensitivitySpace, v) -> float:
 
 def sensitivity_space_to_csv(space: SensitivitySpace) -> str:
     """One vector per line, components comma-separated."""
-    return "\n".join(",".join(str(x) for x in v) for v in space.vectors) + "\n"
+    return "\n".join(",".join(map(str, v)) for v in space.array.tolist()) + "\n"
 

@@ -38,12 +38,46 @@ ACCOUNT = ["account", "--zcdp", "2.56", "--delta", "1e-10"]
         ["sens", "--r", "2", "--c", "2", "--seed", "1"],
         [*CENSUS, "--seed", "1"],
         [*ACCOUNT, "--seed", "1"],
+        ["mech", "--query", "5,3,2,4", "--kind", "gaussian", "--mu", "1", "--eps", "1"],
+        ["mech", "--query", "5,3,2,4", "--kind", "gaussian", "--mu", "1", "--group-size", "3"],
+        ["mech", "--query", "5,3,2,4", "--kind", "knorm", "--eps", "1", "--mu", "1"],
+        ["mech", "--query", "5,3,2,4", "--kind", "l1", "--eps", "1", "--r", "2"],
+        ["mech", "--query", "5,3,2,4", "--kind", "l2", "--eps", "1", "--c", "2"],
+        ["mech", "--query", "5,3,2,4", "--kind", "linf", "--eps", "1", "--group-size", "2"],
+        ["mech", "--query", "5,3,2,4", "--kind", "naive-gaussian", "--mu", "1", "--eps", "1"],
+        ["mech", "--query", "5,3,2,4", "--kind", "naive-l1", "--eps", "1", "--mu", "1"],
+        ["mech", "--query", "5,3,2,4", "--kind", "naive-l2", "--eps", "1", "--r", "2", "--c", "2"],
+        ["experiment", "gaussian", "--mu", "1", "--eps", "1"],
+        ["experiment", "knorm", "--eps", "1", "--mu", "1"],
+        ["cnd", "--f", "gdp:1", "--cdf", "0", "--seed", "1"],
     ],
 )
 def test_flags_a_subcommand_ignores_exit_2(capsys, argv):
     code, out, _ = run(capsys, argv)
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["mech", "--query", "5,3,2,4", "--kind", "gaussian"], "--mu is required"),
+        (["mech", "--query", "5,3,2,4", "--kind", "knorm"], "--eps is required"),
+        (["mech", "--query", "5,3,2,4", "--kind", "l1"], "--eps is required"),
+        (["mech", "--query", "5,3,2,4", "--kind", "naive-l2"], "naive mechanisms need"),
+    ],
+)
+def test_missing_flags_exit_1(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert message in err
+
+
+def test_absent_seed_and_group_size_keep_their_defaults(capsys):
+    sample = ["cnd", "--f", "gdp:1", "--sample", "3"]
+    assert run(capsys, sample) == run(capsys, [*sample, "--seed", "0"])
+    naive = ["mech", "--query", "5,3,2,4", "--kind", "naive-l1", "--eps", "0.3"]
+    assert run(capsys, naive) == run(capsys, [*naive, "--group-size", "3", "--seed", "0"])
 
 
 def test_computation_error_exits_1(capsys):

@@ -255,3 +255,22 @@ def test_iterate_is_elementwise_in_k():
         iterate_tradeoff(f, 0.5, -1)
     with pytest.raises(ValueError):
         iterate_tradeoff(f, 0.5, 1.5)
+
+
+def test_self_power_fixed_point_matches_bisection():
+    cases = [
+        self_power(exact_dp(eps, delta), p)
+        for eps in (0.0, 0.05, 0.4, 1.0, 2.5)
+        for delta in (0.0, 1e-6, 1e-3, 0.05, 0.3)
+        for p in (2, 3, 4, 5, 7, 10)
+    ] + [self_power(self_power(exact_dp(0.2, 0.01), 2), 3),
+         self_power(self_power(self_power(gaussian_dp(0.3), 2), 3), 3)]
+    refused = 0
+    for f in cases:
+        if _one_step(f, 1.0) <= 1e-13 or _bisected_c(f) >= 0.5 - 1e-9:
+            refused += 1
+            with pytest.raises(ValueError):
+                solve_c(f)
+        else:
+            assert solve_c(f) == pytest.approx(_bisected_c(f), abs=1e-13), f
+    assert 0 < refused < len(cases)

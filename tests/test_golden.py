@@ -5,7 +5,8 @@ prints with values recorded from an earlier build: a change that alters a
 noise draw, a fixed point or a test statistic fails here. Floats compare to
 a relative tolerance of 1e-12, which absorbs BLAS summation order between
 hosts (the gaussian and knorm draws go through matrix products); counts
-compare exactly.
+compare exactly. The ``sens --format csv`` cases pin a space's rows and
+their canonical order exactly.
 """
 
 import json
@@ -152,6 +153,35 @@ GOLDEN = {
 }
 
 
+#: name -> (argv, recorded CSV rows): the rows of a space in their canonical order
+GOLDEN_CSV = {
+    "sens_3x3_semi": (
+        ["sens", "--r", "3", "--c", "3", "--space", "semi", "--format", "csv"],
+        [
+            "-1,0,1,0,0,0,1,0,-1", "-1,0,1,1,0,-1,0,0,0", "-1,1,0,0,0,0,1,-1,0",
+            "-1,1,0,1,-1,0,0,0,0", "0,-1,1,0,0,0,0,1,-1", "0,-1,1,0,1,-1,0,0,0",
+            "0,0,0,-1,0,1,1,0,-1", "0,0,0,-1,1,0,1,-1,0", "0,0,0,0,-1,1,0,1,-1",
+            "0,0,0,0,0,0,0,0,0", "0,0,0,0,1,-1,0,-1,1", "0,0,0,1,-1,0,-1,1,0",
+            "0,0,0,1,0,-1,-1,0,1", "0,1,-1,0,-1,1,0,0,0", "0,1,-1,0,0,0,0,-1,1",
+            "1,-1,0,-1,1,0,0,0,0", "1,-1,0,0,0,0,-1,1,0", "1,0,-1,-1,0,1,0,0,0",
+            "1,0,-1,0,0,0,-1,0,1",
+        ],
+    ),
+    "sens_2x3_dp": (
+        ["sens", "--r", "2", "--c", "3", "--space", "dp", "--format", "csv"],
+        [
+            "-1,0,0,0,0,1", "-1,0,0,0,1,0", "-1,0,0,1,0,0", "-1,0,1,0,0,0", "-1,1,0,0,0,0",
+            "0,-1,0,0,0,1", "0,-1,0,0,1,0", "0,-1,0,1,0,0", "0,-1,1,0,0,0", "0,0,-1,0,0,1",
+            "0,0,-1,0,1,0", "0,0,-1,1,0,0", "0,0,0,-1,0,1", "0,0,0,-1,1,0", "0,0,0,0,-1,1",
+            "0,0,0,0,0,0", "0,0,0,0,1,-1", "0,0,0,1,-1,0", "0,0,0,1,0,-1", "0,0,1,-1,0,0",
+            "0,0,1,0,-1,0", "0,0,1,0,0,-1", "0,1,-1,0,0,0", "0,1,0,-1,0,0", "0,1,0,0,-1,0",
+            "0,1,0,0,0,-1", "1,-1,0,0,0,0", "1,0,-1,0,0,0", "1,0,0,-1,0,0", "1,0,0,0,-1,0",
+            "1,0,0,0,0,-1",
+        ],
+    ),
+}
+
+
 def _extract(name: str, payload) -> dict:
     if name.startswith("mech"):
         meta = payload["meta"]
@@ -178,3 +208,10 @@ def test_seeded_output_matches_recorded_values(capsys, name):
             assert got[key] == value
         else:
             assert got[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CSV))
+def test_sens_csv_matches_recorded_rows(capsys, name):
+    argv, rows = GOLDEN_CSV[name]
+    assert cli_dispatch(argv) == 0
+    assert capsys.readouterr().out.splitlines() == rows

@@ -81,7 +81,7 @@ def test_gaussian_semi_vanishes_at_huge_mu():
 
 
 def test_gaussian_semi_degenerate_space_warns():
-    zero = SensitivitySpace(vectors=((0, 0, 0, 0),), ambient_dim=4, provenance="zero")
+    zero = SensitivitySpace(array=((0, 0, 0, 0),), provenance="zero")
     out = gaussian_semi(QUERY, zero, 1.0, RngSeed(5))
     assert np.array_equal(out.noise, np.zeros(4))
     assert "warning" in out.meta
@@ -95,7 +95,7 @@ def test_gaussian_semi_rejects_bad_mu():
 def test_knorm_geometry_box_contains_vertices():
     for space in (S22, contingency_s_semi(3, 3)):
         geom = hull_geometry(space)
-        coords = space.as_array() @ geom.basis.vectors.T
+        coords = space.array @ geom.basis.vectors.T
         assert np.all(np.abs(coords) <= geom.box + 1e-12)
 
 

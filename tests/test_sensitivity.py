@@ -1,12 +1,18 @@
 """Sensitivity spaces, span geometry, and hull gauge computations."""
 
+import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import semidp
 from semidp import dataspace
 from semidp.dataspace import (
     DataspaceSpec,
@@ -38,6 +44,10 @@ TABLE_INV = OneWayMargins((0, 1))
 TABLE_T = ((2, 1), (2, 1))  # margins of the table (1,1,1,0)
 
 
+def _nonzero(space):
+    return [v for v in space.vectors if any(v)]
+
+
 def test_two_by_two_generators_exact():
     space = contingency_s_semi(2, 2)
     assert set(space.vectors) == {ZERO4, V, NEG_V}
@@ -59,10 +69,10 @@ def test_generator_count_formula():
 
     for r, c in [(2, 2), (2, 3), (3, 3), (3, 4)]:
         space = contingency_s_semi(r, c)
-        assert len(space.nonzero()) == oracle_count(r, c)
-        assert len(space.nonzero()) == r * (r - 1) * c * (c - 1) // 2
+        assert len(_nonzero(space)) == oracle_count(r, c)
+        assert len(_nonzero(space)) == r * (r - 1) * c * (c - 1) // 2
 
-    assert len(contingency_s_semi(2, 3).nonzero()) == 6
+    assert len(_nonzero(contingency_s_semi(2, 3))) == 6
 
 
 def test_generators_preserve_margins():
@@ -85,7 +95,7 @@ def test_lp_sensitivities_all_small_tables():
 
 def test_single_move_space_shape_and_sensitivities():
     space = contingency_s_dp(2, 2)
-    for v in space.nonzero():
+    for v in _nonzero(space):
         arr = np.array(v)
         assert sorted(arr) == [-1, 0, 0, 1]
     assert lp_sensitivity(space, 1) == 2.0
@@ -107,7 +117,7 @@ def _loop_semi(r, c):
             v[i * c + l] -= 1
             v[k * c + j] -= 1
             vectors.add(tuple(v))
-    return SensitivitySpace(tuple(sorted(vectors)), d, f"contingency_margins({r}x{c})")
+    return SensitivitySpace(sorted(vectors), f"contingency_margins({r}x{c})")
 
 
 def _loop_dp(r, c):
@@ -121,7 +131,7 @@ def _loop_dp(r, c):
         v[a] += 1
         v[b] -= 1
         vectors.add(tuple(v))
-    return SensitivitySpace(tuple(sorted(vectors)), d, f"contingency_single_move({r}x{c})")
+    return SensitivitySpace(sorted(vectors), f"contingency_single_move({r}x{c})")
 
 
 @pytest.mark.parametrize("build, oracle", [(contingency_s_semi, _loop_semi), (contingency_s_dp, _loop_dp)])
@@ -149,20 +159,64 @@ def test_table_builders_return_one_object_per_shape():
 
 def test_equal_spaces_hash_equal():
     space = contingency_s_semi(3, 3)
-    copy = SensitivitySpace(tuple(map(tuple, map(list, space.vectors))), 9, space.provenance)
+    copy = SensitivitySpace(space.vectors, space.provenance)
     assert copy is not space and copy == space and hash(copy) == hash(space)
-    relabelled = SensitivitySpace(copy.vectors, 9, "other")
+    relabelled = SensitivitySpace(copy.array, "other")
     assert relabelled != space
 
 
 def test_lp_sensitivity_zero_space():
-    zero = SensitivitySpace(vectors=(ZERO4,), ambient_dim=4, provenance="zero")
+    zero = SensitivitySpace(array=(ZERO4,), provenance="zero")
     assert lp_sensitivity(zero, 2) == 0.0
 
 
 def test_negation_closure_enforced():
     with pytest.raises(ValueError):
-        SensitivitySpace(vectors=((1, 0),), ambient_dim=2, provenance="bad")
+        SensitivitySpace(array=((1, 0),), provenance="bad")
+
+
+def test_rows_in_any_order_give_one_space():
+    space = contingency_s_semi(3, 3)
+    order = np.random.default_rng(3).permutation(len(space.array))
+    shuffled = SensitivitySpace(space.array[order], space.provenance)
+    assert shuffled == space and hash(shuffled) == hash(space)
+    # the canonical order is Python's tuple order
+    assert shuffled.vectors == space.vectors == tuple(sorted(space.vectors))
+    assert [f.name for f in dataclasses.fields(SensitivitySpace)] == ["array", "provenance"]
+
+
+def test_hash_is_the_same_in_every_process():
+    code = "from semidp.sensitivity import contingency_s_semi; print(hash(contingency_s_semi(3, 4)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(semidp.__file__).parents[1])}
+    outputs = {
+        subprocess.run([sys.executable, "-c", code], env={**env, "PYTHONHASHSEED": seed},
+                       capture_output=True, text=True, check=True).stdout
+        for seed in ("1", "2")
+    }
+    assert outputs == {f"{hash(contingency_s_semi(3, 4))}\n"}
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ((1, 0), (1, 0), (-1, 0)),  # duplicate
+        (),
+        np.zeros((0, 3), dtype=np.int64),
+        ((1, 0), (-1,)),  # ragged
+    ],
+)
+def test_invalid_rows_raise(rows):
+    with pytest.raises(ValueError):
+        SensitivitySpace(rows, "bad")
+
+
+def test_array_is_read_only_and_owned():
+    rows = np.array([[0, 1], [0, -1], [0, 0]])
+    space = SensitivitySpace(rows, "line")
+    assert space.array.dtype == np.int64 and not space.array.flags.writeable
+    with pytest.raises(ValueError):
+        space.array[0, 0] = 5
+    assert rows.flags.writeable  # the caller's array is copied, not frozen
 
 
 def test_brute_force_singleton_subset():
@@ -266,16 +320,14 @@ def test_span_basis_two_by_two():
 
 
 def test_span_basis_full_rank_plane():
-    space = SensitivitySpace(
-        vectors=((1, 0), (-1, 0), (0, 1), (0, -1)), ambient_dim=2, provenance="axes"
-    )
+    space = SensitivitySpace(array=((1, 0), (-1, 0), (0, 1), (0, -1)), provenance="axes")
     assert span_basis(space).s == 2
 
 
 def test_span_dimension_matches_independent_rank():
     for r, c in [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)]:
         space = contingency_s_semi(r, c)
-        rank = np.linalg.matrix_rank(space.as_array())
+        rank = np.linalg.matrix_rank(space.array)
         basis = span_basis(space)
         assert basis.s == rank == (r - 1) * (c - 1)
         assert basis.s < r * c  # margins keep the space rank-deficient
@@ -294,13 +346,11 @@ def test_projection_two_by_two_quarter_matrix():
 
 
 def test_projection_edge_cases():
-    zero = SensitivitySpace(vectors=(ZERO4,), ambient_dim=4, provenance="zero")
+    zero = SensitivitySpace(array=(ZERO4,), provenance="zero")
     P0 = projection_matrix(span_basis(zero), 4)
     assert np.allclose(P0, np.zeros((4, 4)))
 
-    axes = SensitivitySpace(
-        vectors=((1, 0), (-1, 0), (0, 1), (0, -1)), ambient_dim=2, provenance="axes"
-    )
+    axes = SensitivitySpace(array=((1, 0), (-1, 0), (0, 1), (0, -1)), provenance="axes")
     assert np.allclose(projection_matrix(span_basis(axes), 2), np.eye(2))
 
 
@@ -312,7 +362,7 @@ def test_projection_contracts_and_fixes_span():
     for _ in range(20):
         v = rng.normal(size=9)
         assert np.linalg.norm(P @ v) <= np.linalg.norm(v) + 1e-12
-    for v in space.as_array():
+    for v in space.array:
         assert np.allclose(P @ v, v, atol=1e-10)
 
 
@@ -341,7 +391,7 @@ def _oracle_points(space, rng, count, scale):
     vector of these spaces has the same l2 norm, so each is a vertex."""
     basis = span_basis(space)
     points = [rng.normal(size=basis.s) @ basis.vectors * rng.uniform(0.0, scale) for _ in range(count)]
-    vertices = [np.array(v, dtype=float) for v in space.nonzero()[:3]]
+    vertices = [np.array(v, dtype=float) for v in _nonzero(space)[:3]]
     near = [(v * (1.0 - 1e-7), True) for v in vertices] + [(v * (1.0 + 1e-7), False) for v in vertices]
     return points, near
 
@@ -360,7 +410,7 @@ def _scipy_member(S, v):
 def test_hull_membership_against_scipy():
     rng = np.random.default_rng(9)
     for space in ORACLE_SPACES:
-        S = space.as_array()
+        S = space.array
         points, near = _oracle_points(space, rng, 25, 2.0)
         for v in points:
             assert hull_membership(space, v) == _scipy_member(S, v)
@@ -402,7 +452,7 @@ def test_gauge_norm_axioms_on_span():
 def test_gauge_matches_scipy_min_weight():
     rng = np.random.default_rng(31)
     for space in ORACLE_SPACES:
-        S = space.as_array().T
+        S = space.array.T
         m = S.shape[1]
         points, near = _oracle_points(space, rng, 15, 3.0)
         for v in points + [v for v, _ in near]:
