@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,16 +65,23 @@ def _as_vector(query_value, dim: int | None = None) -> np.ndarray:
     return v
 
 
+@lru_cache(maxsize=128)
+def _gaussian_constants(space: SensitivitySpace) -> tuple[int, float, np.ndarray]:
+    """Span dimension, Delta_2 and span projector of a space, computed once per space."""
+    basis = span_basis(space)
+    P = projection_matrix(basis, space.ambient_dim)
+    P.setflags(write=False)
+    return basis.s, lp_sensitivity(space, 2), P
+
+
 def gaussian_noise_samples(
     space: SensitivitySpace, mu: float, rng: NoiseRng, size: int
 ) -> np.ndarray:
     """Bulk projected-Gaussian noise draws, one row per sample."""
-    basis = span_basis(space)
+    s, delta2, P = _gaussian_constants(space)
     d = space.ambient_dim
-    if basis.s == 0:
+    if s == 0:
         return np.zeros((size, d))
-    P = projection_matrix(basis, d)
-    delta2 = lp_sensitivity(space, 2)
     z = np.asarray(rng.normal(scale=delta2 / mu, size=(size, d)))
     return z @ P
 
@@ -87,15 +95,15 @@ def gaussian_semi(query_value, space: SensitivitySpace, mu: float, seed: RngSeed
         raise ValueError(f"mu must be positive and finite, got {mu}")
     query = _as_vector(query_value, space.ambient_dim)
     rng = NoiseRng(seed)
-    basis = span_basis(space)
+    s, delta2, _ = _gaussian_constants(space)
     meta = {
         "mechanism": "gaussian_semi",
         "mu": mu,
-        "delta2": lp_sensitivity(space, 2),
-        "span_dim": basis.s,
+        "delta2": delta2,
+        "span_dim": s,
         "rng": rng.meta(),
     }
-    if basis.s == 0:
+    if s == 0:
         meta["warning"] = "degenerate sensitivity space; query is constant, no noise added"
         noise = np.zeros_like(query)
     else:

@@ -12,8 +12,8 @@ same LP stopped once the gauge passes 1.
 
 from __future__ import annotations
 
-import hashlib
 import math
+import zlib
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -25,6 +25,15 @@ from .simplex import solve_lp
 
 #: Gram-Schmidt drops residuals below RANK_TOL times the largest vector norm.
 RANK_TOL = 1e-10
+
+#: Span pivoting treats residual norms within this relative distance of the
+#: largest as tied, and takes the first of them in row order.
+PIVOT_TIE = 1e-9
+
+#: Downdated residual norms are recomputed once all fall below RECHECK_TOL
+#: times the largest vector norm, RECHECK_BLOCK rows at a time.
+RECHECK_TOL = 1e-6
+RECHECK_BLOCK = 1024
 
 #: Hull tolerance: membership accepts gauges up to 1 + HULL_TOL, and a point
 #: whose residual off the span exceeds HULL_TOL * max(1, |v|) has gauge inf.
@@ -54,8 +63,7 @@ class SensitivitySpace:
             raise ValueError("sensitivity space must be closed under negation")
         arr.setflags(write=False)
         object.__setattr__(self, "array", arr)
-        digest = hashlib.blake2b(arr, digest_size=8).digest()
-        object.__setattr__(self, "_hash", hash((arr.shape, int.from_bytes(digest, "little"))))
+        object.__setattr__(self, "_hash", hash((arr.shape, zlib.crc32(arr))))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SensitivitySpace) and self._hash == other._hash
@@ -186,10 +194,8 @@ class OrthonormalBasis:
 
     def __post_init__(self) -> None:
         v = self.vectors
-        if v.size:
-            gram = v @ v.T
-            if not np.allclose(gram, np.eye(v.shape[0]), atol=1e-10):
-                raise ValueError("basis vectors are not orthonormal to 1e-10")
+        if v.size and np.abs(v @ v.T - np.eye(len(v))).max() > 1e-10:
+            raise ValueError("basis vectors are not orthonormal to 1e-10")
 
     @property
     def s(self) -> int:
@@ -197,11 +203,23 @@ class OrthonormalBasis:
 
 
 def span_basis(space: SensitivitySpace) -> OrthonormalBasis:
-    """Orthonormal span basis by modified Gram-Schmidt with pivoting.
+    """Orthonormal span basis by Gram-Schmidt with largest-residual pivoting.
 
-    Residuals below ``RANK_TOL`` times the largest input norm are discarded.
-    Each basis vector is sign-normalized so its first nonzero entry is
-    positive.
+    Each step takes the row with the largest residual norm off the basis so
+    far; among rows within a relative ``PIVOT_TIE`` of the largest (ties
+    that are exact in exact arithmetic) it takes the first in row order, so
+    every host picks the same row. Squared residual norms are not
+    recomputed each step but downdated, as LAPACK's pivoted QR does: one
+    product ``A @ u`` per new basis vector u, subtracted squared. Only the
+    picked row's residual is formed, by two classical Gram-Schmidt sweeps,
+    then normalized and sign-normalized so its first nonzero entry is
+    positive. A row and its negation have equal residuals, so only the
+    first row of each pair takes part. Downdated norms lose their digits
+    near zero, so once the largest falls below ``RECHECK_TOL`` times the
+    largest input norm, the true residual norms are recomputed (in row
+    blocks); the basis is complete only when every true residual is at
+    most ``RANK_TOL`` times the largest input norm, and otherwise pivoting
+    resumes from them.
     """
     # the cache lives on its own name, so a wrapper installed over ``span_basis``
     # (as the benchmark tracer does) leaves it reachable for ``cache_clear``
@@ -210,22 +228,37 @@ def span_basis(space: SensitivitySpace) -> OrthonormalBasis:
 
 @lru_cache(maxsize=128)
 def _span_basis_cached(space: SensitivitySpace) -> OrthonormalBasis:
-    residual = space.array.astype(float)
-    max_norm = float(np.sqrt((residual**2).sum(axis=1)).max())
-    threshold = RANK_TOL * max_norm
-    basis: list[np.ndarray] = []
-    while True:
-        norms = np.sqrt((residual**2).sum(axis=1))
-        pick = int(np.argmax(norms))
-        if norms[pick] <= threshold:
-            break
-        u = residual[pick] / norms[pick]
-        first = np.nonzero(np.abs(u) > 1e-12)[0][0]
-        if u[first] < 0:
-            u = -u
-        basis.append(u)
-        residual -= np.outer(residual @ u, u)
-    vectors = np.array(basis).reshape(len(basis), space.ambient_dim)
+    arr = space.array
+    # the sorted rows of a negation-closed space end with the first half
+    # negated in reverse, so the first half (with the zero row, if any) spans
+    # the space, and each of its rows comes before its negation
+    A = arr[: (len(arr) + 1) // 2].astype(float)
+    m, d = A.shape
+    rem = np.einsum("ij,ij->i", A, A)  # squared residual norms
+    top = rem.max()
+    floor, recheck = top * RANK_TOL**2, top * RECHECK_TOL**2
+    basis = np.empty((min(m, d), d))
+    coef = np.empty((len(basis), m))  # coef[k] = A @ basis[k]
+    k = 0
+    while k < len(basis):
+        if top <= recheck:
+            for lo in range(0, m, RECHECK_BLOCK):
+                R = A[lo:lo + RECHECK_BLOCK] - coef[:k, lo:lo + RECHECK_BLOCK].T @ basis[:k]
+                np.einsum("ij,ij->i", R, R, out=rem[lo:lo + RECHECK_BLOCK])
+            top = rem.max()
+            if top <= floor:
+                break
+        a = A[int(np.argmax(rem >= top * (1.0 - PIVOT_TIE)))]
+        B = basis[:k]
+        r = a - (B @ a) @ B
+        r -= (B @ r) @ B
+        u = r / math.sqrt(r @ r)
+        basis[k] = -u if u[np.argmax(np.abs(u) > 1e-12)] < 0 else u
+        np.dot(A, basis[k], out=coef[k])
+        rem -= coef[k] ** 2
+        top = rem.max()
+        k += 1
+    vectors = basis[:k].copy()
     vectors.setflags(write=False)
     return OrthonormalBasis(vectors=vectors)
 

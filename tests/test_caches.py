@@ -4,7 +4,9 @@ import sys
 
 import semidp  # noqa: F401  (loads every semidp module)
 from semidp.dataspace import DataspaceSpec, OneWayMargins, conforming_set
-from semidp.sensitivity import contingency_s_semi
+from semidp.mechanisms import _gaussian_constants, gaussian_semi
+from semidp.rng import RngSeed
+from semidp.sensitivity import _span_basis_cached, contingency_s_semi
 
 
 def _clear_semidp_caches():
@@ -26,3 +28,10 @@ def test_module_cache_walk_empties_space_and_conforming_caches():
     assert rebuilt == semi and rebuilt is not semi
     again = conforming_set(space, inv, t)
     assert again == members and again[0] is not members[0]
+
+
+def test_module_cache_walk_empties_span_and_gaussian_caches():
+    gaussian_semi(range(9), contingency_s_semi(3, 3), 1.0, RngSeed(1))
+    assert _span_basis_cached.cache_info().currsize and _gaussian_constants.cache_info().currsize
+    _clear_semidp_caches()
+    assert _span_basis_cached.cache_info().currsize == _gaussian_constants.cache_info().currsize == 0

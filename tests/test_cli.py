@@ -1,9 +1,14 @@
 """Command-line dispatch: exit codes, output formats, seeding."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import semidp
 from semidp.cli import cli_dispatch
 
 
@@ -240,3 +245,12 @@ def test_non_finite_privacy_parameters_exit_1(capsys, argv):
     assert code == 1
     assert out == ""
     assert "finite" in err
+
+
+def test_cli_import_leaves_slow_scipy_subpackages_unloaded():
+    code = ("import sys, semidp.cli; print([m for m in ('scipy.optimize', 'scipy.spatial',"
+            " 'scipy.linalg') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(Path(semidp.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"

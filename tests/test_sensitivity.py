@@ -1,11 +1,13 @@
 """Sensitivity spaces, span geometry, and hull gauge computations."""
 
 import dataclasses
+import importlib.util
 import itertools
 import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ from semidp.dataspace import (
     semi_adjacent_parameter,
 )
 from semidp.sensitivity import (
+    RANK_TOL,
     SensitivitySpace,
     brute_force_sensitivity_space,
     cell_count_query,
@@ -331,6 +334,118 @@ def test_span_dimension_matches_independent_rank():
         basis = span_basis(space)
         assert basis.s == rank == (r - 1) * (c - 1)
         assert basis.s < r * c  # margins keep the space rank-deficient
+
+
+def _pivoted_mgs(space):
+    """Oracle: modified Gram-Schmidt over every row, each step re-taking
+    all residual norms and picking the largest (first on exact ties)."""
+    residual = space.array.astype(float)
+    threshold = RANK_TOL * float(np.sqrt((residual**2).sum(axis=1)).max())
+    basis = []
+    while True:
+        norms = np.sqrt((residual**2).sum(axis=1))
+        pick = int(np.argmax(norms))
+        if norms[pick] <= threshold:
+            break
+        u = residual[pick] / norms[pick]
+        if u[np.nonzero(np.abs(u) > 1e-12)[0][0]] < 0:
+            u = -u
+        basis.append(u)
+        residual -= np.outer(residual @ u, u)
+    return np.array(basis).reshape(len(basis), space.ambient_dim)
+
+
+HULL_SAMPLER_SHAPES = [("semi", r, c) for r, c in
+                       [(2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4)]]
+HULL_SAMPLER_SHAPES += [("dp", r, c) for r in range(1, 5) for c in range(1, 5)]
+BUILDERS = {"semi": contingency_s_semi, "dp": contingency_s_dp}
+
+
+@pytest.mark.parametrize("kind,r,c", HULL_SAMPLER_SHAPES)
+def test_span_basis_matches_pivoted_mgs_on_hull_sampler_shapes(kind, r, c):
+    space = BUILDERS[kind](r, c)
+    want = _pivoted_mgs(space)
+    got = span_basis(space).vectors
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "kind,r,c",
+    [("semi", r, c) for r in range(2, 11) for c in range(2, 11)]
+    + [("dp", r, c) for r in range(1, 5) for c in range(1, 5)],
+)
+def test_span_basis_rank_and_projector_match_svd(kind, r, c):
+    space = BUILDERS[kind](r, c)
+    A = space.array.astype(float)
+    rank = np.linalg.matrix_rank(A)
+    _, _, vt = np.linalg.svd(A, full_matrices=False)
+    basis = span_basis(space).vectors
+    assert basis.shape == (rank, r * c)
+    assert np.abs(basis @ basis.T - np.eye(rank)).max(initial=0.0) <= 1e-12
+    assert np.abs(basis.T @ basis - vt[:rank].T @ vt[:rank]).max() <= 1e-12
+
+
+def _exact_pivoted_gs(space):
+    """Oracle in exact arithmetic: each step takes the first row with the
+    largest squared residual norm, r.r - sum_j (r.Q_j)^2 / Q_j.Q_j over
+    integer multiples Q_j of the residuals picked so far."""
+    rows = space.array.tolist()
+    rem = [Fraction(sum(x * x for x in r)) for r in rows]
+    picked, basis = [], []
+    while max(rem) > 0:
+        row = rows[rem.index(max(rem))]
+        q = [Fraction(x) for x in row]
+        for Q, n in picked:
+            c = Fraction(sum(a * b for a, b in zip(row, Q)), n)
+            q = [x - c * y for x, y in zip(q, Q)]
+        scale = math.lcm(*(x.denominator for x in q))
+        Q = [int(x * scale) for x in q]
+        n = sum(x * x for x in Q)
+        picked.append((Q, n))
+        rem = [v - Fraction(sum(a * b for a, b in zip(r, Q)) ** 2, n) for v, r in zip(rem, rows)]
+        u = np.array(Q, dtype=float) / math.sqrt(n)
+        basis.append(u if next(x for x in Q if x) > 0 else -u)
+    return np.array(basis).reshape(len(basis), space.ambient_dim)
+
+
+@pytest.mark.parametrize("r,c", [(3, 6), (6, 3), (3, 10), (4, 7), (5, 8), (6, 6), (8, 4), (7, 7)])
+def test_span_basis_breaks_exact_ties_by_row_order(r, c):
+    # on these shapes rounding noise, not the residuals, decides the
+    # largest among exactly tied rows unless near-ties count as ties
+    space = contingency_s_semi(r, c)
+    want = _exact_pivoted_gs(space)
+    got = span_basis(space).vectors
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("N", [10**5, 10**6, 10**7, 10**8])
+def test_span_basis_rechecks_residuals_downdating_loses(N):
+    # after (N, 1) is taken, (N, 0) keeps a residual of about 1 against a
+    # squared norm of N^2: downdating alone reads 0 or less at N = 1e8
+    space = SensitivitySpace([(N, 0), (N, 1), (-N, 0), (-N, -1)], "near-parallel")
+    basis = span_basis(space).vectors
+    assert basis.shape == (2, 2)
+    assert np.abs(basis @ basis.T - np.eye(2)).max() <= 1e-12
+
+
+def test_span_dimension_matches_oracle_on_accounting_spaces():
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+    module_spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(workloads)
+    requests = [q for q in workloads.generate("accounting", 21, 32.0) if q["op"] == "accounting"]
+    assert len(requests) > 100
+    for request in requests:
+        rows = tuple(tuple(row) for row in request["rows"])
+        ds = DataspaceSpec(n=len(rows), levels=tuple(request["levels"]))
+        margins = OneWayMargins(tuple(range(len(ds.levels))))
+        t = dataspace.invariant_eval(margins, rows, ds)
+        space = brute_force_sensitivity_space(
+            ds, conforming_set(ds, margins, t), cell_count_query(ds),
+            semi_adjacent_parameter(ds, margins, t))
+        assert span_basis(space).s == len(_pivoted_mgs(space))
 
 
 def test_projection_two_by_two_quarter_matrix():
