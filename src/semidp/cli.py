@@ -49,9 +49,9 @@ def _parse_tradeoff(text: str):
         return gaussian_dp(float(params))
     if kind == "eps":
         parts = params.split(",")
-        eps = float(parts[0])
-        delta = float(parts[1]) if len(parts) > 1 else 0.0
-        return exact_dp(eps, delta)
+        if len(parts) > 2:
+            raise ValueError(f"cannot parse tradeoff spec {text!r}; use gdp:MU or eps:EPS[,DELTA]")
+        return exact_dp(float(parts[0]), float(parts[1]) if len(parts) > 1 else 0.0)
     raise ValueError(f"unknown tradeoff family {kind!r}; use gdp: or eps:")
 
 

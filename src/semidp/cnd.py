@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
+from ._special import ndtr, ndtri
 from .rng import NoiseRng, RngSeed
 from .tradeoff import (
     GAUSSIAN_DP,

@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
+from ._special import gammaln, logsumexp
 from .cnd import CndSpec, cnd_cdf, cnd_quantile, cnd_sample
 from .rng import RngSeed
 
@@ -109,10 +109,13 @@ def nchg_pmf(t: Margins, w: float, x: int) -> float:
 
 
 def solve_threshold_m(t: Margins, spec: CndSpec, alpha: float) -> float:
-    """m with E[F(H - m)] = alpha under the central law, by bisection.
+    """m with E[F(H - m)] = alpha under the central law.
 
     The expectation is an exact finite sum over the support and is strictly
-    decreasing in m, so the bracket below always contains the root.
+    decreasing in m, so the bracket below always contains the root. Each
+    step is false position with the Illinois modification (an endpoint kept
+    twice in a row has its value halved), and the midpoint whenever that
+    step leaves the bracket.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -129,15 +132,24 @@ def solve_threshold_m(t: Margins, spec: CndSpec, alpha: float) -> float:
     g_lo, g_hi = size_minus_alpha(m_lo), size_minus_alpha(m_hi)
     if not (g_lo > 0 > g_hi):
         raise RuntimeError("threshold bracket failed to straddle the root")
+    kept = 0  # +1 after a step that kept m_hi, -1 after one that kept m_lo
     for _ in range(200):
-        mid = 0.5 * (m_lo + m_hi)
+        mid = m_hi - g_hi * (m_hi - m_lo) / (g_hi - g_lo)
+        if not m_lo < mid < m_hi:
+            mid = 0.5 * (m_lo + m_hi)
         g = size_minus_alpha(mid)
         if abs(g) <= _SIZE_TOL:
             return mid
         if g > 0:
-            m_lo = mid
+            m_lo, g_lo = mid, g
+            if kept == 1:
+                g_hi *= 0.5
+            kept = 1
         else:
-            m_hi = mid
+            m_hi, g_hi = mid, g
+            if kept == -1:
+                g_lo *= 0.5
+            kept = -1
     return 0.5 * (m_lo + m_hi)
 
 

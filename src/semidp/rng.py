@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
+
+from ._special import ndtri
 
 GENERATOR_NAME = "philox4x64"
 
@@ -85,16 +86,23 @@ class NoiseRng:
         out = np.empty(n)
         filled = 0
         while filled < n:
-            m = 2 * (n - filled) + 8
-            x = np.asarray(self.normal(size=m))
-            v = (1.0 + c * x) ** 3
+            need = n - filled
+            m = 2 * need + 8
+            normal_u = np.asarray(self.uniform_open(m))  # as normal(size=m) draws them
             u = np.asarray(self.uniform_open(m))
-            with np.errstate(invalid="ignore", divide="ignore"):
-                ok = (v > 0) & (np.log(u) < 0.5 * x**2 + d - d * v + d * np.log(v))
-            accepted = d * v[ok]
-            take = min(len(accepted), n - filled)
-            out[filled : filled + take] = accepted[:take]
-            filled += take
+            # the first `need` accepted candidates are kept and nearly every
+            # candidate is accepted, so later normals are computed only if needed
+            for block in (slice(0, need), slice(need, m)):
+                x = ndtri(normal_u[block])
+                v = (1.0 + c * x) ** 3
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    ok = (v > 0) & (np.log(u[block]) < 0.5 * x**2 + d - d * v + d * np.log(v))
+                accepted = d * v[ok]
+                take = min(len(accepted), n - filled)
+                out[filled : filled + take] = accepted[:take]
+                filled += take
+                if filled == n:
+                    break
         return out
 
     def multinomial(self, n: int, pvals) -> np.ndarray:

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri
+
+from ._special import log_ndtr, ndtr, ndtri
 
 EXACT_DP = "exact_dp"
 GAUSSIAN_DP = "gaussian_dp"
@@ -120,9 +121,7 @@ def iterate_tradeoff(f: TradeoffSpec, alpha, k):
 def _iterate(f: TradeoffSpec, arr: np.ndarray, k: np.ndarray) -> np.ndarray:
     if f.family == GAUSSIAN_DP:
         # G_mu^(k) = G_(k mu): each step shifts the normal quantile by mu
-        with np.errstate(divide="ignore"):
-            z = ndtri(arr)
-        return ndtr(z - k * f.mu)
+        return ndtr(ndtri(arr) - k * f.mu)
     if f.family == SELF_POWER:
         return _iterate(f.base, arr, k * f.power)
     return _exact_dp_iterate(f.epsilon, f.delta, arr, k)

@@ -78,6 +78,13 @@ def test_missing_flags_exit_1(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("spec", ["eps:1,0.01,7", "eps:1,,", "gdp:1,2", "gdp:"])
+def test_malformed_tradeoff_spec_exits_1(capsys, spec):
+    code, out, err = run(capsys, ["cnd", "--f", spec, "--cdf", "0.3"])
+    assert (code, out) == (1, "")
+    assert "semidp: error:" in err
+
+
 def test_absent_seed_and_group_size_keep_their_defaults(capsys):
     sample = ["cnd", "--f", "gdp:1", "--sample", "3"]
     assert run(capsys, sample) == run(capsys, [*sample, "--seed", "0"])
@@ -248,9 +255,12 @@ def test_non_finite_privacy_parameters_exit_1(capsys, argv):
 
 
 def test_cli_import_leaves_slow_scipy_subpackages_unloaded():
-    code = ("import sys, semidp.cli; print([m for m in ('scipy.optimize', 'scipy.spatial',"
-            " 'scipy.linalg') if m in sys.modules])")
+    """Neither ``import semidp`` nor ``import semidp.cli`` loads any part of scipy."""
+    code = ("import sys\n"
+            "def scipy_modules(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "import semidp; print(scipy_modules())\n"
+            "import semidp.cli; print(scipy_modules())")
     env = {**os.environ, "PYTHONPATH": str(Path(semidp.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out == "[]\n"
+    assert out == "[]\n[]\n"

@@ -1,5 +1,7 @@
 """Deterministic streams and distributional correctness of the sampler."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.stats as st
@@ -51,6 +53,35 @@ def test_gamma_distribution(shape, rate):
     x = NoiseRng(RngSeed(4)).gamma(shape, rate, size=100_000)
     assert st.kstest(x, st.gamma(a=shape, scale=1.0 / rate).cdf).pvalue > 0.01
     assert abs(x.mean() - shape / rate) < 5 * np.sqrt(shape / rate**2 / 100_000)
+
+
+def _eager_gamma(seed: RngSeed, shape: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Marsaglia-Tsang rounds that transform all 2 n + 8 normals of a round,
+    and the next uniforms on the stream after the draw."""
+    rng = NoiseRng(seed)
+    d = shape - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    out: list[float] = []
+    while len(out) < n:
+        m = 2 * (n - len(out)) + 8
+        x = rng.normal(size=m)
+        v = (1.0 + c * x) ** 3
+        u = rng.uniform_open(m)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ok = (v > 0) & (np.log(u) < 0.5 * x**2 + d - d * v + d * np.log(v))
+        out.extend((d * v[ok])[: n - len(out)])
+    return np.array(out), rng.uniform_open(4)
+
+
+@pytest.mark.parametrize("shape", [1.0, 1.3, 2.0, 4.0, 10.0])
+def test_gamma_draws_and_stream_match_eager_rounds(shape):
+    for seed in range(40):
+        for n in (1, 2, 5, 20, 300):
+            rng = NoiseRng(RngSeed(seed, 9))
+            draws = rng.gamma(shape, 1.0, size=n)
+            want, after = _eager_gamma(RngSeed(seed, 9), shape, n)
+            assert np.array_equal(draws, want)
+            assert np.array_equal(rng.uniform_open(4), after)
 
 
 def test_gamma_scalar_and_validation():

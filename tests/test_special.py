@@ -1,0 +1,158 @@
+"""semidp._special against scipy.special, its oracle.
+
+Each function is checked on a scalar, on short arrays (element by element)
+and on long ones (vectorised), including the values where scipy's
+conventions matter: +-inf, nan, 0, 1 and inputs off the domain.
+"""
+
+import math
+
+import numpy as np
+import pytest
+import scipy.special as sp
+
+from semidp import _special
+from semidp.rng import NoiseRng, RngSeed
+
+EPS = np.finfo(float).eps
+
+
+def _ulps(got, want):
+    """|got - want| in units of the spacing at want; equal infinities and nans are 0."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    same = (got == want) | (np.isnan(got) & np.isnan(want))
+    with np.errstate(invalid="ignore"):
+        return np.where(same, 0.0, np.abs(got - want) / np.spacing(np.abs(want)))
+
+
+def _each_path(fn, x):
+    """fn on x whole, in short slices (the element-by-element path) and on
+    every step-th element as a scalar: three (values, index into x) pairs."""
+    x = np.asarray(x, dtype=float)
+    short = np.concatenate([fn(x[i:i + 5]) for i in range(0, x.size, 5)])
+    every = slice(None, None, max(1, x.size // 500))
+    scalars = np.array([fn(float(v)) for v in x[every]])
+    return [(fn(x), slice(None)), (short, slice(None)), (scalars, every)]
+
+
+UNIFORMS = np.asarray(NoiseRng(RngSeed(20240601, 3)).uniform_open(200_000))
+CENTRAL = (UNIFORMS > math.exp(-2.0)) & (UNIFORMS < 1.0 - math.exp(-2.0))
+
+
+def test_ndtri_on_uniform_draws_is_bit_identical_centrally_and_within_two_ulp_in_the_tails():
+    want = sp.ndtri(UNIFORMS)
+    for got, index in _each_path(_special.ndtri, UNIFORMS):
+        central = CENTRAL[index]
+        assert np.array_equal(got[central], want[index][central])
+        assert _ulps(got[~central], want[index][~central]).max() <= 2.0
+    tails = UNIFORMS[~CENTRAL]  # the vectorised tail path
+    assert _ulps(_special.ndtri(tails), sp.ndtri(tails)).max() <= 2.0
+
+
+def test_ndtri_far_tails_and_edges_within_two_ulp():
+    edges = np.array([5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-20, 1.2e-14,
+                      5.551115123125783e-17, math.exp(-2.0), 1.0 - math.exp(-2.0),
+                      0.5, 1.0 - 2.0**-53, 1.0 - 2.0**-52, 0.0, -0.0, 1.0,
+                      -1e-300, -1.0, 1.0 + 2.0**-52, 2.0, np.inf, -np.inf, np.nan])
+    deep = np.exp(-np.linspace(0.0, 740.0, 5001))
+    y = np.concatenate([deep, 1.0 - deep[deep > 1e-16], edges])
+    want = sp.ndtri(y)
+    for got, index in _each_path(_special.ndtri, y):
+        assert _ulps(got, want[index]).max() <= 2.0
+    for v in edges:
+        got = _special.ndtri(v)
+        assert isinstance(got, np.float64)
+        assert _ulps(got, sp.ndtri(v)) <= 2.0
+
+
+def test_ndtri_keeps_the_array_shape():
+    y = UNIFORMS[:120].reshape(4, 30)
+    assert np.array_equal(_special.ndtri(y), sp.ndtri(y))
+    assert _special.ndtri(np.empty((0, 3))).shape == (0, 3)
+    assert isinstance(_special.ndtri(np.array(0.25)), np.float64)
+
+
+#: Phi to 40 digits (mpmath): scipy's erfc takes exp of a rounded -x^2, so
+#: in the left tail it is itself off by up to x^2 ulp.
+NDTR_EXACT = {-37.0: 5.725571222524577e-300, -20.0: 2.7536241186062337e-89,
+              -5.0: 2.866515718791939e-07, 0.5: 0.6914624612740131}
+
+
+def test_ndtr_matches_scipy_and_exact_values():
+    x = np.concatenate([np.linspace(-37.0, 38.0, 30_001), np.linspace(-1.0, 1.0, 2001)])
+    want = sp.ndtr(x)
+    # 1e-15 relative, widened by the condition number ~x^2 of Phi in the left tail
+    tol = 1e-15 * np.maximum(1.0, x * x)
+    for got, index in _each_path(_special.ndtr, x):
+        assert np.all(np.abs(got - want[index]) <= tol[index] * want[index])
+    for v, exact in NDTR_EXACT.items():
+        assert abs(_special.ndtr(v) - exact) <= 1e-15 * max(1.0, v * v) * exact
+    for v, want in ((np.inf, 1.0), (-np.inf, 0.0), (0.0, 0.5), (-0.0, 0.5)):
+        assert _special.ndtr(v) == want
+    assert np.isnan(_special.ndtr(np.nan))
+    assert np.array_equal(_special.ndtr(np.array([np.inf, -np.inf, np.nan])),
+                          sp.ndtr(np.array([np.inf, -np.inf, np.nan])), equal_nan=True)
+
+
+#: log Phi to 40 digits (mpmath).
+LOG_NDTR_EXACT = {-1000.0: -500007.82669481216, -20.0: -203.91715537109727,
+                  6.0: -9.865876455243758e-10}
+
+
+def test_log_ndtr_matches_scipy_on_both_sides_of_the_branch_points():
+    x = np.concatenate([np.linspace(-1e3, 40.0, 40_001), np.linspace(-20.5, -19.5, 1001),
+                        np.linspace(5.5, 6.5, 1001), [-20.0, 6.0, 0.0, -0.0]])
+    want = sp.log_ndtr(x)
+    # above 6, log Phi(x) = -Phi(-x) to double precision, conditioned by x^2
+    tol = np.where(x > 6.0, 1e-15 * x * x, 1e-14) * np.abs(want)
+    tol = np.maximum(tol, np.finfo(float).tiny)  # subnormal results hold no relative precision
+    for got, index in _each_path(_special.log_ndtr, x):
+        assert np.all(np.abs(got - want[index]) <= tol[index])
+    for v, exact in LOG_NDTR_EXACT.items():
+        assert abs(_special.log_ndtr(v) - exact) <= 1e-14 * abs(exact)
+    assert _special.log_ndtr(-np.inf) == -np.inf
+    assert _special.log_ndtr(np.inf) == 0.0
+    assert np.isnan(_special.log_ndtr(np.nan))
+
+
+def test_gammaln_matches_scipy_up_to_n_14000():
+    k = np.arange(14_001, dtype=float)
+    x = np.concatenate([k + 1.0, k + 0.5, np.linspace(1e-6, 3.0, 3001)])
+    want = sp.gammaln(x)
+    for got, index in _each_path(_special.gammaln, x):
+        assert np.all(np.abs(got - want[index]) <= 1e-14 * np.maximum(np.abs(want[index]), 1.0))
+    # log n! = sum of logs, independently of scipy
+    log_factorial = np.concatenate([[0.0], np.cumsum(np.log(k[1:]))])
+    assert np.allclose(_special.gammaln(k + 1.0), log_factorial, rtol=1e-13, atol=0.0)
+
+
+def test_gammaln_poles_and_infinities_follow_scipy():
+    x = np.array([0.0, -0.0, -1.0, -2.0, -14_000.0, -1e300, np.inf, -np.inf, np.nan, 1e306])
+    want = sp.gammaln(x)
+    assert np.array_equal(_special.gammaln(x), want, equal_nan=True)
+    assert all(np.array_equal(_special.gammaln(v), w, equal_nan=True) for v, w in zip(x, want))
+    assert _special.gammaln(-2.5) == pytest.approx(sp.gammaln(-2.5), rel=1e-14)
+    assert _special.gammaln(3) == pytest.approx(math.log(2.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("a", [
+    [0.0, 1.0, 2.0],
+    [-np.inf, 0.0, 1.0],
+    [-np.inf, -np.inf],
+    [-np.inf],
+    [np.inf, 1.0],
+    [np.nan, 1.0],
+    [1e308, 1e308],
+    [-745.0, -1000.0, 700.0],
+])
+def test_logsumexp_matches_scipy_at_infinities(a):
+    got, want = _special.logsumexp(np.array(a)), sp.logsumexp(np.array(a))
+    assert isinstance(got, np.float64)
+    assert np.array_equal(got, want, equal_nan=True) or abs(got - want) <= 4 * EPS * abs(want)
+
+
+def test_logsumexp_on_random_logs():
+    rng = np.random.default_rng(5)
+    for size in (1, 7, 60, 5000):
+        a = rng.normal(scale=50.0, size=size)
+        assert _special.logsumexp(a) == pytest.approx(sp.logsumexp(a), rel=4 * EPS)
