@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,6 +22,10 @@ from .rng import RngSeed
 _SIZE_TOL = 1e-12
 #: Overshoot of [0, 1] by a p-value that is rounding error, not a fault.
 _PVALUE_ROUNDING = 1e-12
+#: Margins below this index a cached log-factorial table; larger ones take
+#: log-gamma on the support alone, so a narrow support under a margin in the
+#: millions builds no table of millions of entries.
+_LOG_FACTORIAL_TABLE_MAX = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -79,8 +84,8 @@ class Margins:
 def nchg_distribution(t: Margins, w: float) -> tuple[np.ndarray, np.ndarray]:
     """Support points and probabilities of the noncentral hypergeometric law.
 
-    Computed in log space (log-binomials via log-gamma) and normalized by
-    log-sum-exp, so heavy margins stay stable.
+    Computed in log space (log-binomials from a table of log-factorials) and
+    normalized by log-sum-exp, so heavy margins stay stable.
     """
     if w <= 0:
         raise ValueError(f"odds parameter w must be positive, got {w}")
@@ -96,7 +101,21 @@ def nchg_distribution(t: Margins, w: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _log_binom(n: int, k: np.ndarray) -> np.ndarray:
-    return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+    """log C(n, k) for integers 0 <= k <= n; the same bits on either path."""
+    if n >= _LOG_FACTORIAL_TABLE_MAX:
+        return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+    table = _log_factorials(max(256, 1 << int(n).bit_length()))
+    return table[n] - table[k] - table[n - k]
+
+
+@lru_cache(maxsize=16)
+def _log_factorials(size: int) -> np.ndarray:
+    """log k! for k = 0..size - 1, each entry its own ``math.lgamma(k + 1)``:
+    a running sum of logs would drift by about 1e-9 by k = 14,000. Sizes are
+    powers of two, so margins of similar size share one table."""
+    table = np.array([math.lgamma(k + 1) for k in range(size)])
+    table.setflags(write=False)
+    return table
 
 
 def nchg_pmf(t: Margins, w: float, x: int) -> float:

@@ -3,7 +3,8 @@
 Four samplers: a projected Gaussian that confines noise to the span of the
 sensitivity space, an optimal hull-calibrated mechanism driven by rejection
 sampling over the hull's bounding box in span coordinates (each try is one
-``hull_membership`` gauge LP), the classic l1/l2/linf mechanisms, and naive
+``hull_membership`` call: a facet-table product on the tabled one-way-margin
+tables, a gauge LP elsewhere), the classic l1/l2/linf mechanisms, and naive
 group-privacy baselines for the table query. All draws are keyed by
 (seed, stream) and are bit-reproducible.
 """

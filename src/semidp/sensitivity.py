@@ -4,10 +4,17 @@ A sensitivity space collects phi(X) - phi(X') over all dataset pairs the
 adjacency relation protects. Its span tells a mechanism which directions
 need noise at all; its convex hull is the unit ball of the gauge norm used
 by the optimal hull-calibrated mechanism. The hull is held once per space in
-span coordinates (``hull_geometry``), and one LP over it serves both the
-gauge and hull membership: the gauge is the support function of the polar
-body, solved by the one-phase simplex in ``simplex``, and membership is the
-same LP stopped once the gauge passes 1.
+span coordinates (``hull_geometry``).
+
+For the one-way-margin table spaces ``contingency_s_semi(r, c)`` with
+2 <= r, c <= 4 the hull's facets ship precomputed (``facets.npz``, written
+by ``tools/facet_tables.py``): rows 2a of a small integer matrix F, one per
+facet a.x <= 1, so the gauge of a span point x is max(F x) / 2. Hull
+membership compares that value with 1 + ``HULL_TOL`` and leaves only values
+within ``FACET_BAND`` of it to the LP. Every other space takes the LP: the
+gauge is the support function of the polar body, solved by the one-phase
+simplex in ``simplex``, and membership is the same LP stopped once the gauge
+passes 1 + ``HULL_TOL``.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import math
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib import resources
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,6 +46,16 @@ RECHECK_BLOCK = 1024
 #: Hull tolerance: membership accepts gauges up to 1 + HULL_TOL, and a point
 #: whose residual off the span exceeds HULL_TOL * max(1, |v|) has gauge inf.
 HULL_TOL = 1e-9
+
+#: Hull membership decides by the facet gauge unless it lies within
+#: FACET_BAND of 1 + HULL_TOL; there the LP decides, as for untabled spaces.
+FACET_BAND = 1e-9
+
+#: Package data file of the facet tables: one int8 array per key "RxC", each
+#: row twice a facet normal of hull(contingency_s_semi(r, c)), for r and c in
+#: FACET_SIZES.
+FACET_FILE = "facets.npz"
+FACET_SIZES = range(2, 5)
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,12 +294,14 @@ class HullGeometry:
 
     ``coords`` holds each vector's coordinates in the span basis, one row
     per vector, and ``box`` the half-widths of the axis-aligned box that
-    bounds them.
+    bounds them. ``facets`` is the space's facet table F when one ships for
+    it (see ``_table_facets``), else None.
     """
 
     basis: OrthonormalBasis
     coords: np.ndarray  # (m, s)
     box: np.ndarray  # (s,)
+    facets: np.ndarray | None  # (f, d), integer-valued floats
 
     @property
     def s(self) -> int:
@@ -296,17 +316,42 @@ def hull_geometry(space: SensitivitySpace) -> HullGeometry:
     box = np.abs(coords).max(axis=0)
     coords.setflags(write=False)
     box.setflags(write=False)
-    return HullGeometry(basis=basis, coords=coords, box=box)
+    return HullGeometry(basis=basis, coords=coords, box=box, facets=_table_facets(space))
 
 
-def _gauge_lp(space: SensitivitySpace, v, stop_above: float) -> float:
-    """Gauge of v over hull(space), or a value above ``stop_above``.
+def _table_facets(space: SensitivitySpace) -> np.ndarray | None:
+    """The facet table of a space whose vectors are those of a tabled
+    ``contingency_s_semi(r, c)``, whatever its provenance; else None."""
+    d = space.ambient_dim
+    for r in FACET_SIZES:
+        c = d // r
+        if r * c == d and c in FACET_SIZES:
+            table = _table_space("semi", r, c)
+            if hash(table) == hash(space) and np.array_equal(table.array, space.array):
+                return _facet_table(r, c)
+    return None
 
-    inf outside the span. Inside it, with y the span coordinates of v and C
-    the vertex coordinates, the gauge is the support function of the polar
-    body: max y'z subject to Cz <= 1, with z = z+ - z- split into
-    non-negative parts.
+
+@lru_cache(maxsize=len(FACET_SIZES) ** 2)
+def _facet_table(r: int, c: int) -> np.ndarray:
+    """The committed table F of hull(contingency_s_semi(r, c)), read once.
+
+    Each row 2a must reach exactly 2 over the vertices, checked in integers:
+    a.x <= 1 holds on the hull (valid) and with equality at a vertex.
     """
+    with resources.files(__package__).joinpath(FACET_FILE).open("rb") as fh, np.load(fh) as tables:
+        F = tables[f"{r}x{c}"].astype(np.int64)
+    V = _table_space("semi", r, c).array
+    if F.shape[1] != V.shape[1] or not ((F @ V.T).max(axis=1) == 2).all():
+        raise RuntimeError(f"{FACET_FILE}: the {r}x{c} table is not the facets of its hull")
+    F = F.astype(float)
+    F.setflags(write=False)
+    return F
+
+
+def _span_coords(space: SensitivitySpace, v) -> tuple[HullGeometry, np.ndarray | None, np.ndarray]:
+    """(geometry, span coordinates y, projection y B) of v, with y None when
+    v lies off the span."""
     v = np.asarray(v, dtype=float)
     if v.shape != (space.ambient_dim,):
         raise ValueError("v must match the ambient dimension")
@@ -314,31 +359,68 @@ def _gauge_lp(space: SensitivitySpace, v, stop_above: float) -> float:
         raise ValueError("v must be finite")
     geom = hull_geometry(space)
     y = geom.basis.vectors @ v
-    residual = v - y @ geom.basis.vectors
+    point = y @ geom.basis.vectors
+    residual = v - point
     if math.sqrt(residual @ residual) > HULL_TOL * max(1.0, math.sqrt(v @ v)):
-        return math.inf
+        return geom, None, point
+    return geom, y, point
+
+
+def _lp_gauge(geom: HullGeometry, y: np.ndarray, stop_above: float) -> float:
+    """Gauge of the span point y over the hull, or a value above
+    ``stop_above``: with C the vertex coordinates, the support function of
+    the polar body, max y'z subject to Cz <= 1, with z = z+ - z- split into
+    non-negative parts."""
     C = geom.coords
     return solve_lp(
         np.hstack([C, -C]), np.ones(C.shape[0]), np.concatenate([y, -y]), stop_above=stop_above
     )
 
 
+def _gauge_lp(space: SensitivitySpace, v, stop_above: float) -> float:
+    """Gauge of v over hull(space) by the LP alone, or a value above
+    ``stop_above``; inf outside the span."""
+    geom, y, _ = _span_coords(space, v)
+    return math.inf if y is None else _lp_gauge(geom, y, stop_above)
+
+
+def _facet_gauge(geom: HullGeometry, point: np.ndarray) -> float:
+    """Gauge of a span point from the facet table: max(F point) / 2."""
+    return float((geom.facets @ point).max()) / 2.0
+
+
 def hull_membership(space: SensitivitySpace, v) -> bool:
     """True when v lies in the convex hull of the space's vectors, that is,
-    when its gauge is at most 1 + ``HULL_TOL``. The gauge LP stops as soon
-    as it passes that bound.
+    when its gauge is at most 1 + ``HULL_TOL``. A tabled space decides by
+    the facet gauge, unless it lies within ``FACET_BAND`` of that bound;
+    there, and for every other space, the gauge LP decides, stopped as soon
+    as it passes the bound.
     """
-    return _gauge_lp(space, v, 1.0 + HULL_TOL) <= 1.0 + HULL_TOL
+    geom, y, point = _span_coords(space, v)
+    if y is None:
+        return False
+    bound = 1.0 + HULL_TOL
+    if geom.facets is not None:
+        gauge = _facet_gauge(geom, point)
+        if abs(gauge - bound) > FACET_BAND:
+            return gauge <= bound
+    return _lp_gauge(geom, y, bound) <= bound
 
 
 def gauge_norm(space: SensitivitySpace, v) -> float:
     """Gauge of v with unit ball hull(space): the least t >= 0 with v in
-    t * hull(space).
+    t * hull(space). From the facet table when the space has one, else by
+    the LP.
 
     Returns inf when v lies outside the span (no finite scaling of the hull
     can reach it).
     """
-    return _gauge_lp(space, v, math.inf)
+    geom, y, point = _span_coords(space, v)
+    if y is None:
+        return math.inf
+    if geom.facets is not None:
+        return _facet_gauge(geom, point)
+    return _lp_gauge(geom, y, math.inf)
 
 
 def sensitivity_space_to_csv(space: SensitivitySpace) -> str:

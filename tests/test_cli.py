@@ -255,12 +255,25 @@ def test_non_finite_privacy_parameters_exit_1(capsys, argv):
 
 
 def test_cli_import_leaves_slow_scipy_subpackages_unloaded():
-    """Neither ``import semidp`` nor ``import semidp.cli`` loads any part of scipy."""
-    code = ("import sys\n"
+    """Neither ``import semidp`` nor ``import semidp.cli`` loads any part of
+    scipy, and the CLI import leaves the facet tables unread. A 3x3 knorm
+    draw and a 4x4 ``gauge_norm`` read the tables and still load no scipy."""
+    code = ("import contextlib, io, sys\n"
+            "opened = []\n"
+            "sys.addaudithook(lambda event, args: opened.append(args[0])\n"
+            "                 if event == 'open' and str(args[0]).endswith('facets.npz') else None)\n"
             "def scipy_modules(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "import semidp; print(scipy_modules())\n"
-            "import semidp.cli; print(scipy_modules())")
+            "import semidp.cli; print(scipy_modules(), len(opened))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = semidp.cli.cli_dispatch(['mech', '--query', '1,2,3,4,5,6,7,8,9', '--kind', 'knorm',\n"
+            "                                    '--eps', '0.5', '--r', '3', '--c', '3', '--seed', '1'])\n"
+            "print(scipy_modules(), code, len(opened))\n"
+            "from semidp.sensitivity import contingency_s_semi, gauge_norm, hull_geometry\n"
+            "space = contingency_s_semi(4, 4)\n"
+            "gauge = gauge_norm(space, space.array[-1])\n"
+            "print(scipy_modules(), hull_geometry(space).facets is not None, len(opened), round(gauge, 9))")
     env = {**os.environ, "PYTHONPATH": str(Path(semidp.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out == "[]\n[]\n"
+    assert out == "[]\n[] 0\n[] 0 1\n[] True 2 1.0\n"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import semidp.inference
+from semidp._special import gammaln
 from semidp.cnd import cnd_cdf, cnd_quantile, cnd_sample, make_cnd
 from semidp.inference import (
     Margins,
@@ -81,6 +82,21 @@ def test_pmf_normalization_heavy_margins():
         for w in (0.25, 1.0, 4.0):
             _, pmf = nchg_distribution(t, w)
             assert abs(pmf.sum() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 37, 255, 256, 1000, 4097, 14_000, 32_767])
+def test_log_binom_table_is_bit_equal_to_the_log_gamma_expression(n):
+    k = np.arange(n + 1)
+    expected = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+    assert np.array_equal(semidp.inference._log_binom(n, k), expected)
+
+
+def test_log_binom_builds_no_table_for_a_margin_in_the_millions():
+    semidp.inference._log_factorials.cache_clear()
+    n, k = 3_000_000, np.arange(5)
+    expected = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+    assert np.array_equal(semidp.inference._log_binom(n, k), expected)
+    assert semidp.inference._log_factorials.cache_info().currsize == 0
 
 
 def test_pmf_rejects_nonpositive_odds():

@@ -15,7 +15,7 @@ import pytest
 from scipy.optimize import linprog
 
 import semidp
-from semidp import dataspace
+from semidp import dataspace, sensitivity
 from semidp.dataspace import (
     DataspaceSpec,
     OneWayMargins,
@@ -23,7 +23,12 @@ from semidp.dataspace import (
     hamming_distance,
     semi_adjacent_parameter,
 )
+from semidp.mechanisms import knorm_noise_samples
+from semidp.rng import NoiseRng, RngSeed
 from semidp.sensitivity import (
+    FACET_FILE,
+    FACET_SIZES,
+    HULL_TOL,
     RANK_TOL,
     SensitivitySpace,
     brute_force_sensitivity_space,
@@ -31,6 +36,7 @@ from semidp.sensitivity import (
     contingency_s_dp,
     contingency_s_semi,
     gauge_norm,
+    hull_geometry,
     hull_membership,
     lp_sensitivity,
     projection_matrix,
@@ -576,6 +582,168 @@ def test_gauge_matches_scipy_min_weight():
             assert gauge_norm(space, v) == pytest.approx(ref.fun, abs=1e-7)
         for v, inside in near:
             assert gauge_norm(space, v) == pytest.approx(1.0 - 1e-7 if inside else 1.0 + 1e-7, abs=1e-12)
+
+
+FACET_SHAPES = [(r, c) for r in FACET_SIZES for c in FACET_SIZES]
+
+
+def _facet_tool():
+    path = Path(__file__).resolve().parents[1] / "tools" / "facet_tables.py"
+    module_spec = importlib.util.spec_from_file_location("facet_tables", path)
+    tool = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(tool)
+    return tool
+
+
+def _committed_table(r, c):
+    with np.load(Path(sensitivity.__file__).parent / FACET_FILE) as tables:
+        assert sorted(tables.files) == sorted(f"{a}x{b}" for a, b in FACET_SHAPES)
+        F = tables[f"{r}x{c}"]
+    assert F.dtype == np.int8 and F.shape[1] == r * c
+    return F.astype(np.int64)
+
+
+def test_facet_tables_ship_as_package_data():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    assert FACET_FILE in pyproject["tool"]["setuptools"]["package-data"]["semidp"]
+
+
+@pytest.mark.parametrize("r,c", FACET_SHAPES)
+def test_facet_table_is_what_qhull_finds(r, c):
+    regenerated = _facet_tool().facet_table(r, c).astype(np.int64)
+    assert set(map(tuple, _committed_table(r, c).tolist())) == set(map(tuple, regenerated.tolist()))
+
+
+@pytest.mark.parametrize("r,c", FACET_SHAPES)
+def test_facet_table_rows_are_valid_and_tight_facets(r, c):
+    F, V = _committed_table(r, c), contingency_s_semi(r, c).array
+    s = span_basis(contingency_s_semi(r, c)).s
+    values = F @ V.T
+    assert (values.max(axis=1) == 2).all()  # valid: 2a.x <= 2 on every vertex, with equality
+    assert len(np.unique(F, axis=0)) == len(F)
+    for row in values:
+        on_facet = V[row == 2]
+        # tight: s affinely independent vertices span the facet's hyperplane
+        assert np.linalg.matrix_rank(on_facet[1:] - on_facet[0]) == s - 1
+
+
+@pytest.mark.parametrize("r,c", FACET_SHAPES)
+def test_facet_gauge_agrees_with_the_lp(r, c):
+    space = contingency_s_semi(r, c)
+    assert hull_geometry(space).facets is not None
+    basis = span_basis(space).vectors
+    rng = np.random.default_rng(100 * r + c)
+    points = rng.normal(size=(2000, len(basis))) @ basis * rng.uniform(0.0, 2.0, size=(2000, 1))
+    for v in points:
+        lp = sensitivity._gauge_lp(space, v, math.inf)
+        assert gauge_norm(space, v) == pytest.approx(lp, rel=1e-12, abs=0.0)
+
+
+def test_facets_attach_by_vectors_whatever_the_provenance():
+    semi = contingency_s_semi(3, 3)
+    renamed = SensitivitySpace(semi.array[::-1], "brute_force(radius=2, subset)")
+    assert renamed != semi and hull_geometry(renamed).facets is hull_geometry(semi).facets
+    assert hull_geometry(contingency_s_dp(2, 3)).facets is None
+    assert hull_geometry(contingency_s_semi(2, 5)).facets is None
+
+
+@pytest.mark.parametrize("corrupt", [lambda F: F[:, :-1], lambda F: np.vstack([F, F[:1] // 2])])
+def test_load_refuses_a_table_that_is_not_the_facets(corrupt, tmp_path, monkeypatch):
+    path = tmp_path / "facets.npz"
+    np.savez(path, **{"3x3": corrupt(_committed_table(3, 3)).astype(np.int8)})
+    monkeypatch.setattr(sensitivity, "FACET_FILE", str(path))
+    sensitivity._facet_table.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="3x3"):
+            sensitivity._facet_table(3, 3)
+    finally:
+        sensitivity._facet_table.cache_clear()
+
+
+@pytest.fixture
+def lp_only(monkeypatch):
+    """Hull geometry built without facet tables, so every gauge is an LP."""
+    hull_geometry.cache_clear()
+    monkeypatch.setattr(sensitivity, "_table_facets", lambda space: None)
+    yield
+    hull_geometry.cache_clear()
+
+
+def _knorm_draws(space, seed, size):
+    _, radii, directions, rejections = knorm_noise_samples(space, 0.5, NoiseRng(RngSeed(seed)), size)
+    return radii, directions, np.array(rejections)
+
+
+SAMPLER_CASES = [(2, 3, 40), (2, 4, 40), (3, 3, 40), (3, 4, 8), (4, 4, 1)]
+
+
+def test_sampler_draws_equal_the_lp_only_path(request):
+    seeds = (3, 11, 12)
+    facet = {(r, c, seed): _knorm_draws(contingency_s_semi(r, c), seed, size)
+             for r, c, size in SAMPLER_CASES for seed in seeds}
+    assert hull_geometry(contingency_s_semi(4, 4)).facets is not None
+    request.getfixturevalue("lp_only")
+    for r, c, size in SAMPLER_CASES:
+        for seed in seeds:
+            lp = _knorm_draws(contingency_s_semi(r, c), seed, size)
+            for got, want in zip(facet[r, c, seed], lp):
+                assert np.array_equal(got, want)
+
+
+def _vertices(space):
+    return [v.astype(float) for v in space.array if v.any()]
+
+
+@pytest.mark.parametrize("r,c", FACET_SHAPES)
+def test_tries_near_a_vertex_decide_as_the_lp_does(r, c):
+    space = contingency_s_semi(r, c)
+    for v in _vertices(space)[:6]:
+        for scale, inside in ((1.0 - 1e-7, True), (1.0, True), (1.0 + 1e-7, False)):
+            assert hull_membership(space, scale * v) == inside
+            assert (sensitivity._gauge_lp(space, scale * v, 1.0 + HULL_TOL) <= 1.0 + HULL_TOL) == inside
+
+
+def _count_calls(monkeypatch, name, keep=None):
+    calls = []
+    original = getattr(sensitivity, name)
+
+    def wrapper(*args, **kwargs):
+        result = original(*args, **kwargs)
+        if keep is None or keep(result):
+            calls.append(result)
+        return result
+
+    monkeypatch.setattr(sensitivity, name, wrapper)
+    return calls
+
+
+def test_only_tries_in_the_band_reach_the_lp(monkeypatch):
+    space = contingency_s_semi(3, 3)
+    vertex = _vertices(space)[0]
+    lp_calls = _count_calls(monkeypatch, "solve_lp")
+    assert hull_membership(space, 0.5 * vertex) and not hull_membership(space, 1.5 * vertex)
+    assert not lp_calls
+    assert hull_membership(space, (1.0 + HULL_TOL) * vertex)  # gauge 1 + HULL_TOL: in the band
+    assert len(lp_calls) == 1
+    lp_calls.clear()
+    in_band = _count_calls(monkeypatch, "_facet_gauge",
+                           lambda g: abs(g - 1.0 - HULL_TOL) <= sensitivity.FACET_BAND)
+    _, _, rejections = _knorm_draws(space, 4049, 300)
+    assert rejections.sum() > 100
+    assert len(lp_calls) == len(in_band) == 0
+
+
+@pytest.mark.parametrize("r,c", [(2, 2), (3, 3), (4, 4)])
+def test_facet_path_refuses_bad_points(r, c):
+    space = contingency_s_semi(r, c)
+    assert hull_geometry(space).facets is not None
+    d = r * c
+    for bad in (np.full(d, math.nan), np.r_[math.inf, np.zeros(d - 1)], np.zeros(d + 1), np.zeros((1, d))):
+        with pytest.raises(ValueError):
+            gauge_norm(space, bad)
+        with pytest.raises(ValueError):
+            hull_membership(space, bad)
 
 
 def test_csv_exports():
