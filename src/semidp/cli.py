@@ -37,7 +37,14 @@ from .sensitivity import (
     sensitivity_space_to_csv,
     span_basis,
 )
-from .tradeoff import exact_dp, gaussian_dp, gdp_to_approx_dp, zcdp_group, zcdp_to_approx_dp
+from .tradeoff import (
+    compose_self,
+    exact_dp,
+    gaussian_dp,
+    gdp_to_approx_dp,
+    zcdp_group,
+    zcdp_to_approx_dp,
+)
 
 
 def _parse_tradeoff(text: str):
@@ -185,8 +192,10 @@ def _run_mech(args: argparse.Namespace) -> None:
     query = np.array([float(v) for v in args.query.split(",")])
     seed = _seed_from(args)
     if args.kind in ("gaussian", "knorm"):
-        r = args.r or int(round(math.sqrt(len(query))))
-        c = args.c or (len(query) // r)
+        r = int(round(math.sqrt(len(query)))) if args.r is None else args.r
+        if r < 2 or (args.c is not None and args.c < 2):
+            raise ValueError("r and c must both be >= 2")
+        c = len(query) // r if args.c is None else args.c
         if r * c != len(query):
             raise ValueError("query length must equal r*c for table mechanisms")
         space = contingency_s_semi(r, c)
@@ -217,6 +226,8 @@ def _run_cnd(args: argparse.Namespace) -> None:
     spec = make_cnd(_parse_tradeoff(args.f))
     payload: dict = {"f_family": spec.tradeoff.family, "params": spec.tradeoff.params(), "c": spec.c}
     if args.cdf is not None:
+        if not math.isfinite(args.cdf):
+            raise ValueError(f"--cdf must be finite, got {args.cdf}")
         payload["x"] = args.cdf
         payload["cdf"] = float(cnd_cdf(spec, args.cdf))
     if args.quantile is not None:
@@ -285,6 +296,8 @@ def _run_account(args: argparse.Namespace) -> None:
     payload: dict = {}
     if args.zcdp is not None:
         rho = args.zcdp
+        if not 0 <= rho < math.inf:
+            raise ValueError(f"--zcdp must be finite and >= 0, got {rho}")
         payload["zcdp"] = {"rho": rho}
         if args.group is not None:
             rho = zcdp_group(rho, args.group)
@@ -292,15 +305,16 @@ def _run_account(args: argparse.Namespace) -> None:
             payload["zcdp"]["group_rho"] = rho
         if args.delta is not None:
             payload["zcdp"]["delta"] = args.delta
-            payload["zcdp"]["epsilon"] = zcdp_to_approx_dp(rho, args.delta) if rho > 0 else 0.0
+            payload["zcdp"]["epsilon"] = zcdp_to_approx_dp(rho, args.delta)
     if args.gdp is not None:
+        f = gaussian_dp(args.gdp)
         payload["gdp"] = {"mu": args.gdp}
         if args.eps is not None:
             payload["gdp"]["epsilon"] = args.eps
             payload["gdp"]["delta"] = gdp_to_approx_dp(args.gdp, args.eps)
         if args.group is not None:
             payload["gdp"]["group_size"] = args.group
-            payload["gdp"]["group_mu"] = args.group * args.gdp
+            payload["gdp"]["group_mu"] = compose_self(f, args.group).mu
     if not payload:
         raise ValueError("account needs --zcdp or --gdp")
     _emit(args, json.dumps(payload, sort_keys=True))

@@ -9,9 +9,10 @@ sensitivity makes the unit-shift testing problem exactly as hard as f.
 
 Unrolling the steps, F(-|x|) = f^(k)(1/2 - r (1 - 2c)) with k = ceil(|x| - 1/2)
 and r = |x| - k, so the CDF is one closed-form k-fold iterate per point. For
-the Gaussian and (epsilon, delta) families that iterate also inverts in
-closed form, which gives the quantile (Awan & Vadhan, Ann. Stat. 2023; the
-pure epsilon case is the Tulap law of Awan & Slavkovic 2018).
+the Gaussian and (epsilon, delta) families and their self powers that
+iterate also inverts in closed form, which gives the quantile (Awan &
+Vadhan, Ann. Stat. 2023; the pure epsilon case is the Tulap law of Awan &
+Slavkovic 2018).
 """
 
 from __future__ import annotations
@@ -27,14 +28,11 @@ from .tradeoff import (
     GAUSSIAN_DP,
     SELF_POWER,
     TradeoffSpec,
-    compose_self,
     eval_tradeoff,
     iterate_tradeoff,
 )
 
 _FIXED_POINT_TOL = 1e-13
-_QUANTILE_TOL = 1e-13
-_MAX_BRACKET_DOUBLINGS = 200
 
 
 @dataclass(frozen=True)
@@ -68,9 +66,7 @@ def solve_c(f: TradeoffSpec) -> float:
     if eval_tradeoff(f, 1.0) <= _FIXED_POINT_TOL:
         raise ValueError("f(1) = 0: distributions are perfectly distinguishable at "
                          "the endpoint; the construction degenerates")
-    g, p = f, 1
-    while g.family == SELF_POWER:
-        g, p = g.base, p * g.power
+    g, p = _base_power(f)
     if g.family == GAUSSIAN_DP:
         c = float(ndtr(-0.5 * (p * g.mu)))
     elif p > 1:
@@ -82,93 +78,87 @@ def solve_c(f: TradeoffSpec) -> float:
     return c
 
 
+def _base_power(f: TradeoffSpec) -> tuple[TradeoffSpec, int]:
+    """(g, p) with f = g^(p) and g a Gaussian or (epsilon, delta) curve."""
+    g, p = f, 1
+    while g.family == SELF_POWER:
+        g, p = g.base, p * g.power
+    return g, p
+
+
 def make_cnd(f: TradeoffSpec) -> CndSpec:
     return CndSpec(tradeoff=f, c=solve_c(f))
-
-
-def _cdf_array(spec: CndSpec, x: np.ndarray) -> np.ndarray:
-    ax = np.abs(x)
-    steps = np.maximum(np.ceil(ax - 0.5), 0.0)
-    with np.errstate(invalid="ignore"):
-        # |x| = inf takes infinitely many steps from the band's edge: F(-inf) = 0
-        offset = np.where(np.isinf(ax), 0.5, ax - steps)
-    left = iterate_tradeoff(spec.tradeoff, 0.5 - offset * (1.0 - 2.0 * spec.c), steps)
-    return np.where(x > 0, 1.0 - left, left)
 
 
 def cnd_cdf(spec: CndSpec, x):
     """CDF of the canonical noise distribution; scalar or ndarray input."""
     arr = np.asarray(x, dtype=float)
-    out = _cdf_array(spec, np.atleast_1d(arr))
+    flat = np.atleast_1d(arr)
+    ax = np.abs(flat)
+    steps = np.maximum(np.ceil(ax - 0.5), 0.0)
+    with np.errstate(invalid="ignore"):
+        # |x| = inf takes infinitely many steps from the band's edge: F(-inf) = 0
+        offset = np.where(np.isinf(ax), 0.5, ax - steps)
+    left = iterate_tradeoff(spec.tradeoff, 0.5 - offset * (1.0 - 2.0 * spec.c), steps)
+    out = np.where(flat > 0, 1.0 - left, left)
     if arr.ndim == 0:
         return float(out[0])
     return out.reshape(arr.shape)
 
 
-def _invert_iterate(f: TradeoffSpec, c: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _invert_iterate(f: TradeoffSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Steps k and central level a in [c, 1 - c] with f^(k)(a) = u, for u <= 1/2.
 
     Step k of the left tail covers [f^(k+1)(1 - c), f^(k)(1 - c)), so k is
     the least integer with f^(k+1)(1 - c) <= u, and a is f^(-k)(u).
     """
-    if f.family == GAUSSIAN_DP:
+    g, p = _base_power(f)
+    if g.family == GAUSSIAN_DP:
         # f^(k)(1 - c) = Phi(mu/2 - k mu)
+        mu = p * g.mu
         z = ndtri(u)
-        k = np.maximum(0.0, np.ceil((-z - 0.5 * f.mu) / f.mu))
-        return k, ndtr(z + k * f.mu)
-    eps, delta = f.epsilon, f.delta
+        k = np.maximum(0.0, np.ceil((-z - 0.5 * mu) / mu))
+        return k, ndtr(z + k * mu)
+    # f = g^(p) for an (epsilon, delta) curve g, c_g = g(1 - c_g) its kink value.
+    # As in solve_c, g^(h)(1 - c) is 1/2 for p = 2h and 1 - c_g for p = 2h + 1,
+    # whose next g-step is c_g; from 1/2 or c_g on, g takes its lower branch.
+    # So j g-steps carry 1 - c to u or below, and k = ceil(j / p) - 1.
+    eps, delta = g.epsilon, g.delta
+    c_g = (1.0 - delta) / (1.0 + math.exp(eps))
+    top, first = (0.5, p // 2) if p % 2 == 0 else (c_g, p // 2 + 1)
     if eps == 0.0:
-        # f(a) = a - delta, so f^(k)(1 - c) = c - (k - 1) delta
-        k = np.maximum(0.0, np.ceil((c - u) / delta))
-        return k, u + k * delta
-    # on [0, 1 - c] f^(k)(a) + d = e^(-k eps) (a + d) with d = delta / (e^eps - 1)
+        # g(a) = a - delta on both branches
+        j = first + np.maximum(0.0, np.ceil((top - u) / delta))
+        k = np.maximum(0.0, np.ceil(j / p) - 1.0)
+        return k, u + p * k * delta
+    # on [0, 1 - c_g] g^(j)(a) + d = e^(-j eps) (a + d) with d = delta / (e^eps - 1)
     d = delta / math.expm1(eps)
-    k = np.maximum(0.0, np.ceil(np.log((c + d) / (u + d)) / eps))
-    return k, np.exp(k * eps) * u + delta * np.expm1(k * eps) / math.expm1(eps)
-
-
-def _bisect_quantile(spec: CndSpec, u: np.ndarray) -> np.ndarray:
-    """Quantile by bracket expansion then bisection on the CDF, to 1e-13."""
-    lo, hi = -1.0, 1.0
-    for _ in range(_MAX_BRACKET_DOUBLINGS):
-        f_lo, f_hi = _cdf_array(spec, np.array([lo, hi]))
-        if f_lo < u.min() and f_hi > u.max():
-            break
-        lo *= 2.0
-        hi *= 2.0
-    else:
-        raise RuntimeError("quantile bracket expansion failed")
-    los = np.full_like(u, lo)
-    his = np.full_like(u, hi)
-    # fixed iteration count: halving until the bracket is below tolerance
-    iters = int(np.ceil(np.log2((hi - lo) / _QUANTILE_TOL)))
-    for _ in range(iters):
-        mid = 0.5 * (los + his)
-        below = _cdf_array(spec, mid) < u
-        los = np.where(below, mid, los)
-        his = np.where(below, his, mid)
-    return 0.5 * (los + his)
+    j = first + np.maximum(0.0, np.ceil(np.log((top + d) / (u + d)) / eps))
+    k = np.maximum(0.0, np.ceil(j / p) - 1.0)
+    # p k inverse g-steps from u: on the lower branch while the value is at
+    # most c_g (all of them when p = 1), then on the upper branch, on which
+    # b = 1 - w follows the lower branch forward
+    low = k if p == 1 else np.minimum(
+        p * k, np.maximum(0.0, np.floor(np.log((c_g + d) / (u + d)) / eps) + 1.0))
+    a = np.exp(low * eps) * u + delta * np.expm1(low * eps) / math.expm1(eps)
+    if p == 1:
+        return k, a
+    up = p * k - low
+    b = np.exp(-up * eps) * (1.0 - a) + delta * np.expm1(-up * eps) / math.expm1(eps)
+    return k, np.where(up > 0.0, 1.0 - b, a)
 
 
 def cnd_quantile(spec: CndSpec, u):
-    """Inverse CDF; closed form for Gaussian and (epsilon, delta) curves.
-
-    The left tail inverts the k-fold iterate directly and the right tail
-    follows by symmetry, Q(u) = -Q(1 - u). Other curves bisect the CDF.
+    """Inverse CDF, in closed form: the left tail inverts the k-fold iterate
+    directly and the right tail follows by symmetry, Q(u) = -Q(1 - u).
     """
     arr = np.asarray(u, dtype=float)
     flat = np.atleast_1d(arr)
-    if np.any(flat <= 0.0) or np.any(flat >= 1.0):
+    if not ((flat > 0.0) & (flat < 1.0)).all():
         raise ValueError("u must lie strictly inside (0, 1)")
-    f = spec.tradeoff
-    if f.family == SELF_POWER:
-        f = compose_self(f.base, f.power)
-    if f.family == SELF_POWER:
-        out = _bisect_quantile(spec, flat)
-    else:
-        steps, level = _invert_iterate(f, spec.c, np.minimum(flat, 1.0 - flat))
-        left = (level - 0.5) / (1.0 - 2.0 * spec.c) - steps
-        out = np.where(flat > 0.5, -left, left)
+    steps, level = _invert_iterate(spec.tradeoff, np.minimum(flat, 1.0 - flat))
+    left = (level - 0.5) / (1.0 - 2.0 * spec.c) - steps
+    out = np.where(flat > 0.5, -left, left)
     if arr.ndim == 0:
         return float(out[0])
     return out.reshape(arr.shape)

@@ -3,10 +3,10 @@
 Four samplers: a projected Gaussian that confines noise to the span of the
 sensitivity space, an optimal hull-calibrated mechanism driven by rejection
 sampling over the hull's bounding box in span coordinates (each try is one
-``hull_membership`` call: a facet-table product on the tabled one-way-margin
-tables, a gauge LP elsewhere), the classic l1/l2/linf mechanisms, and naive
-group-privacy baselines for the table query. All draws are keyed by
-(seed, stream) and are bit-reproducible.
+``HullGeometry.gauge`` call: a facet-table product on the tabled
+one-way-margin tables, a gauge LP elsewhere), the classic l1/l2/linf
+mechanisms, and naive group-privacy baselines for the table query. All
+draws are keyed by (seed, stream) and are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ import numpy as np
 
 from .rng import NoiseRng, RngSeed
 from .sensitivity import (
+    HULL_TOL,
     SensitivitySpace,
     hull_geometry,
-    hull_membership,
     lp_sensitivity,
     projection_matrix,
     span_basis,
@@ -119,9 +119,11 @@ def knorm_noise_samples(
 
     Returns (noise, radii, directions, rejection counts): noise[i] equals
     radii[i] * directions[i], where each direction is drawn uniformly from
-    the hull by rejection from its bounding box (one ``hull_membership``
-    call per try) and each radius is an independent Gamma(s + 1, epsilon)
-    variate, since every adjacent move has hull gauge at most 1.
+    the hull by rejection from its bounding box and each radius is an
+    independent Gamma(s + 1, epsilon) variate, since every adjacent move has
+    hull gauge at most 1. The geometry is looked up once a call, and a try y
+    stays in span coordinates: it is accepted when its gauge is at most
+    1 + ``HULL_TOL`` (as in ``hull_membership``), and only then mapped to y B.
     """
     geom = hull_geometry(space)
     s, d = geom.s, space.ambient_dim
@@ -130,13 +132,13 @@ def knorm_noise_samples(
     radii = np.atleast_1d(np.asarray(rng.gamma(s + 1.0, epsilon, size=(size,))))
     directions = np.empty((size, d))
     rejections: list[int] = []
+    bound = 1.0 + HULL_TOL
     for i in range(size):
         misses = 0
         while True:
-            u = np.asarray(rng.uniform(-1.0, 1.0, size=s))
-            v = (u * geom.box) @ geom.basis.vectors
-            if hull_membership(space, v):
-                directions[i] = v
+            y = np.asarray(rng.uniform(-1.0, 1.0, size=s)) * geom.box
+            if geom.gauge(y, bound) <= bound:
+                directions[i] = y @ geom.basis.vectors
                 break
             misses += 1
             if misses >= MAX_CONSECUTIVE_REJECTIONS:

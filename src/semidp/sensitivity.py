@@ -6,22 +6,24 @@ need noise at all; its convex hull is the unit ball of the gauge norm used
 by the optimal hull-calibrated mechanism. The hull is held once per space in
 span coordinates (``hull_geometry``).
 
-For the one-way-margin table spaces ``contingency_s_semi(r, c)`` with
-2 <= r, c <= 4 the hull's facets ship precomputed (``facets.npz``, written
-by ``tools/facet_tables.py``): rows 2a of a small integer matrix F, one per
-facet a.x <= 1, so the gauge of a span point x is max(F x) / 2. Hull
-membership compares that value with 1 + ``HULL_TOL`` and leaves only values
-within ``FACET_BAND`` of it to the LP. Every other space takes the LP: the
-gauge is the support function of the polar body, solved by the one-phase
-simplex in ``simplex``, and membership is the same LP stopped once the gauge
-passes 1 + ``HULL_TOL``.
+One gauge, ``HullGeometry.gauge``, reads the hull, on span coordinates y;
+``gauge_norm`` and ``hull_membership`` validate and project a point, then
+call it, and the hull sampler calls it on its box tries directly. For the
+one-way-margin table spaces ``contingency_s_semi(r, c)`` with 2 <= r, c <= 4
+the hull's facets ship precomputed (``facets.npz``, written by
+``tools/facet_tables.py``): rows 2a of a small integer matrix F, one per
+facet a.x <= 1, so the gauge of the span point x = y B is max(F x) / 2. A
+gauge stopped at a bound (membership stops at 1 + ``HULL_TOL``) leaves only
+values within ``FACET_BAND`` of it to the LP. Every other space takes the
+LP: the gauge is the support function of the polar body, solved by the
+one-phase simplex in ``simplex`` and stopped once it passes the bound.
 """
 
 from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import resources
 from typing import Callable, Sequence
@@ -47,8 +49,8 @@ RECHECK_BLOCK = 1024
 #: whose residual off the span exceeds HULL_TOL * max(1, |v|) has gauge inf.
 HULL_TOL = 1e-9
 
-#: Hull membership decides by the facet gauge unless it lies within
-#: FACET_BAND of 1 + HULL_TOL; there the LP decides, as for untabled spaces.
+#: A gauge stopped at a bound returns the facet value unless it lies within
+#: FACET_BAND of that bound; there the LP decides, as for untabled spaces.
 FACET_BAND = 1e-9
 
 #: Package data file of the facet tables: one int8 array per key "RxC", each
@@ -307,6 +309,26 @@ class HullGeometry:
     def s(self) -> int:
         return self.basis.s
 
+    def gauge(self, y: np.ndarray, stop_above: float = math.inf) -> float:
+        """Gauge of the span point with coordinates y, or a value above
+        ``stop_above``.
+
+        With a facet table it is max(F (y B)) / 2, returned unless it lies
+        within ``FACET_BAND`` of ``stop_above``. There, and for every
+        untabled space, the LP decides: with C the vertex coordinates, the
+        support function of the polar body, max y'z subject to Cz <= 1, with
+        z = z+ - z- split into non-negative parts, stopped once its value
+        passes ``stop_above``.
+        """
+        if self.facets is not None:
+            value = float((self.facets @ (y @ self.basis.vectors)).max()) / 2.0
+            if abs(value - stop_above) > FACET_BAND:
+                return value
+        C = self.coords
+        return solve_lp(
+            np.hstack([C, -C]), np.ones(C.shape[0]), np.concatenate([y, -y]), stop_above=stop_above
+        )
+
 
 @lru_cache(maxsize=128)
 def hull_geometry(space: SensitivitySpace) -> HullGeometry:
@@ -349,9 +371,8 @@ def _facet_table(r: int, c: int) -> np.ndarray:
     return F
 
 
-def _span_coords(space: SensitivitySpace, v) -> tuple[HullGeometry, np.ndarray | None, np.ndarray]:
-    """(geometry, span coordinates y, projection y B) of v, with y None when
-    v lies off the span."""
+def _span_coords(space: SensitivitySpace, v) -> tuple[HullGeometry, np.ndarray | None]:
+    """(geometry, span coordinates y) of v; y is None when v lies off the span."""
     v = np.asarray(v, dtype=float)
     if v.shape != (space.ambient_dim,):
         raise ValueError("v must match the ambient dimension")
@@ -359,52 +380,27 @@ def _span_coords(space: SensitivitySpace, v) -> tuple[HullGeometry, np.ndarray |
         raise ValueError("v must be finite")
     geom = hull_geometry(space)
     y = geom.basis.vectors @ v
-    point = y @ geom.basis.vectors
-    residual = v - point
+    residual = v - y @ geom.basis.vectors
     if math.sqrt(residual @ residual) > HULL_TOL * max(1.0, math.sqrt(v @ v)):
-        return geom, None, point
-    return geom, y, point
-
-
-def _lp_gauge(geom: HullGeometry, y: np.ndarray, stop_above: float) -> float:
-    """Gauge of the span point y over the hull, or a value above
-    ``stop_above``: with C the vertex coordinates, the support function of
-    the polar body, max y'z subject to Cz <= 1, with z = z+ - z- split into
-    non-negative parts."""
-    C = geom.coords
-    return solve_lp(
-        np.hstack([C, -C]), np.ones(C.shape[0]), np.concatenate([y, -y]), stop_above=stop_above
-    )
+        return geom, None
+    return geom, y
 
 
 def _gauge_lp(space: SensitivitySpace, v, stop_above: float) -> float:
     """Gauge of v over hull(space) by the LP alone, or a value above
     ``stop_above``; inf outside the span."""
-    geom, y, _ = _span_coords(space, v)
-    return math.inf if y is None else _lp_gauge(geom, y, stop_above)
-
-
-def _facet_gauge(geom: HullGeometry, point: np.ndarray) -> float:
-    """Gauge of a span point from the facet table: max(F point) / 2."""
-    return float((geom.facets @ point).max()) / 2.0
+    geom, y = _span_coords(space, v)
+    return math.inf if y is None else replace(geom, facets=None).gauge(y, stop_above)
 
 
 def hull_membership(space: SensitivitySpace, v) -> bool:
     """True when v lies in the convex hull of the space's vectors, that is,
-    when its gauge is at most 1 + ``HULL_TOL``. A tabled space decides by
-    the facet gauge, unless it lies within ``FACET_BAND`` of that bound;
-    there, and for every other space, the gauge LP decides, stopped as soon
-    as it passes the bound.
+    when its gauge is at most 1 + ``HULL_TOL`` (``HullGeometry.gauge``
+    stopped at that bound).
     """
-    geom, y, point = _span_coords(space, v)
-    if y is None:
-        return False
+    geom, y = _span_coords(space, v)
     bound = 1.0 + HULL_TOL
-    if geom.facets is not None:
-        gauge = _facet_gauge(geom, point)
-        if abs(gauge - bound) > FACET_BAND:
-            return gauge <= bound
-    return _lp_gauge(geom, y, bound) <= bound
+    return y is not None and geom.gauge(y, bound) <= bound
 
 
 def gauge_norm(space: SensitivitySpace, v) -> float:
@@ -415,12 +411,8 @@ def gauge_norm(space: SensitivitySpace, v) -> float:
     Returns inf when v lies outside the span (no finite scaling of the hull
     can reach it).
     """
-    geom, y, point = _span_coords(space, v)
-    if y is None:
-        return math.inf
-    if geom.facets is not None:
-        return _facet_gauge(geom, point)
-    return _lp_gauge(geom, y, math.inf)
+    geom, y = _span_coords(space, v)
+    return math.inf if y is None else geom.gauge(y)
 
 
 def sensitivity_space_to_csv(space: SensitivitySpace) -> str:

@@ -256,10 +256,10 @@ def gdp_to_approx_dp(mu: float, epsilon: float) -> float:
     delta = Phi(-eps/mu + mu/2) - e^eps * Phi(-eps/mu - mu/2). The second
     term is computed in log space so large epsilon does not overflow.
     """
-    if mu < 0:
-        raise ValueError(f"mu must be >= 0, got {mu}")
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    if not 0 <= mu < math.inf:
+        raise ValueError(f"mu must be finite and >= 0, got {mu}")
+    if not 0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     if mu == 0.0:
         return 0.0
     first = float(ndtr(-epsilon / mu + mu / 2.0))
@@ -269,8 +269,8 @@ def gdp_to_approx_dp(mu: float, epsilon: float) -> float:
 
 def zcdp_group(rho: float, k: int) -> float:
     """Concentrated-DP parameter after widening protection to groups of size k."""
-    if rho < 0:
-        raise ValueError(f"rho must be >= 0, got {rho}")
+    if not 0 <= rho < math.inf:
+        raise ValueError(f"rho must be finite and >= 0, got {rho}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     return (k**2) * rho
@@ -278,8 +278,8 @@ def zcdp_group(rho: float, k: int) -> float:
 
 def zcdp_to_approx_dp(rho: float, delta: float) -> float:
     """epsilon(delta) for a rho concentrated-DP guarantee (natural log)."""
-    if rho < 0:
-        raise ValueError(f"rho must be >= 0, got {rho}")
+    if not 0 <= rho < math.inf:
+        raise ValueError(f"rho must be finite and >= 0, got {rho}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     return rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta))

@@ -12,9 +12,16 @@ import semidp
 from semidp.cli import cli_dispatch
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"stdout holds {name}, which is not JSON")
+
+
 def run(capsys, argv):
+    """Dispatch argv; JSON on stdout must parse strictly (no NaN or Infinity)."""
     code = cli_dispatch(argv)
     captured = capsys.readouterr()
+    if captured.out[:1] in ("{", "["):
+        json.loads(captured.out, parse_constant=_refuse_constant)
     return code, captured.out, captured.err
 
 
@@ -202,6 +209,10 @@ def test_account_subcommand(capsys):
     assert payload["zcdp"]["group_rho"] == pytest.approx(10.24)
     assert payload["zcdp"]["epsilon"] == pytest.approx(40.95057, abs=5e-5)
 
+    code, out, _ = run(capsys, ["account", "--gdp", "1.5", "--group", "3"])
+    assert code == 0
+    assert json.loads(out)["gdp"] == {"mu": 1.5, "group_size": 3, "group_mu": 4.5}
+
     code, _, _ = run(capsys, ["account"])
     assert code == 1
 
@@ -245,6 +256,13 @@ def test_config_file_overrides(tmp_path, capsys):
         ["test", "--table", "5,3,2,4", "--f", "eps:inf"],
         ["census", "--rho-person", "nan", "--rho-housing", "0.07", "--delta", "1e-10"],
         ["census", "--rho-person", "2.56", "--rho-housing", "inf", "--delta", "1e-10"],
+        ["account", "--gdp", "nan", "--eps", "1"],
+        ["account", "--gdp", "1", "--eps", "nan"],
+        ["account", "--gdp", "inf"],
+        ["account", "--gdp", "1", "--eps", "inf"],
+        ["account", "--zcdp", "nan", "--delta", "1e-5"],
+        ["account", "--zcdp", "nan"],
+        ["account", "--zcdp", "inf", "--group", "2"],
     ],
 )
 def test_non_finite_privacy_parameters_exit_1(capsys, argv):
@@ -252,6 +270,29 @@ def test_non_finite_privacy_parameters_exit_1(capsys, argv):
     assert code == 1
     assert out == ""
     assert "finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cnd", "--f", "gdp:1", "--cdf", "nan"], "finite"),
+        (["cnd", "--f", "gdp:1", "--cdf", "inf"], "finite"),
+        (["cnd", "--f", "gdp:1", "--cdf=-inf"], "finite"),
+        (["cnd", "--f", "gdp:1", "--quantile", "nan"], "(0, 1)"),
+        (["account", "--gdp", "1", "--group", "-2"], "k must be >= 1"),
+        (["account", "--gdp", "1", "--group", "0", "--eps", "1"], "k must be >= 1"),
+        (["account", "--zcdp", "1", "--group", "0"], "k must be >= 1"),
+        (["mech", "--query", "5,3,2,4", "--kind", "knorm", "--eps", "1", "--r", "0", "--c", "0"], ">= 2"),
+        (["mech", "--query", "5,3,2,4", "--kind", "knorm", "--eps", "1", "--r", "0"], ">= 2"),
+        (["mech", "--query", "5,3,2,4", "--kind", "gaussian", "--mu", "1", "--c", "0"], ">= 2"),
+        (["mech", "--query", "5,3,2,4", "--kind", "gaussian", "--mu", "1", "--r", "1", "--c", "4"], ">= 2"),
+    ],
+)
+def test_out_of_range_points_and_shapes_exit_1(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("semidp: error:") and message in err
 
 
 def test_cli_import_leaves_slow_scipy_subpackages_unloaded():

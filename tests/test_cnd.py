@@ -207,9 +207,7 @@ def test_quantile_inverts_cdf_in_both_tails(name):
     spec = make_cnd(ORACLE_SPECS[name])
     tail = np.logspace(-14.0, math.log10(0.5), 300)
     u = np.concatenate([tail, 1.0 - tail])
-    # the bisection fallback for self powers resolves x to 1e-13, not F to an ulp
-    tol = 1e-12 if spec.tradeoff.family == "self_power" else 1e-14
-    assert np.max(np.abs(cnd_cdf(spec, cnd_quantile(spec, u)) - u)) <= tol
+    assert np.max(np.abs(cnd_cdf(spec, cnd_quantile(spec, u)) - u)) <= 1e-14
 
 
 @pytest.mark.parametrize("name", list(ORACLE_SPECS))
@@ -257,20 +255,62 @@ def test_iterate_is_elementwise_in_k():
         iterate_tradeoff(f, 0.5, 1.5)
 
 
+SELF_POWER_GRID = [
+    self_power(exact_dp(eps, delta), p)
+    for eps in (0.0, 0.05, 0.4, 1.0, 2.5)
+    for delta in (0.0, 1e-6, 1e-3, 0.05, 0.3)
+    for p in (2, 3, 4, 5, 7, 10)
+] + [self_power(self_power(exact_dp(0.2, 0.01), 2), 3),
+     self_power(self_power(self_power(gaussian_dp(0.3), 2), 3), 3)]
+
+
 def test_self_power_fixed_point_matches_bisection():
-    cases = [
-        self_power(exact_dp(eps, delta), p)
-        for eps in (0.0, 0.05, 0.4, 1.0, 2.5)
-        for delta in (0.0, 1e-6, 1e-3, 0.05, 0.3)
-        for p in (2, 3, 4, 5, 7, 10)
-    ] + [self_power(self_power(exact_dp(0.2, 0.01), 2), 3),
-         self_power(self_power(self_power(gaussian_dp(0.3), 2), 3), 3)]
     refused = 0
-    for f in cases:
+    for f in SELF_POWER_GRID:
         if _one_step(f, 1.0) <= 1e-13 or _bisected_c(f) >= 0.5 - 1e-9:
             refused += 1
             with pytest.raises(ValueError):
                 solve_c(f)
         else:
             assert solve_c(f) == pytest.approx(_bisected_c(f), abs=1e-13), f
-    assert 0 < refused < len(cases)
+    assert 0 < refused < len(SELF_POWER_GRID)
+
+
+def _bisected_quantile(spec, u, tol=1e-13):
+    """Quantile by bracket expansion, then bisection on the CDF to tol in x."""
+    lo, hi = -1.0, 1.0
+    while not (cnd_cdf(spec, lo) < u.min() and cnd_cdf(spec, hi) > u.max()):
+        lo, hi = 2.0 * lo, 2.0 * hi
+    los, his = np.full_like(u, lo), np.full_like(u, hi)
+    for _ in range(int(np.ceil(np.log2((hi - lo) / tol)))):
+        mid = 0.5 * (los + his)
+        below = cnd_cdf(spec, mid) < u
+        los, his = np.where(below, mid, los), np.where(below, his, mid)
+    return 0.5 * (los + his)
+
+
+def test_self_power_quantile_matches_bisection():
+    left = np.concatenate([np.logspace(-14.0, math.log10(0.5), 200), np.linspace(0.01, 0.5, 50)])
+    right = 1.0 - left
+    checked = 0
+    for f in SELF_POWER_GRID:
+        try:
+            spec = make_cnd(f)
+        except ValueError:
+            continue
+        checked += 1
+        x = cnd_quantile(spec, left)
+        # the bisection resolves x to 1e-13, to an ulp of x far in the tail, and
+        # to ulp(u) / (1 - 2c) where the band's slope 1 - 2c is small
+        assert np.allclose(x, _bisected_quantile(spec, left), rtol=1e-15, atol=1e-10), f
+        assert cnd_quantile(spec, 0.5) == 0.0
+        assert np.array_equal(cnd_quantile(spec, right), -cnd_quantile(spec, 1.0 - right))
+        u = np.concatenate([left, right])
+        assert np.max(np.abs(cnd_cdf(spec, cnd_quantile(spec, u)) - u)) <= 1e-14, f
+    assert checked == 114
+
+
+@pytest.mark.parametrize("f", [self_power(exact_dp(1.0), 3), self_power(exact_dp(0.4), 4)])
+def test_self_power_quantile_keeps_tiny_probabilities(f):
+    spec = make_cnd(f)
+    assert cnd_cdf(spec, cnd_quantile(spec, 1e-300)) == pytest.approx(1e-300, rel=1e-12)

@@ -15,7 +15,7 @@ import pytest
 from scipy.optimize import linprog
 
 import semidp
-from semidp import dataspace, sensitivity
+from semidp import dataspace, mechanisms, sensitivity
 from semidp.dataspace import (
     DataspaceSpec,
     OneWayMargins,
@@ -704,17 +704,16 @@ def test_tries_near_a_vertex_decide_as_the_lp_does(r, c):
             assert (sensitivity._gauge_lp(space, scale * v, 1.0 + HULL_TOL) <= 1.0 + HULL_TOL) == inside
 
 
-def _count_calls(monkeypatch, name, keep=None):
+def _count_calls(monkeypatch, name, owner=sensitivity):
     calls = []
-    original = getattr(sensitivity, name)
+    original = getattr(owner, name)
 
     def wrapper(*args, **kwargs):
         result = original(*args, **kwargs)
-        if keep is None or keep(result):
-            calls.append(result)
+        calls.append(result)
         return result
 
-    monkeypatch.setattr(sensitivity, name, wrapper)
+    monkeypatch.setattr(owner, name, wrapper)
     return calls
 
 
@@ -727,11 +726,33 @@ def test_only_tries_in_the_band_reach_the_lp(monkeypatch):
     assert hull_membership(space, (1.0 + HULL_TOL) * vertex)  # gauge 1 + HULL_TOL: in the band
     assert len(lp_calls) == 1
     lp_calls.clear()
-    in_band = _count_calls(monkeypatch, "_facet_gauge",
-                           lambda g: abs(g - 1.0 - HULL_TOL) <= sensitivity.FACET_BAND)
+    # a facet value in the band goes to the LP, whose value lies in the band too
+    gauges = _count_calls(monkeypatch, "gauge", owner=sensitivity.HullGeometry)
     _, _, rejections = _knorm_draws(space, 4049, 300)
     assert rejections.sum() > 100
+    assert len(gauges) == 300 + rejections.sum()  # every try is one gauge call
+    in_band = [g for g in gauges if abs(g - 1.0 - HULL_TOL) <= sensitivity.FACET_BAND]
     assert len(lp_calls) == len(in_band) == 0
+
+
+def test_sampler_looks_up_the_geometry_once_and_stays_in_span_coordinates(monkeypatch):
+    space = contingency_s_semi(3, 3)
+    lookups = []
+
+    def lookup(looked_up):
+        lookups.append(looked_up)
+        return hull_geometry(looked_up)
+
+    def ambient_round_trip(*args, **kwargs):
+        raise AssertionError("a try left span coordinates")
+
+    monkeypatch.setattr(mechanisms, "hull_geometry", lookup)
+    monkeypatch.setattr(sensitivity, "hull_geometry", lookup)
+    monkeypatch.setattr(sensitivity, "hull_membership", ambient_round_trip)
+    monkeypatch.setattr(sensitivity, "_span_coords", ambient_round_trip)
+    _, _, rejections = _knorm_draws(space, 4049, 50)
+    assert rejections.sum() > 0
+    assert lookups == [space]
 
 
 @pytest.mark.parametrize("r,c", [(2, 2), (3, 3), (4, 4)])

@@ -192,12 +192,20 @@ def test_gdp_to_approx_dp_values():
     assert gdp_to_approx_dp(0.0, 3.0) == 0.0
     with pytest.raises(ValueError):
         gdp_to_approx_dp(-1.0, 0.5)
+    for mu, eps in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            gdp_to_approx_dp(mu, eps)
 
 
 def test_zcdp_group_values():
     assert zcdp_group(2.56, 2) == pytest.approx(10.24, abs=1e-12)
     assert zcdp_group(0.0, 5) == 0.0
     assert zcdp_group(0.07, 3) == pytest.approx(0.63, abs=1e-12)
+    for rho in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="rho"):
+            zcdp_group(rho, 2)
+        with pytest.raises(ValueError, match="rho"):
+            zcdp_to_approx_dp(rho, 0.1)
 
 
 def test_zcdp_to_approx_dp_census_numbers():
