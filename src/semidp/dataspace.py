@@ -8,8 +8,12 @@ agree with a given invariant value and measure how far apart such datasets
 sit in Hamming distance, which is what calibrates the widened adjacency
 radius used downstream.
 
-Everything is pure and operates on immutable tuples; enumeration order is
-lexicographic and deterministic.
+Datasets are immutable tuples, and enumeration order is lexicographic and
+deterministic. The conforming set is enumerated breadth-first in numpy, and
+its record codes are cached with it; a(t), indistinguishable pairs and
+brute-force sensitivity spaces (``sensitivity``) share one blocked
+pairwise-Hamming kernel over such codes, with one-byte distances up to 255
+records.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ ENUMERATION_CAP = 10_000_000
 #: Ceiling on |S|^2, the dataset pairs a pairwise-distance scan over S visits.
 PAIR_CAP = 100_000_000
 
-#: Distances computed per block of the pairwise scan (4 bytes each).
+#: Distances computed per block of the pairwise scan (one byte each up to
+#: 255 records per dataset, two bytes up to 65,535).
 BLOCK_PAIRS = 4_000_000
 
 Dataset = tuple[tuple[int, ...], ...]
@@ -144,22 +149,37 @@ def invariant_eval(spec: InvariantSpec, x: Dataset, space: DataspaceSpec) -> Inv
 def conforming_set(space: DataspaceSpec, spec: InvariantSpec, t: InvariantValue) -> list[Dataset]:
     """All datasets whose invariant equals t, in lexicographic order.
 
-    Enumeration is a depth-first search over rows with pruning on the
-    remaining per-cell budgets, refused outright when the raw dataspace
-    exceeds ``ENUMERATION_CAP`` states. The last few sets are cached; each
-    call returns a fresh list.
+    Refused outright when the raw dataspace exceeds ``ENUMERATION_CAP``
+    states. The last few sets are cached; each call returns a fresh list of
+    the cached member objects.
     """
+    return list(_conforming(space, spec, t)[0])
+
+
+def _conforming(
+    space: DataspaceSpec, spec: InvariantSpec, t: InvariantValue
+) -> tuple[tuple[Dataset, ...], np.ndarray]:
+    """The conforming datasets and their record codes, after the cap check."""
     if space.size() > ENUMERATION_CAP:
         raise EnumerationCapExceeded(
             f"dataspace has {space.size()} states, above the cap of {ENUMERATION_CAP}"
         )
-    return list(_conforming_tuple(space, spec, tuple(map(tuple, t))))
+    return _conforming_cached(space, spec, tuple(map(tuple, t)))
 
 
 @lru_cache(maxsize=8)
-def _conforming_tuple(
+def _conforming_cached(
     space: DataspaceSpec, spec: InvariantSpec, t: InvariantValue
-) -> tuple[Dataset, ...]:
+) -> tuple[tuple[Dataset, ...], np.ndarray]:
+    """Breadth-first enumeration over record positions, in numpy.
+
+    Records are coded by their row-major index over the levels. A state is a
+    prefix of record codes plus the cell budgets it leaves. Each depth
+    extends every state by every record whose cells all have budget left;
+    ``np.nonzero`` lists the children state-major, record-minor, so the
+    datasets come out in lexicographic order. Returns the datasets and their
+    read-only (|S|, n) code array.
+    """
     groups = _validated_groups(spec, space)
     sizes = _group_sizes(groups, space)
     if len(t) != len(groups):
@@ -169,69 +189,71 @@ def _conforming_tuple(
             raise ValueError("invariant count vector length does not match group size")
         if any(c < 0 for c in vec):
             raise ValueError("invariant counts must be non-negative")
+    records = list(itertools.product(*[range(1, l + 1) for l in space.levels]))
+    codes = np.zeros((1, 0), dtype=np.min_scalar_type(len(records) - 1))
     if any(sum(vec) != space.n for vec in t):
-        return ()
-
-    row_values = list(itertools.product(*[range(1, l + 1) for l in space.levels]))
-    row_cells = [
-        tuple(_group_cell(row, g, space) for g in groups) for row in row_values
-    ]
-    remaining = [list(vec) for vec in t]
-    out: list[Dataset] = []
-    prefix: list[tuple[int, ...]] = []
-
-    def recurse(depth: int) -> None:
-        if depth == space.n:
-            out.append(tuple(prefix))
-            return
-        for row, cells in zip(row_values, row_cells):
-            ok = True
-            for gi, cell in enumerate(cells):
-                if remaining[gi][cell] == 0:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for gi, cell in enumerate(cells):
-                remaining[gi][cell] -= 1
-            prefix.append(row)
-            recurse(depth + 1)
-            prefix.pop()
-            for gi, cell in enumerate(cells):
-                remaining[gi][cell] += 1
-
-    recurse(0)
-    return tuple(out)
+        codes = np.zeros((0, space.n), dtype=codes.dtype)
+    else:
+        # each record's column in the flat budget vector, one per group
+        offsets = list(itertools.accumulate(sizes, initial=0))
+        cells = np.array(
+            [[off + _group_cell(r, g, space) for g, off in zip(groups, offsets)] for r in records],
+            dtype=np.intp,
+        )
+        use = np.zeros((len(records), sum(sizes)), dtype=np.min_scalar_type(space.n))
+        np.put_along_axis(use, cells, 1, axis=1)
+        budget = np.array([c for vec in t for c in vec], dtype=use.dtype)[None, :]
+        for _ in range(space.n):
+            left = budget > 0
+            feasible = np.ones((len(codes), len(records)), dtype=bool)
+            for column in cells.T:
+                feasible &= left[:, column]
+            state, record = np.nonzero(feasible)
+            codes = np.column_stack((codes[state], record.astype(codes.dtype)))
+            budget = budget[state] - use[record]
+    codes.setflags(write=False)
+    # n consecutive records per dataset
+    datasets = tuple(zip(*[map(records.__getitem__, codes.ravel().tolist())] * space.n))
+    return datasets, codes
 
 
 def _record_codes(datasets: Sequence[Dataset]) -> np.ndarray:
-    """One row per dataset, each record replaced by a small integer id."""
-    lengths = {len(x) for x in datasets}
+    """One row per dataset, each record replaced by a small integer id:
+    records are numbered in order of first appearance."""
+    lengths = set(map(len, datasets))
     if len(lengths) > 1:
         raise ValueError("datasets must have the same number of rows")
-    ids: dict[tuple[int, ...], int] = {}
-    codes = [[ids.setdefault(r, len(ids)) for r in x] for x in datasets]
-    return np.array(codes, dtype=np.int32).reshape(len(codes), max(lengths, default=0))
+    ids = {r: i for i, r in enumerate(dict.fromkeys(itertools.chain.from_iterable(datasets)))}
+    flat = map(ids.__getitem__, itertools.chain.from_iterable(datasets))
+    return np.fromiter(flat, dtype=np.int32).reshape(len(datasets), max(lengths, default=0))
 
 
 def _hamming_blocks(codes: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """Pairwise Hamming distances between the rows of ``codes``, in row blocks.
 
     Yields (first, dist) where dist[i, j] is the distance between rows
-    first + i and j; each block holds about BLOCK_PAIRS entries. Refuses
-    before computing any distance when |S|^2 exceeds PAIR_CAP.
+    first + i and j; each block holds about BLOCK_PAIRS entries, in the
+    smallest unsigned type that holds the row length (one byte up to 255
+    records). The blocks share one buffer, so each is overwritten by the
+    next. Refuses before computing any distance when |S|^2 exceeds PAIR_CAP.
     """
     m = len(codes)
     if m * m > PAIR_CAP:
         raise EnumerationCapExceeded(f"{m}^2 dataset pairs exceed the cap of {PAIR_CAP}")
     step = max(1, BLOCK_PAIRS // max(1, m))
     columns = np.ascontiguousarray(codes.T)
+    dtype = np.min_scalar_type(codes.shape[1])
 
     def blocks() -> Iterator[tuple[int, np.ndarray]]:
+        buffer = np.empty((min(step, m), m), dtype=dtype)
+        differ = np.empty(buffer.shape, dtype=bool)
         for first in range(0, m, step):
-            dist = np.zeros((min(step, m - first), m), dtype=np.int32)
+            rows = min(step, m - first)
+            dist, ne = buffer[:rows], differ[:rows]
+            dist.fill(0)
             for column in columns:
-                dist += column[first:first + step, None] != column
+                np.not_equal(column[first:first + rows, None], column, out=ne)
+                np.add(dist, ne, out=dist)
             yield first, dist
 
     return blocks()
@@ -244,25 +266,29 @@ def semi_adjacent_parameter(space: DataspaceSpec, spec: InvariantSpec, t: Invari
     value y for that position, some conforming dataset Y with Y_i = y must
     exist within the returned Hamming radius; the value is the maximum over
     (X, i, y) of the distance to the nearest such Y. A singleton conforming
-    set yields 0: nothing is left to protect.
+    set yields 0: nothing is left to protect. Reads the record codes cached
+    with the conforming set.
     """
-    datasets = conforming_set(space, spec, t)
-    if not datasets:
+    codes = _conforming(space, spec, t)[1]
+    if not len(codes):
         raise ValueError("conforming set is empty; invariant value is infeasible")
-    if len(datasets) == 1:
+    if len(codes) == 1:
         return 0
-    codes = _record_codes(datasets)
     # per position: datasets sorted by their record there, and where each record's run starts
     runs = []
     for column in codes.T:
         order = np.argsort(column, kind="stable")
-        runs.append((order, np.flatnonzero(np.diff(column[order], prepend=-1))))
+        held = column[order]
+        runs.append((order, np.flatnonzero(np.r_[True, held[1:] != held[:-1]])))
     worst = 0
     for _, dist in _hamming_blocks(codes):
+        # to_block[j, i] is the distance from dataset j to dataset first + i; a block
+        # holding every row is the whole symmetric matrix, so it needs no transpose
+        to_block = dist if len(dist) == len(codes) else np.ascontiguousarray(dist.T)
         for order, starts in runs:
             # distance from each X in the block to the nearest Y holding each record y
             # at this position; y = X_i contributes 0 (Y = X), so it needs no exclusion
-            nearest = np.minimum.reduceat(dist[:, order], starts, axis=1)
+            nearest = np.minimum.reduceat(to_block.take(order, axis=0), starts, axis=0)
             worst = max(worst, int(nearest.max()))
     return worst
 
@@ -280,12 +306,13 @@ def indistinguishable_pairs(
     """Unordered pairs of distinct datasets within the given Hamming radius."""
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    items = list(datasets)
+    # in sorted order, every pair (i, j) with i < j comes out oriented
+    items = sorted(datasets)
     out: set[tuple[Dataset, Dataset]] = set()
     for first, dist in _hamming_blocks(_record_codes(items)):
         ii, jj = np.nonzero((dist >= 1) & (dist <= radius))
-        upper = ii + first < jj
-        for i, j in zip((ii[upper] + first).tolist(), jj[upper].tolist()):
-            a, b = items[i], items[j]
-            out.add((a, b) if a <= b else (b, a))
+        ii += first
+        upper = ii < jj
+        lo, hi = ii[upper].tolist(), jj[upper].tolist()
+        out.update(zip(map(items.__getitem__, lo), map(items.__getitem__, hi)))
     return out

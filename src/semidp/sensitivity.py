@@ -21,6 +21,7 @@ one-phase simplex in ``simplex`` and stopped once it passes the bound.
 
 from __future__ import annotations
 
+import itertools
 import math
 import zlib
 from dataclasses import dataclass, replace
@@ -102,19 +103,35 @@ class SensitivitySpace:
 
 
 def cell_count_query(space: DataspaceSpec) -> Callable[[Dataset], tuple[int, ...]]:
-    """Query mapping a dataset to its joint cell counts, row-major."""
-    sizes = space.levels
+    """Query mapping a dataset to its joint cell counts, row-major.
+
+    A record outside the space's levels raises ``ValueError``.
+    """
+    records = itertools.product(*[range(1, l + 1) for l in space.levels])
+    cells = {record: i for i, record in enumerate(records)}
+    size = len(cells)
 
     def query(x: Dataset) -> tuple[int, ...]:
-        counts = [0] * space.cell_count()
-        for row in x:
-            idx = 0
-            for f, level in enumerate(row):
-                idx = idx * sizes[f] + (level - 1)
-            counts[idx] += 1
+        counts = [0] * size
+        try:
+            for row in x:
+                counts[cells[row]] += 1
+        except KeyError:
+            raise ValueError(f"record {row} is outside the levels {space.levels}") from None
         return tuple(counts)
 
     return query
+
+
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows in lexicographic order, and each row's index among them."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], inverse
 
 
 def brute_force_sensitivity_space(
@@ -135,16 +152,21 @@ def brute_force_sensitivity_space(
     subset = list(subset)
     if not subset:
         raise ValueError("subset must be non-empty")
-    blocks = _hamming_blocks(_record_codes(subset))
-    values = np.array([query(x) for x in subset], dtype=np.int64)
-    unique, vid = np.unique(values, axis=0, return_inverse=True)
-    vid = vid.reshape(-1)
-    seen = np.zeros((len(unique), len(unique)), dtype=bool)
+    codes = _record_codes(subset)
+    blocks = _hamming_blocks(codes)
+    unique, vid = _unique_rows(np.array([query(x) for x in subset], dtype=np.int64))
+    # closest[u, v]: least distance between datasets of query values u and v, from
+    # each block's columns minimum-reduced over runs of equal value, then its rows
+    columns = np.argsort(vid, kind="stable")
+    held = vid[columns]
+    starts = np.flatnonzero(np.r_[True, held[1:] != held[:-1]])
+    n = codes.shape[1]
+    closest = np.full((len(unique), len(unique)), n, dtype=np.min_scalar_type(n))
     for first, dist in blocks:
-        ii, jj = np.nonzero(dist <= radius)
-        seen[vid[ii + first], vid[jj]] = True
-    a, b = np.nonzero(seen)
-    diffs = np.unique(unique[a] - unique[b], axis=0)
+        near = np.minimum.reduceat(dist.take(columns, axis=1), starts, axis=1)
+        np.minimum.at(closest, vid[first:first + len(dist)], near)
+    a, b = np.nonzero(closest <= radius)
+    diffs = _unique_rows(unique[a] - unique[b])[0]
     return SensitivitySpace(diffs, f"brute_force(radius={radius}, subset)")
 
 

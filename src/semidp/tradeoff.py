@@ -166,6 +166,17 @@ def breakpoints(f: TradeoffSpec) -> tuple[float, ...]:
     return ()
 
 
+def _finite_product(k: int, x: float, name: str) -> float:
+    """k * x for an integer k of any size; ValueError unless it is a finite float."""
+    try:
+        out = k * x
+    except OverflowError:  # k itself is beyond the float range
+        out = math.inf
+    if not out < math.inf:
+        raise ValueError(f"{name} is not a finite float at this group size")
+    return out
+
+
 def compose_self(f: TradeoffSpec, k: int) -> TradeoffSpec:
     """Tradeoff after k-fold functional iteration (protection at distance k).
 
@@ -180,10 +191,10 @@ def compose_self(f: TradeoffSpec, k: int) -> TradeoffSpec:
     if k == 1:
         return f
     if f.family == GAUSSIAN_DP:
-        return gaussian_dp(k * f.mu)
+        return gaussian_dp(_finite_product(k, f.mu, "group mu"))
     if f.family == SELF_POWER:
         if f.base.family == GAUSSIAN_DP:
-            return gaussian_dp(k * f.power * f.base.mu)
+            return gaussian_dp(_finite_product(k * f.power, f.base.mu, "group mu"))
         return self_power(f.base, k * f.power)
     return self_power(f, k)
 
@@ -273,7 +284,7 @@ def zcdp_group(rho: float, k: int) -> float:
         raise ValueError(f"rho must be finite and >= 0, got {rho}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return (k**2) * rho
+    return _finite_product(k**2, rho, "group rho")
 
 
 def zcdp_to_approx_dp(rho: float, delta: float) -> float:

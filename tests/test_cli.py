@@ -263,6 +263,11 @@ def test_config_file_overrides(tmp_path, capsys):
         ["account", "--zcdp", "nan", "--delta", "1e-5"],
         ["account", "--zcdp", "nan"],
         ["account", "--zcdp", "inf", "--group", "2"],
+        # groups whose k * mu or k^2 * rho is beyond the float range
+        ["account", "--gdp", "1", "--group", str(10**400)],
+        ["account", "--gdp", "1e300", "--group", str(10**10)],
+        ["account", "--zcdp", "1", "--group", str(10**200)],
+        ["account", "--zcdp", "2", "--group", str(10**154)],
     ],
 )
 def test_non_finite_privacy_parameters_exit_1(capsys, argv):

@@ -32,6 +32,36 @@ def bits(*values):
     return tuple((v + 1,) for v in values)
 
 
+def _dfs_conforming_set(space, spec, t):
+    """Recursive depth-first enumeration over rows, pruned on the remaining
+    per-cell budgets: the reference for ``conforming_set``'s order."""
+    groups = dataspace._validated_groups(spec, space)
+    if any(sum(vec) != space.n for vec in t):
+        return []
+    row_values = list(itertools.product(*[range(1, l + 1) for l in space.levels]))
+    row_cells = [tuple(dataspace._group_cell(row, g, space) for g in groups) for row in row_values]
+    remaining = [list(vec) for vec in t]
+    out, prefix = [], []
+
+    def recurse(depth):
+        if depth == space.n:
+            out.append(tuple(prefix))
+            return
+        for row, cells in zip(row_values, row_cells):
+            if any(remaining[gi][cell] == 0 for gi, cell in enumerate(cells)):
+                continue
+            for gi, cell in enumerate(cells):
+                remaining[gi][cell] -= 1
+            prefix.append(row)
+            recurse(depth + 1)
+            prefix.pop()
+            for gi, cell in enumerate(cells):
+                remaining[gi][cell] += 1
+
+    recurse(0)
+    return out
+
+
 def test_hamming_distance_basics():
     x = bits(0, 1, 1)
     assert hamming_distance(x, x) == 0
@@ -94,6 +124,52 @@ def test_conforming_set_binary_cube():
     assert conforming_set(CUBE, CUBE_INV, ((3, 0),)) == [bits(0, 0, 0)]
     # counts not summing to n: infeasible, empty
     assert conforming_set(CUBE, CUBE_INV, ((1, 1),)) == []
+
+
+def test_conforming_set_equals_dfs_on_acceptance_02_instances():
+    inv = OneWayMargins((0, 1))
+    count = 0
+    for space, t in _acceptance_02_instances():
+        assert conforming_set(space, inv, t) == _dfs_conforming_set(space, inv, t), (space, t)
+        count += 1
+    assert count == 114
+
+
+def test_conforming_set_equals_dfs_on_random_margins():
+    # one-way and joint margins over a random subset of the features, so
+    # some features lie outside the invariant
+    rng = np.random.default_rng(13)
+    checked = 0
+    while checked < 60:
+        p = int(rng.integers(1, 4))
+        levels = tuple(int(rng.integers(1, 4)) for _ in range(p))
+        space = DataspaceSpec(n=int(rng.integers(1, 6)), levels=levels)
+        if space.size() > 200_000:
+            continue
+        features = [int(f) for f in rng.permutation(p)[: int(rng.integers(0, p + 1))]]
+        if checked % 2:
+            cut = int(rng.integers(0, len(features) + 1))
+            inv = JointMargins(tuple(g for g in (tuple(features[:cut]), tuple(features[cut:])) if g))
+        else:
+            inv = OneWayMargins(tuple(features))
+        x = tuple(tuple(int(rng.integers(1, l + 1)) for l in levels) for _ in range(space.n))
+        t = invariant_eval(inv, x, space)
+        members = conforming_set(space, inv, t)
+        assert x in members
+        assert members == _dfs_conforming_set(space, inv, t), (space, inv, t)
+        checked += 1
+
+
+def test_conforming_set_equals_dfs_when_infeasible_or_singleton():
+    space, inv = DataspaceSpec(n=4, levels=(2, 3)), OneWayMargins((0, 1))
+    for t in [((2, 2), (1, 1, 1)), ((4, 0), (0, 0, 4)), ((0, 4), (2, 2, 0))]:
+        assert conforming_set(space, inv, t) == _dfs_conforming_set(space, inv, t)
+    assert conforming_set(space, inv, ((2, 2), (1, 1, 1))) == []
+    assert conforming_set(space, inv, ((300, 0), (0, 0, 300))) == []
+    assert conforming_set(space, inv, ((4, 0), (0, 0, 4))) == [((1, 3),) * 4]
+    # one level per feature: one dataset at any n
+    single = DataspaceSpec(n=300, levels=(1, 1))
+    assert conforming_set(single, inv, ((300,), (300,))) == [((1, 1),) * 300]
 
 
 def test_conforming_set_returns_a_fresh_list():
@@ -205,6 +281,31 @@ def test_indistinguishable_pairs():
         assert a <= b
 
 
+def test_distances_past_one_byte_do_not_wrap():
+    # 300 records that all differ: the distance is 300, not 300 - 256
+    x, y = ((1,),) * 300, ((2,),) * 300
+    codes = dataspace._record_codes([x, y, x])
+    blocks = list(dataspace._hamming_blocks(codes))
+    assert len(blocks) == 1
+    assert blocks[0][1].tolist() == [[0, 300, 0], [300, 0, 300], [0, 300, 0]]
+    assert indistinguishable_pairs([x, y], 299) == set()
+    assert indistinguishable_pairs([x, y], 300) == {(x, y)}
+
+
+def test_radius_above_255_on_one_byte_distances():
+    # n = 5 keeps the distances in one byte; a radius of 256 or more still
+    # admits every pair
+    space = DataspaceSpec(n=5, levels=(2, 2))
+    inv = OneWayMargins((0, 1))
+    t = ((3, 2), (2, 3))
+    members = conforming_set(space, inv, t)
+    query = cell_count_query(space)
+    wide = brute_force_sensitivity_space(space, members, query, 256)
+    assert wide.vectors == brute_force_sensitivity_space(space, members, query, 5).vectors
+    assert indistinguishable_pairs(members, 300) == _pairs_oracle(members, 5)
+    assert len(indistinguishable_pairs(members, 300)) == len(members) * (len(members) - 1) // 2
+
+
 @pytest.fixture(params=["default_block", "small_block"])
 def block_size(request, monkeypatch):
     """Run a test at the kernel's block size, and again with blocks of a few rows."""
@@ -272,14 +373,22 @@ def test_streamed_a_t_equals_dense_on_acceptance_02_instances(block_size):
 
 @functools.cache
 def _per_block_brute_force(space, spec, t, radius):
-    """Brute force by one np.unique per distance block: the reference."""
+    """Brute force by one np.unique per distance block: the reference.
+
+    Each difference row, with entries in [-n, n], is keyed as one mixed-radix
+    int64 in base 2n + 1, so the per-block np.unique runs on a 1-d array.
+    """
     subset = conforming_set(space, spec, t)
     values = np.array([cell_count_query(space)(x) for x in subset], dtype=np.int64)
+    base = 2 * space.n + 1
+    assert base ** values.shape[1] < 2**63
+    weights = base ** np.arange(values.shape[1] - 1, -1, -1, dtype=np.int64)
     diffs = set()
     for first, dist in dataspace._hamming_blocks(dataspace._record_codes(subset)):
         ii, jj = np.nonzero(dist <= radius)
-        for row in np.unique(values[ii + first] - values[jj], axis=0):
-            diffs.add(tuple(int(v) for v in row))
+        keys = np.unique((values[ii + first] - values[jj] + space.n) @ weights)
+        rows = keys[:, None] // weights % base - space.n
+        diffs.update(map(tuple, rows.tolist()))
     return tuple(sorted(diffs))
 
 

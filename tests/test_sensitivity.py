@@ -5,6 +5,7 @@ import importlib.util
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -233,6 +234,18 @@ def test_brute_force_singleton_subset():
     x = ((1, 1), (1, 2), (2, 1))
     space = brute_force_sensitivity_space(TABLE_SPACE, [x], q, radius=1)
     assert set(space.vectors) == {ZERO4}
+
+
+def test_cell_count_query_refuses_out_of_range_records():
+    space = DataspaceSpec(n=2, levels=(2, 2))
+    q = cell_count_query(space)
+    assert q(((1, 1), (2, 2))) == (1, 0, 0, 1)
+    # each of these once landed in a wrong cell or raised IndexError
+    for record in [(0, 2), (2, 0), (1, 3), (2, 3), (1,), (1, 1, 1)]:
+        with pytest.raises(ValueError, match=re.escape(str(record))):
+            q(((1, 1), record))
+        with pytest.raises(ValueError, match=re.escape(str(record))):
+            brute_force_sensitivity_space(space, [((1, 1), (1, 2)), ((1, 1), record)], q, 1)
 
 
 def test_brute_force_single_move_vectors():

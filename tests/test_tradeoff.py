@@ -208,6 +208,19 @@ def test_zcdp_group_values():
             zcdp_to_approx_dp(rho, 0.1)
 
 
+def test_groups_beyond_the_float_range_are_refused():
+    # k * mu and k^2 * rho either overflow to inf or k itself has no float
+    for k in (10**154, 10**200, 10**400):
+        with pytest.raises(ValueError, match="finite"):
+            zcdp_group(2.0, k)
+    for f, k in ((gaussian_dp(1.0), 10**400), (gaussian_dp(1e300), 10**10),
+                 (self_power(gaussian_dp(1.0), 2), 10**400)):
+        with pytest.raises(ValueError, match="finite"):
+            compose_self(f, k)
+    assert zcdp_group(2.0, 10**150) == 2.0 * 10**300
+    assert compose_self(self_power(exact_dp(0.4, 0.0), 2), 10**400).power == 2 * 10**400
+
+
 def test_zcdp_to_approx_dp_census_numbers():
     assert zcdp_to_approx_dp(2.56, 1e-10) == pytest.approx(17.91528, abs=5e-5)
     assert zcdp_to_approx_dp(10.24, 1e-10) == pytest.approx(40.95057, abs=5e-5)
