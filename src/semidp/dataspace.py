@@ -13,16 +13,20 @@ deterministic. The conforming set is enumerated breadth-first in numpy, and
 its record codes are cached with it; a(t), indistinguishable pairs and
 brute-force sensitivity spaces (``sensitivity``) share one blocked
 pairwise-Hamming kernel over such codes, with one-byte distances up to 255
-records.
+records. Indistinguishable pairs come back as a read-only set view over the
+sorted distinct datasets and one int64 key per pair, not as pair tuples.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import numbers
+from collections.abc import Set
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence, Union
+from typing import AbstractSet, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -300,19 +304,79 @@ def semi_adjacent_bound(p: int) -> int:
     return p + 1
 
 
+def _check_radius(radius: int) -> None:
+    """Refuse a Hamming radius that is not an integer >= 0."""
+    if not isinstance(radius, numbers.Integral) or radius < 0:
+        raise ValueError(f"radius must be an integer >= 0, got {radius!r}")
+
+
+class _PairView(Set):
+    """Read-only set of (X, Y) dataset pairs, X < Y, held as index keys.
+
+    ``items`` are the sorted distinct datasets; ``keys`` is the sorted int64
+    array of i * m + j for each pair (items[i], items[j]), i < j, where
+    m = len(items). Membership bisects both datasets and then the keys; set
+    algebra (``|``, ``&``, ``-``, ``^``) returns builtin sets.
+    """
+
+    __slots__ = ("_items", "_keys")
+
+    def __init__(self, items: tuple[Dataset, ...], keys: np.ndarray) -> None:
+        keys.setflags(write=False)
+        self._items, self._keys = items, keys
+
+    @classmethod
+    def _from_iterable(cls, it: Iterable) -> set:
+        return set(it)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __contains__(self, pair: object) -> bool:
+        if not isinstance(pair, tuple) or len(pair) != 2:
+            return False
+        items = self._items
+        try:
+            i = bisect.bisect_left(items, pair[0])
+            j = bisect.bisect_left(items, pair[1], i + 1)
+        except TypeError:  # not comparable with datasets, so not a member
+            return False
+        if j >= len(items) or items[i] != pair[0] or items[j] != pair[1]:
+            return False
+        key = i * len(items) + j
+        at = int(np.searchsorted(self._keys, key))
+        return at < len(self._keys) and int(self._keys[at]) == key
+
+    def __iter__(self) -> Iterator[tuple[Dataset, Dataset]]:
+        items, m, chunk = self._items, len(self._items), 65_536
+        # decode the keys a chunk at a time, so iterating holds no list of all pairs
+        for first in range(0, len(self._keys), chunk):
+            i, j = np.divmod(self._keys[first:first + chunk], m)
+            yield from zip(map(items.__getitem__, i.tolist()), map(items.__getitem__, j.tolist()))
+
+
 def indistinguishable_pairs(
     datasets: Iterable[Dataset], radius: int
-) -> set[tuple[Dataset, Dataset]]:
-    """Unordered pairs of distinct datasets within the given Hamming radius."""
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
-    # in sorted order, every pair (i, j) with i < j comes out oriented
-    items = sorted(datasets)
-    out: set[tuple[Dataset, Dataset]] = set()
+) -> AbstractSet[tuple[Dataset, Dataset]]:
+    """Unordered pairs of distinct datasets within the given Hamming radius.
+
+    Returns a read-only set of (X, Y) with X < Y; repeated datasets count
+    once. ``len`` is O(1), membership costs a bisection, iteration builds
+    pairs lazily, and ``|``, ``&``, ``-`` with another set return builtin
+    sets. The pairs are held as int64 keys into the sorted distinct
+    datasets, 8 bytes a pair, plus one distance block while they are found.
+    Raises ``ValueError`` unless the radius is an integer >= 0, and
+    ``EnumerationCapExceeded`` when the distinct datasets number more than
+    the square root of ``PAIR_CAP``.
+    """
+    _check_radius(radius)
+    items = tuple(sorted(set(datasets)))
+    m = len(items)
+    keys = [np.empty(0, dtype=np.int64)]
     for first, dist in _hamming_blocks(_record_codes(items)):
-        ii, jj = np.nonzero((dist >= 1) & (dist <= radius))
-        ii += first
-        upper = ii < jj
-        lo, hi = ii[upper].tolist(), jj[upper].tolist()
-        out.update(zip(map(items.__getitem__, lo), map(items.__getitem__, hi)))
-    return out
+        # entry (r, c) of the slice pairs datasets first + r and first + c; distinct
+        # datasets differ somewhere, so the pairs are the entries c > r within the radius
+        r, c = np.divmod(np.flatnonzero(dist[:, first:] <= radius), m - first)
+        upper = c > r
+        keys.append((r[upper] + first) * m + c[upper] + first)
+    return _PairView(items, np.concatenate(keys))

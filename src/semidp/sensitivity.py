@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dataspace import DataspaceSpec, Dataset, _hamming_blocks, _record_codes
+from .dataspace import DataspaceSpec, Dataset, _check_radius, _hamming_blocks, _record_codes
 from .simplex import solve_lp
 
 #: Gram-Schmidt drops residuals below RANK_TOL times the largest vector norm.
@@ -143,12 +143,12 @@ def brute_force_sensitivity_space(
     """Exact difference set over all ordered pairs within the radius.
 
     Pairs are reduced to pairs of distinct query values before any
-    difference is taken. Refused with ``EnumerationCapExceeded`` when
-    |subset|^2 exceeds ``dataspace.PAIR_CAP``. ``space`` is not read; it
+    difference is taken. Raises ``ValueError`` unless the radius is an
+    integer >= 0; refused with ``EnumerationCapExceeded`` when |subset|^2
+    exceeds ``dataspace.PAIR_CAP``. ``space`` is not read; it
     stays in the signature for callers that pass arguments positionally.
     """
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
+    _check_radius(radius)
     subset = list(subset)
     if not subset:
         raise ValueError("subset must be non-empty")

@@ -2,7 +2,9 @@
 
 import functools
 import itertools
+import math
 import resource
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -413,18 +415,102 @@ def _pairs_oracle(datasets, radius):
     }
 
 
-def test_indistinguishable_pairs_match_combinations_oracle(block_size):
-    space = DataspaceSpec(n=4, levels=(2, 3))
-    conforming = conforming_set(space, OneWayMargins((0, 1)), ((2, 2), (1, 2, 1)))
+PAIR_SPACE = DataspaceSpec(n=4, levels=(2, 3))
+
+
+def _pair_inputs():
+    """A conforming set, 80 drawn datasets with repeats, one dataset, none."""
+    conforming = conforming_set(PAIR_SPACE, OneWayMargins((0, 1)), ((2, 2), (1, 2, 1)))
     rng = np.random.default_rng(5)
     # arbitrary datasets with repeats, not only members of one conforming set
     drawn = [
-        tuple(tuple(int(rng.integers(1, l + 1)) for l in space.levels) for _ in range(space.n))
+        tuple(
+            tuple(int(rng.integers(1, l + 1)) for l in PAIR_SPACE.levels)
+            for _ in range(PAIR_SPACE.n)
+        )
         for _ in range(80)
     ]
-    for datasets in (conforming, drawn, drawn[:1], []):
+    assert len(set(drawn)) < len(drawn)
+    return conforming, drawn, drawn[:1], []
+
+
+def test_indistinguishable_pairs_match_combinations_oracle(block_size):
+    space = PAIR_SPACE
+    for datasets in _pair_inputs():
         for radius in range(space.n + 1):
             assert indistinguishable_pairs(datasets, radius) == _pairs_oracle(datasets, radius)
+
+
+def test_pair_view_behaves_as_the_oracle_set(block_size):
+    outsider = ((2, 3),) * PAIR_SPACE.n
+    not_pairs = [None, 1, "ab", frozenset(), (), (1, 2), ("x", outsider), (outsider,)]
+    for datasets in _pair_inputs():
+        distinct = sorted(set(datasets))
+        assert outsider not in distinct
+        for radius in range(PAIR_SPACE.n + 1):
+            caller = list(datasets)
+            view = indistinguishable_pairs(caller, radius)
+            # the view keeps its own copy of the datasets
+            caller.reverse()
+            caller[:1] = [outsider]
+            oracle = _pairs_oracle(datasets, radius)
+            assert len(view) == len(oracle)
+            assert view == oracle and oracle == view and not view != oracle
+            for a, b in itertools.product(distinct + [outsider], repeat=2):
+                assert ((a, b) in view) == ((a, b) in oracle), (a, b)
+            wrong_length = [(x,) * k for x in distinct[:3] for k in (1, 3)]
+            for obj in not_pairs + wrong_length:
+                assert obj not in view and obj not in oracle, obj
+            listed = list(view)
+            assert len(listed) == len(oracle) and set(listed) == oracle
+            assert all(a < b for a, b in listed)
+            other = _pairs_oracle(datasets, radius - 1) | {(outsider, outsider)}
+            assert type(set(view)) is set and set(view) == oracle
+            for got, want in [
+                (view | other, oracle | other),
+                (other | view, other | oracle),
+                (view & other, oracle & other),
+                (other & view, other & oracle),
+                (view - other, oracle - other),
+                (other - view, other - oracle),
+                (view ^ other, oracle ^ other),
+            ]:
+                assert type(got) is set and got == want
+
+
+def test_large_conforming_set_pairs_stay_small():
+    # |S| = 8,100 with 939,600 pairs at a(t) = 3: 8 bytes a pair is 7.5 MB,
+    # where a set of nested-tuple pairs needs about 100 MB
+    space = DataspaceSpec(n=6, levels=(3, 3))
+    conforming = conforming_set(space, OneWayMargins((0, 1)), ((2, 2, 2), (2, 2, 2)))
+    assert len(conforming) == 8_100
+    tracemalloc.start()
+    try:
+        pairs = indistinguishable_pairs(conforming, 3)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == 939_600
+    assert peak_mb < 40, f"peak allocation {peak_mb:.1f} MB"
+
+
+@pytest.mark.parametrize("radius", [-1, 2.5, math.nan, math.inf, 2.0, "2", None])
+def test_radius_must_be_an_integer_at_least_zero(radius):
+    members = conforming_set(CUBE, CUBE_INV, ((1, 2),))
+    with pytest.raises(ValueError, match="radius"):
+        indistinguishable_pairs(members, radius)
+    with pytest.raises(ValueError, match="radius"):
+        brute_force_sensitivity_space(CUBE, members, cell_count_query(CUBE), radius)
+
+
+def test_numpy_integer_radius_is_accepted():
+    members = conforming_set(CUBE, CUBE_INV, ((1, 2),))
+    assert indistinguishable_pairs(members, np.int64(2)) == _pairs_oracle(members, 2)
+    query = cell_count_query(CUBE)
+    assert (
+        brute_force_sensitivity_space(CUBE, members, query, np.uint8(2)).vectors
+        == brute_force_sensitivity_space(CUBE, members, query, 2).vectors
+    )
 
 
 def test_ragged_dataset_lists_raise(block_size):
