@@ -126,22 +126,37 @@ def ndtri(y):
 def _ndtri_array(arr: np.ndarray) -> np.ndarray:
     if arr.size < _NDTRI_ELEMENTWISE:
         return _map(_ndtri, arr)
-    upper = arr > _UPPER
-    t = np.where(upper, 1.0 - arr, arr)
-    central = t > _EXPM2
-    out = np.empty_like(t)
-    y = t[central] - 0.5
+    # Cephes reflects y > 1 - e^-2 to 1 - y < e^-2, which is a tail, so the
+    # central piece takes e^-2 < y <= 1 - e^-2 as it stands
+    subset = arr > _EXPM2
+    subset &= arr <= _UPPER
+    out = np.empty_like(arr)
+    y = arr[subset]
+    y -= 0.5
     w = y * y
-    out[central] = (y + y * (w * _p0(w) / _q0(w))) * _S2PI
-    rest = ~central  # the tails; also 0, 1, nan and y off [0, 1]
-    t = t[rest]
-    if t.size < _NDTRI_ELEMENTWISE or not (t > _NEAR_TAIL).all():
-        out[rest] = _map(_ndtri, arr[rest])
+    x = _p0(w)
+    x *= w
+    x /= _q0(w)
+    x *= y
+    x += y
+    x *= _S2PI
+    out[subset] = x
+    if y.size == arr.size:
+        return out
+    np.logical_not(subset, out=subset)  # the tails; also 0, 1, nan and y off [0, 1]
+    t = arr[subset]
+    if t.size < _NDTRI_ELEMENTWISE:
+        out[subset] = _map(_ndtri, t)
+        return out
+    upper = t > _UPPER
+    t = np.where(upper, 1.0 - t, t)
+    if not (t > _NEAR_TAIL).all():
+        out[subset] = _map(_ndtri, arr[subset])
         return out
     x = np.sqrt(-2.0 * _clog(t))
     w = 1.0 / x
     x = (x - _clog(x) / x) - w * _p1(w) / _q1(w)
-    out[rest] = np.where(upper[rest], x, -x)
+    out[subset] = np.where(upper, x, -x)
     return out
 
 

@@ -5,6 +5,8 @@ noncentral hypergeometric law; the most powerful unbiased private test
 rejects with probability F(x11 - m), F the canonical noise CDF for the
 target tradeoff function and m solved so the null rejection rate is exactly
 alpha. The private p-value post-processes the noisy statistic U = x11 + N.
+The central law is built once per margins and odds (a small cache of
+read-only arrays), so a test and its p-value share it.
 """
 
 from __future__ import annotations
@@ -85,10 +87,17 @@ def nchg_distribution(t: Margins, w: float) -> tuple[np.ndarray, np.ndarray]:
     """Support points and probabilities of the noncentral hypergeometric law.
 
     Computed in log space (log-binomials from a table of log-factorials) and
-    normalized by log-sum-exp, so heavy margins stay stable.
+    normalized by log-sum-exp, so heavy margins stay stable. The arrays are
+    read-only and shared: the law is built once per (margins, w) and cached,
+    so a test and its p-value use one central law.
     """
     if w <= 0:
         raise ValueError(f"odds parameter w must be positive, got {w}")
+    return _nchg_cached(t, w)
+
+
+@lru_cache(maxsize=16)
+def _nchg_cached(t: Margins, w: float) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = t.support()
     xs = np.arange(lo, hi + 1)
     logs = (
@@ -97,7 +106,10 @@ def nchg_distribution(t: Margins, w: float) -> tuple[np.ndarray, np.ndarray]:
         + xs * math.log(w)
     )
     logs -= logsumexp(logs)
-    return xs, np.exp(logs)
+    pmf = np.exp(logs)
+    xs.setflags(write=False)
+    pmf.setflags(write=False)
+    return xs, pmf
 
 
 def _log_binom(n: int, k: np.ndarray) -> np.ndarray:

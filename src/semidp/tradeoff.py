@@ -10,7 +10,11 @@ non-decreasing, convex, and f(alpha) <= alpha). Three families are supported:
 * ``self_power``   k-fold functional iteration of a base f (group privacy).
 
 ``iterate_tradeoff`` evaluates the k-fold iterate f^(k) of any of them in
-closed form; a single evaluation is the case k = 1.
+closed form; a single evaluation is the case k = 1. The public functions
+validate their inputs (alpha in [0, 1], k a non-negative integer, epsilon
+small enough that e^epsilon is a float); the evaluator under them,
+``_iterate`` over a ``_Curve`` of precomputed constants, does not, and the
+package's own callers (``cnd``) use it directly on values they built.
 
 All values are immutable and every function here is pure, so concurrent use
 is safe.
@@ -21,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -103,32 +107,69 @@ def iterate_tradeoff(f: TradeoffSpec, alpha, k):
     """k-fold iterate f^(k)(alpha), elementwise over broadcast alpha and k.
 
     alpha lies in [0, 1] and k holds non-negative integers (k = 0 is the
-    identity). Every family iterates in closed form, so the cost does not
-    grow with k.
+    identity); nan passes through. Every family iterates in closed form, so
+    the cost does not grow with k. This is the validating entry point;
+    callers inside the package that build alpha and k themselves call
+    ``_iterate`` directly.
     """
     arr = np.asarray(alpha, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if (arr < 0.0).any() or (arr > 1.0).any():
         raise ValueError("alpha must lie in [0, 1]")
     steps = np.asarray(k, dtype=float)
-    if np.any(steps < 0.0) or np.any(np.floor(steps) < steps):
+    if (steps < 0.0).any() or (np.floor(steps) < steps).any():
         raise ValueError("k must hold non-negative integers")
-    out = _iterate(f, arr, steps)
+    out = _iterate(_curve(f), arr, steps)
     if np.ndim(alpha) == 0 and np.ndim(k) == 0:
         return float(out)
     return out
 
 
-def _iterate(f: TradeoffSpec, arr: np.ndarray, k: np.ndarray) -> np.ndarray:
-    if f.family == GAUSSIAN_DP:
+class _Curve(NamedTuple):
+    """f = g^(p) for a Gaussian or (epsilon, delta) curve g, with the
+    constants every evaluation of g uses; ``_curve`` builds it."""
+
+    gaussian: bool  # g is G_mu; otherwise g is the (epsilon, delta) curve
+    p: int
+    mu: float  # 0 for an (epsilon, delta) g; the fields below are 0 for a Gaussian g
+    epsilon: float
+    delta: float
+    kink: float  # c_g = (1 - delta) / (1 + e^eps) = g(1 - c_g), where g's branches meet
+    expm1_eps: float
+
+
+def _curve(f: TradeoffSpec) -> _Curve:
+    g, p = f, 1
+    while g.family == SELF_POWER:
+        g, p = g.base, p * g.power
+    if g.family == GAUSSIAN_DP:
+        return _Curve(True, p, g.mu, 0.0, 0.0, 0.0, 0.0)
+    eps, delta = g.epsilon, g.delta
+    try:
+        kink = (1.0 - delta) / (1.0 + math.exp(eps))
+    except OverflowError:
+        raise ValueError(f"epsilon = {eps} is too large: e^epsilon overflows a float "
+                         "(epsilon must be at most 709.78)") from None
+    return _Curve(False, p, 0.0, eps, delta, kink, math.expm1(eps))
+
+
+def _iterate(curve: _Curve, a, k, b=None):
+    """f^(k)(a) without validation, elementwise over broadcast a and k;
+    a (and b) are numpy floats or float arrays.
+
+    b, when given, is 1 - a held exactly; forming 1 - a from a = 1 - b
+    loses the low bits of a small b, which the upper branch's slope e^eps
+    and the normal quantile's tail magnify.
+    """
+    steps = k if curve.p == 1 else k * curve.p
+    if curve.gaussian:
         # G_mu^(k) = G_(k mu): each step shifts the normal quantile by mu
-        return ndtr(ndtri(arr) - k * f.mu)
-    if f.family == SELF_POWER:
-        return _iterate(f.base, arr, k * f.power)
-    return _exact_dp_iterate(f.epsilon, f.delta, arr, k)
+        z = ndtri(a) if b is None else -ndtri(b)
+        return ndtr(z - steps * curve.mu)
+    return _exact_dp_iterate(curve, a, 1.0 - a if b is None else b, steps)
 
 
-def _exact_dp_iterate(eps: float, delta: float, a: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """f^(k) for f(a) = max(0, e^-eps (a - delta), 1 - delta - e^eps (1 - a)).
+def _exact_dp_iterate(curve: _Curve, a, b, k):
+    """f^(k) for f(a) = max(0, e^-eps (a - delta), 1 - delta - e^eps (1 - a)), b = 1 - a.
 
     Below the kink 1 - c, c = (1 - delta) / (1 + e^eps), f is the lower
     branch, whose iterate is e^(-k eps) a - delta S_k with
@@ -136,20 +177,21 @@ def _exact_dp_iterate(eps: float, delta: float, a: np.ndarray, k: np.ndarray) ->
     the upper branch b -> e^eps b + delta until b reaches c; those steps come
     first because f(a) <= a.
     """
+    eps, delta, c, em1 = curve.epsilon, curve.delta, curve.kink, curve.expm1_eps
     if eps == 0.0:
         return np.maximum(0.0, a - k * delta)
-    c = (1.0 - delta) / (1.0 + math.exp(eps))
-    b = 1.0 - a
     above = b < c
-    if np.any(above):
-        d = delta / math.expm1(eps)  # the upper branch's repelling fixed point is b = -d
+    if above.any():
+        d = delta / em1  # the upper branch's repelling fixed point is b = -d
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             up = np.where(above, np.minimum(k, np.ceil(np.log((c + d) / (b + d)) / eps)), 0.0)
-            grown = np.exp(up * eps) * b + delta * np.expm1(up * eps) / math.expm1(eps)
+            t = up * eps
+            grown = np.exp(t) * b + delta * np.expm1(t) / em1
         # b = -d is a fixed point: pure DP keeps f(1) = 1 for every k
         a = np.where(up > 0.0, 1.0 - np.where(b + d > 0.0, grown, b), a)
         k = k - up
-    return np.maximum(0.0, np.exp(-k * eps) * a + delta * np.expm1(-k * eps) / math.expm1(eps))
+    t = -k * eps
+    return np.maximum(0.0, np.exp(t) * a + delta * np.expm1(t) / em1)
 
 
 def breakpoints(f: TradeoffSpec) -> tuple[float, ...]:

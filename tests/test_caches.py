@@ -3,10 +3,13 @@
 import sys
 
 import semidp  # noqa: F401  (loads every semidp module)
+from semidp.cnd import make_cnd
 from semidp.dataspace import DataspaceSpec, OneWayMargins, conforming_set
+from semidp.inference import Table2x2, _nchg_cached, umpu_test
 from semidp.mechanisms import _gaussian_constants, gaussian_semi
 from semidp.rng import RngSeed
 from semidp.sensitivity import _span_basis_cached, contingency_s_semi
+from semidp.tradeoff import gaussian_dp
 
 
 def _clear_semidp_caches():
@@ -35,3 +38,10 @@ def test_module_cache_walk_empties_span_and_gaussian_caches():
     assert _span_basis_cached.cache_info().currsize and _gaussian_constants.cache_info().currsize
     _clear_semidp_caches()
     assert _span_basis_cached.cache_info().currsize == _gaussian_constants.cache_info().currsize == 0
+
+
+def test_module_cache_walk_empties_the_central_law_cache():
+    umpu_test(Table2x2(5, 3, 2, 4), make_cnd(gaussian_dp(1.0)), 0.05)
+    assert _nchg_cached.cache_info().currsize
+    _clear_semidp_caches()
+    assert _nchg_cached.cache_info().currsize == 0

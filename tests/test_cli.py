@@ -300,6 +300,37 @@ def test_out_of_range_points_and_shapes_exit_1(capsys, argv, message):
     assert err.startswith("semidp: error:") and message in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cnd", "--f", "eps:800", "--quantile", "0.3"], "e^epsilon overflows"),
+        (["test", "--table", "5,3,2,4", "--f", "eps:800"], "e^epsilon overflows"),
+        (["cnd", "--f", "gdp:80", "--cdf", "0.3"], "underflows to 0"),
+        (["cnd", "--f", "gdp:1", "--sample", "10000000000000", "--seed", "1"], "count must lie in"),
+        (["cnd", "--f", "gdp:1", "--sample", "1000001", "--seed", "1"], "count must lie in"),
+    ],
+)
+def test_curves_and_sample_counts_beyond_the_float_range_exit_1(capsys, argv, message):
+    # e^eps past the float range, c below the smallest float and a sample
+    # count past the cap are refused by name, before any draw is allocated
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("semidp: error:") and message in err
+
+
+@pytest.mark.parametrize("spec", ["eps:10.25", "eps:40", "eps:700", "gdp:16.75", "gdp:37"])
+def test_weak_privacy_curves_build_and_test(capsys, spec):
+    # their fixed point is checked from c itself, so the steep upper branch
+    # and the far normal tail no longer magnify the rounding of 1 - c
+    code, out, err = run(capsys, ["cnd", "--f", spec, "--cdf", "0.2", "--quantile", "0.3"])
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert 0.0 < payload["c"] < 1e-4 and 0.0 < payload["cdf"] < 1.0
+    code, out, err = run(capsys, ["test", "--table", "5,3,2,4", "--f", spec, "--seed", "1"])
+    assert code == 0 and err == ""
+
+
 def test_cli_import_leaves_slow_scipy_subpackages_unloaded():
     """Neither ``import semidp`` nor ``import semidp.cli`` loads any part of
     scipy, and the CLI import leaves the facet tables unread. A 3x3 knorm

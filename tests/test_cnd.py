@@ -7,8 +7,11 @@ import pytest
 import scipy.stats as st
 from scipy.special import ndtr, ndtri
 
-from semidp.cnd import CndSpec, cnd_cdf, cnd_quantile, cnd_sample, make_cnd, solve_c
+from semidp import _special
+from semidp.cnd import SAMPLE_CAP, CndSpec, cnd_cdf, cnd_quantile, cnd_sample, make_cnd, solve_c
+from semidp.inference import Table2x2, nchg_distribution, umpu_test
 from semidp.rng import RngSeed
+from semidp.tradeoff import _iterate
 from semidp.tradeoff import eval_tradeoff, exact_dp, gaussian_dp, iterate_tradeoff, self_power
 
 F_GAUSS = gaussian_dp(1.0)
@@ -140,6 +143,14 @@ def test_sampling_is_deterministic():
     assert np.array_equal(a, b)
     with pytest.raises(ValueError):
         cnd_sample(spec, RngSeed(23), 0)
+
+
+def test_sample_counts_past_the_cap_are_refused_before_drawing():
+    spec = make_cnd(F_PURE)
+    assert cnd_sample(spec, RngSeed(1), SAMPLE_CAP // 1000).size == SAMPLE_CAP // 1000
+    for count in (SAMPLE_CAP + 1, 10**13):
+        with pytest.raises(ValueError, match="count must lie in"):
+            cnd_sample(spec, RngSeed(1), count)
 
 
 # --- closed forms against the one-step recursion they replace ---------------
@@ -276,6 +287,16 @@ def test_self_power_fixed_point_matches_bisection():
     assert 0 < refused < len(SELF_POWER_GRID)
 
 
+def test_odd_self_power_is_solved_without_refusing_its_base():
+    # the base alone sits within 1e-9 of 1/2 and is refused as trivial; its
+    # fifth power is not, and its fixed point starts from the base's kink
+    f = self_power(exact_dp(1e-9), 5)
+    with pytest.raises(ValueError, match="trivial"):
+        solve_c(f.base)
+    assert solve_c(f) == pytest.approx(_bisected_c(f), abs=1e-13)
+    assert solve_c(f) < 0.5 - 1e-9
+
+
 def _bisected_quantile(spec, u, tol=1e-13):
     """Quantile by bracket expansion, then bisection on the CDF to tol in x."""
     lo, hi = -1.0, 1.0
@@ -314,3 +335,105 @@ def test_self_power_quantile_matches_bisection():
 def test_self_power_quantile_keeps_tiny_probabilities(f):
     spec = make_cnd(f)
     assert cnd_cdf(spec, cnd_quantile(spec, 1e-300)) == pytest.approx(1e-300, rel=1e-12)
+
+
+# --- the unvalidated evaluator against the validated public path -----------
+
+BITWISE_SPECS = [
+    gaussian_dp(0.5), gaussian_dp(2.0), exact_dp(1.0), exact_dp(0.5, 0.01), exact_dp(1.7, 1e-6),
+    exact_dp(0.0, 0.1), exact_dp(0.0, 0.3),
+    self_power(exact_dp(0.4, 1e-3), 3), self_power(exact_dp(0.4), 4),
+    self_power(exact_dp(0.0, 0.05), 3), self_power(gaussian_dp(0.6), 4),
+    self_power(self_power(exact_dp(0.2, 0.01), 2), 3),
+]
+BITWISE_X = np.concatenate([np.linspace(-40.0, 40.0, 1601), [-0.5, 0.5, -0.0, 1e300, -1e300]])
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _public_cdf(f, c, x):
+    """The CDF through the validating ``iterate_tradeoff``, constants recomputed."""
+    ax = np.abs(x)
+    steps = np.maximum(np.ceil(ax - 0.5), 0.0)
+    with np.errstate(invalid="ignore"):
+        offset = np.where(np.isinf(ax), 0.5, ax - steps)
+    left = iterate_tradeoff(f, 0.5 - offset * (1.0 - 2.0 * c), steps)
+    return np.where(x > 0, 1.0 - left, left)
+
+
+@pytest.mark.parametrize("f", BITWISE_SPECS)
+def test_cdf_and_quantile_match_the_public_path_bit_for_bit(f):
+    spec = make_cnd(f)
+    cdf = cnd_cdf(spec, BITWISE_X)
+    assert np.array_equal(_bits(cdf), _bits(_public_cdf(f, spec.c, BITWISE_X)))
+    # a scalar takes the same operations as an array element
+    picks = BITWISE_X[::97]
+    assert np.array_equal(_bits([cnd_cdf(spec, float(x)) for x in picks]), _bits(cdf[::97]))
+    u = np.concatenate([np.logspace(-14.0, math.log10(0.5), 60), 1.0 - np.logspace(-14.0, -0.5, 40)])
+    q = cnd_quantile(spec, u)
+    assert np.array_equal(_bits([cnd_quantile(spec, float(v)) for v in u]), _bits(q))
+    assert np.array_equal(_bits(cnd_quantile(make_cnd(f), u.reshape(4, 25))), _bits(q.reshape(4, 25)))
+
+
+@pytest.mark.parametrize("f", BITWISE_SPECS)
+def test_fixed_point_and_its_check_match_the_public_path_bit_for_bit(f):
+    g, p = f, 1
+    while g.family == "self_power":
+        g, p = g.base, p * g.power
+    c = solve_c(f)
+    if g.family == "gaussian_dp":
+        assert c == float(_special.ndtr(-0.5 * (p * g.mu)))
+    elif p > 1:
+        assert c == iterate_tradeoff(g, 0.5 if p % 2 == 0 else solve_c(g), p // 2)
+    else:
+        assert c == (1.0 - g.delta) / (1.0 + math.exp(g.epsilon))
+    # the check evaluates f(1 - c) from c; where 1 - (1 - c) is c again (c a
+    # multiple of 2^-53) that is the public evaluation at 1 - c, bit for bit
+    spec = make_cnd(f)
+    for cc in (math.ldexp(round(math.ldexp(c, 53)), -53), 0.25, 0.125, 0.375):
+        assert 1.0 - (1.0 - cc) == cc
+        b = np.float64(cc)
+        assert _bits(_iterate(spec.curve, 1.0 - b, 1, b=b)) == _bits(eval_tradeoff(f, 1.0 - cc))
+
+
+WEAK_CURVES = [exact_dp(10.25), exact_dp(12.0), exact_dp(40.0), exact_dp(300.0), exact_dp(700.0),
+               exact_dp(12.0, 1e-6), exact_dp(40.0, 0.1), gaussian_dp(16.75), gaussian_dp(20.0),
+               gaussian_dp(37.0)]
+
+
+@pytest.mark.parametrize("f", WEAK_CURVES)
+def test_weak_privacy_curves_build_and_round_trip(f):
+    # c is tiny; the check no longer forms 1 - (1 - c), whose rounding the
+    # upper branch's slope e^eps (or the normal quantile's tail) magnified
+    spec = make_cnd(f)
+    expected = (float(ndtr(-0.5 * f.mu)) if f.family == "gaussian_dp"
+                else (1.0 - f.delta) / (1.0 + math.exp(f.epsilon)))
+    assert spec.c == pytest.approx(expected, rel=1e-12)
+    residual = abs(float(_iterate(spec.curve, 1.0 - np.float64(spec.c), 1, b=np.float64(spec.c))) - spec.c)
+    assert residual <= 1.2e-16
+    u = np.concatenate([np.logspace(-300.0, math.log10(0.5), 301), 1.0 - np.logspace(-15.0, -0.5, 50)])
+    assert np.max(np.abs(cnd_cdf(spec, cnd_quantile(spec, u)) - u)) <= 1e-15
+    # a perturbed c is still rejected
+    with pytest.raises(ValueError, match="f\\(1-c\\)=c"):
+        CndSpec(tradeoff=f, c=spec.c + 2e-12)
+
+
+def test_weak_pure_dp_test_keeps_exact_size():
+    spec = make_cnd(exact_dp(12.0))
+    for cells in [(10, 20, 15, 25), (5, 3, 2, 4), (0, 7, 9, 1), (30, 2, 4, 40)]:
+        table = Table2x2(*cells)
+        for alpha in (0.01, 0.05, 0.2):
+            m = umpu_test(table, spec, alpha).threshold
+            xs, pmf = nchg_distribution(table.margins(), 1.0)
+            assert abs(float(pmf @ cnd_cdf(spec, xs - m)) - alpha) < 1e-8
+
+
+def test_curves_beyond_the_float_range_are_refused_by_name():
+    with pytest.raises(ValueError, match="e\\^epsilon overflows"):
+        make_cnd(exact_dp(800.0))
+    with pytest.raises(ValueError, match="underflows to 0"):
+        make_cnd(gaussian_dp(80.0))
+    with pytest.raises(ValueError, match="underflows to 0"):
+        make_cnd(self_power(gaussian_dp(20.0), 4))

@@ -104,6 +104,23 @@ def test_pmf_rejects_nonpositive_odds():
         nchg_distribution(REF_MARGINS, 0.0)
 
 
+def test_central_law_is_built_once_and_read_only():
+    semidp.inference._nchg_cached.cache_clear()
+    xs, pmf = nchg_distribution(REF_MARGINS, 1.0)
+    assert not xs.flags.writeable and not pmf.flags.writeable
+    with pytest.raises(ValueError):
+        pmf[0] = 0.5
+    again = nchg_distribution(Margins(8, 6, 7, 7), 1.0)
+    assert again[0] is xs and again[1] is pmf
+    # a test and its p-value on one table build its central law once
+    semidp.inference._nchg_cached.cache_clear()
+    table = Table2x2(10, 20, 15, 25)
+    umpu_test(table, SPEC, 0.05)
+    private_pvalue(table, SPEC, RngSeed(3))
+    info = semidp.inference._nchg_cached.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_threshold_degenerate_support_closed_form():
     t = Margins(3, 0, 3, 0)
     m = solve_threshold_m(t, SPEC, 0.05)

@@ -49,6 +49,27 @@ def test_ndtri_on_uniform_draws_is_bit_identical_centrally_and_within_two_ulp_in
     assert _ulps(_special.ndtri(tails), sp.ndtri(tails)).max() <= 2.0
 
 
+def _scalar_ndtri(x):
+    return np.array([_special._ndtri(v) for v in np.ravel(x).tolist()]).reshape(np.shape(x))
+
+
+@pytest.mark.parametrize("size", [100_000, 39, 40, 41, 60])
+def test_ndtri_array_path_equals_the_scalar_path_bit_for_bit(size):
+    # sizes 39, 40 and 41 sit on the element-by-element threshold; 100,000
+    # draws send about 27,000 tail elements down the vectorised tail path
+    y = NoiseRng(RngSeed(20240607, 5)).uniform_open(size)
+    got = _special.ndtri(y)
+    assert np.array_equal(got.view(np.int64), _scalar_ndtri(y).view(np.int64))
+    # all central, all tails, and tails mixed with 0, 1, nan and off-domain values
+    central = np.linspace(0.14, 0.86, 64)
+    tails = np.concatenate([np.linspace(1e-10, 0.13, 30), np.linspace(0.87, 1 - 1e-10, 30)])
+    odd = np.concatenate([tails, [0.0, 1.0, np.nan, -0.5, 1.5, 1e-300]])
+    for x in (central, tails, odd, y[:41].reshape(-1, 1)):
+        got = _special.ndtri(x)
+        assert got.shape == x.shape
+        assert np.array_equal(got.view(np.int64), _scalar_ndtri(x).view(np.int64))
+
+
 def test_ndtri_far_tails_and_edges_within_two_ulp():
     edges = np.array([5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-20, 1.2e-14,
                       5.551115123125783e-17, math.exp(-2.0), 1.0 - math.exp(-2.0),

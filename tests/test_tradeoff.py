@@ -18,6 +18,7 @@ from semidp.tradeoff import (
     gaussian_dp,
     gdp_to_approx_dp,
     guarantee_from_json,
+    iterate_tradeoff,
     self_power,
     tensor_exact_lower_bound,
     tensor_gdp,
@@ -43,6 +44,33 @@ def test_alpha_domain_error():
         eval_tradeoff(gaussian_dp(1.0), 1.2)
     with pytest.raises(ValueError):
         eval_tradeoff(exact_dp(1.0, 0.0), -0.1)
+
+
+VALIDATED_CURVES = [gaussian_dp(1.0), exact_dp(1.0), exact_dp(0.5, 0.01), exact_dp(0.0, 0.1),
+                    self_power(exact_dp(0.4, 1e-3), 3), self_power(gaussian_dp(0.6), 2)]
+
+
+@pytest.mark.parametrize("f", VALIDATED_CURVES)
+def test_public_evaluation_validates_alpha_and_k(f):
+    # nan passes through as nan, elementwise and as a scalar
+    assert math.isnan(eval_tradeoff(f, math.nan))
+    out = iterate_tradeoff(f, np.array([0.2, math.nan, 1.0]), 2)
+    assert math.isnan(out[1]) and not np.isnan(out[[0, 2]]).any()
+    for alpha in (-1e-300, -0.1, 1.0 + 2.0**-52, 1.2, math.inf, -math.inf, [0.5, 1.5]):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            eval_tradeoff(f, alpha)
+    for k in (-1, -0.5, 0.5, 2.25, -math.inf, [1, -2], [0, 1.5]):
+        with pytest.raises(ValueError, match="k must hold"):
+            iterate_tradeoff(f, 0.5, k)
+    # the edges are valid: alpha 0 and 1, k = 0 (the identity) and a k of -0.0
+    assert iterate_tradeoff(f, [0.0, 1.0], 0).tolist() == [0.0, 1.0]
+    assert iterate_tradeoff(f, 0.3, -0.0) == iterate_tradeoff(f, 0.3, 0)
+
+
+def test_epsilon_beyond_the_float_range_of_its_exponential_is_refused():
+    assert eval_tradeoff(exact_dp(709.0), 1.0) == 1.0
+    with pytest.raises(ValueError, match="e\\^epsilon overflows"):
+        eval_tradeoff(exact_dp(800.0), 0.5)
 
 
 def test_invalid_parameters_rejected():
