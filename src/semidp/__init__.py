@@ -24,7 +24,6 @@ from .inference import (
     Margins,
     Table2x2,
     TestResult,
-    nchg_pmf,
     private_pvalue,
     solve_threshold_m,
     umpu_test,

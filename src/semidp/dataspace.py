@@ -304,10 +304,14 @@ def semi_adjacent_bound(p: int) -> int:
     return p + 1
 
 
-def _check_radius(radius: int) -> None:
-    """Refuse a Hamming radius that is not an integer >= 0."""
-    if not isinstance(radius, numbers.Integral) or radius < 0:
-        raise ValueError(f"radius must be an integer >= 0, got {radius!r}")
+def _check_integer(value, name: str, minimum: int) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is an integer
+    (numpy integers included) at or above ``minimum``."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+    return int(value)
 
 
 class _PairView(Set):
@@ -369,7 +373,7 @@ def indistinguishable_pairs(
     ``EnumerationCapExceeded`` when the distinct datasets number more than
     the square root of ``PAIR_CAP``.
     """
-    _check_radius(radius)
+    _check_integer(radius, "radius", 0)
     items = tuple(sorted(set(datasets)))
     m = len(items)
     keys = [np.empty(0, dtype=np.int64)]

@@ -130,15 +130,6 @@ def _log_factorials(size: int) -> np.ndarray:
     return table
 
 
-def nchg_pmf(t: Margins, w: float, x: int) -> float:
-    """Probability of upper-left cell x; zero off the support."""
-    lo, hi = t.support()
-    if x < lo or x > hi:
-        return 0.0
-    xs, pmf = nchg_distribution(t, w)
-    return float(pmf[x - lo])
-
-
 def solve_threshold_m(t: Margins, spec: CndSpec, alpha: float) -> float:
     """m with E[F(H - m)] = alpha under the central law.
 

@@ -37,6 +37,8 @@ TABLE_SINGLE_MOVE_SENSITIVITY = {1: 2.0, 2: math.sqrt(2.0), math.inf: 1.0}
 #: The l_p norm each naive and classic mechanism kind is calibrated in.
 KIND_NORM = {"gaussian": 2, "l1": 1, "l2": 2, "linf": math.inf}
 
+_DEGENERATE_WARNING = "degenerate sensitivity space; query is constant, no noise added"
+
 
 class RejectionLimitExceeded(RuntimeError):
     """Raised when the box sampler keeps missing the hull."""
@@ -105,10 +107,8 @@ def gaussian_semi(query_value, space: SensitivitySpace, mu: float, seed: RngSeed
         "rng": rng.meta(),
     }
     if s == 0:
-        meta["warning"] = "degenerate sensitivity space; query is constant, no noise added"
-        noise = np.zeros_like(query)
-    else:
-        noise = gaussian_noise_samples(space, mu, rng, 1)[0]
+        meta["warning"] = _DEGENERATE_WARNING
+    noise = gaussian_noise_samples(space, mu, rng, 1)[0]
     return MechanismOutput(value=query + noise, noise=noise, meta=meta)
 
 
@@ -162,26 +162,13 @@ def knorm_optimal(query_value, space: SensitivitySpace, epsilon: float, seed: Rn
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     query = _as_vector(query_value, space.ambient_dim)
     rng = NoiseRng(seed)
-    basis = span_basis(space)
-    if basis.s == 0:
-        meta = {
-            "mechanism": "knorm_optimal",
-            "epsilon": epsilon,
-            "span_dim": 0,
-            "rng": rng.meta(),
-            "warning": "degenerate sensitivity space; query is constant, no noise added",
-        }
+    s = hull_geometry(space).s
+    meta = {"mechanism": "knorm_optimal", "epsilon": epsilon, "span_dim": s, "rng": rng.meta()}
+    if s == 0:
+        meta["warning"] = _DEGENERATE_WARNING
         return MechanismOutput(value=query, noise=np.zeros_like(query), meta=meta)
     noise, radii, _, rejections = knorm_noise_samples(space, epsilon, rng, 1)
-    meta = {
-        "mechanism": "knorm_optimal",
-        "epsilon": epsilon,
-        "delta_k": 1.0,
-        "span_dim": basis.s,
-        "radius": repr(float(radii[0])),
-        "rejections": rejections[0],
-        "rng": rng.meta(),
-    }
+    meta.update(delta_k=1.0, radius=repr(float(radii[0])), rejections=rejections[0])
     return MechanismOutput(value=query + noise[0], noise=noise[0], meta=meta)
 
 

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dataspace import DataspaceSpec, Dataset, _check_radius, _hamming_blocks, _record_codes
+from .dataspace import DataspaceSpec, Dataset, _check_integer, _hamming_blocks, _record_codes
 from .simplex import solve_lp
 
 #: Gram-Schmidt drops residuals below RANK_TOL times the largest vector norm.
@@ -148,7 +148,7 @@ def brute_force_sensitivity_space(
     exceeds ``dataspace.PAIR_CAP``. ``space`` is not read; it
     stays in the signature for callers that pass arguments positionally.
     """
-    _check_radius(radius)
+    _check_integer(radius, "radius", 0)
     subset = list(subset)
     if not subset:
         raise ValueError("subset must be non-empty")

@@ -16,6 +16,15 @@ small enough that e^epsilon is a float); the evaluator under them,
 ``_iterate`` over a ``_Curve`` of precomputed constants, does not, and the
 package's own callers (``cnd``) use it directly on values they built.
 
+Group sizes (``compose_self``, ``self_power``, ``zcdp_group``) and adjacency
+radii must be integers. ``tensor_gdp`` composes Gaussian curves, and
+``composition_order_check`` compares composing then iterating against
+iterating then composing. A ``PrivacyGuarantee`` is the triple of dataspace
+label, adjacency radius and tradeoff curve; ``compare_guarantees`` orders two
+of them by protected pairs and curve strength, exactly for piecewise-linear
+curves and their iterates (on the union of their knots, ``breakpoints``) and
+on a grid for Gaussian curves.
+
 All values are immutable and every function here is pure, so concurrent use
 is safe.
 """
@@ -30,19 +39,20 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from ._special import log_ndtr, ndtr, ndtri
+from .dataspace import _check_integer
 
 EXACT_DP = "exact_dp"
 GAUSSIAN_DP = "gaussian_dp"
 SELF_POWER = "self_power"
 
-#: Label attached to tensor-product results that are lower bounds rather
-#: than exact tradeoff curves.
-LOWER_BOUND = "LOWER_BOUND"
-
 #: Grid for pointwise tradeoff comparisons.
 DEFAULT_COMPARISON_GRID = tuple(np.linspace(0.0, 1.0, 101))
 
 _COMPARISON_TOL = 1e-9
+
+#: Most knots ``breakpoints`` lists before it refuses an iterate as too
+#: finely kinked to compare exactly.
+_MAX_KNOTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -72,8 +82,7 @@ class TradeoffSpec:
         elif self.family == SELF_POWER:
             if self.base is None or self.power is None:
                 raise ValueError("self_power requires base and power")
-            if self.power < 1:
-                raise ValueError(f"power must be >= 1, got {self.power}")
+            object.__setattr__(self, "power", _check_integer(self.power, "power", 1))
         else:
             raise ValueError(f"unknown tradeoff family: {self.family!r}")
 
@@ -95,7 +104,7 @@ def gaussian_dp(mu: float) -> TradeoffSpec:
 
 
 def self_power(base: TradeoffSpec, k: int) -> TradeoffSpec:
-    return TradeoffSpec(family=SELF_POWER, base=base, power=int(k))
+    return TradeoffSpec(family=SELF_POWER, base=base, power=k)
 
 
 def eval_tradeoff(f: TradeoffSpec, alpha):
@@ -195,17 +204,36 @@ def _exact_dp_iterate(curve: _Curve, a, b, k):
 
 
 def breakpoints(f: TradeoffSpec) -> tuple[float, ...]:
-    """Knots where a piecewise-linear family changes slope (grid refinement)."""
-    if f.family == EXACT_DP:
-        e = math.exp(f.epsilon)
-        pts = {f.delta, (e - 1.0 + f.delta) / e}
-        if e > 1.0 / e:
-            # the two sloped pieces cross here
-            pts.add((e + f.delta - 1.0 - f.delta / e) / (e - 1.0 / e))
-        return tuple(sorted(p for p in pts if 0.0 < p < 1.0))
-    if f.family == SELF_POWER:
-        return breakpoints(f.base)
-    return ()
+    """Knots in (0, 1) where a piecewise-linear f changes slope, sorted; ()
+    for a Gaussian curve.
+
+    For f = g^(p), g an (epsilon, delta) curve, alpha is a knot of f when
+    g^(j)(alpha) is a knot of g for some j < p. g increases strictly where it
+    is positive, so a knot y > 0 has one preimage, the smaller of its
+    preimages under g's two sloped branches, and none above g(1) = 1 - delta.
+    f is linear between consecutive knots. Raises ValueError past
+    ``_MAX_KNOTS`` knots.
+    """
+    curve = _curve(f)
+    if curve.gaussian:
+        return ()
+    delta, e = curve.delta, math.exp(curve.epsilon)  # finite: _curve refuses an overflow
+    # where g leaves 0 on each sloped branch, and where the branches meet;
+    # at epsilon = 0 both branches are alpha - delta
+    base = [delta] if curve.epsilon == 0.0 else [delta, 1.0 - (1.0 - delta) / e, 1.0 - curve.kink]
+    frontier = [y for y in base if 0.0 < y < 1.0]
+    knots = set(frontier)
+    for _ in range(curve.p - 1):
+        preimages = (min(e * y + delta, 1.0 - (1.0 - delta - y) / e) for y in frontier)
+        # a preimage that rounds back onto y has reached g's fixed point 1
+        frontier = [a for y, a in zip(frontier, preimages) if y < a < 1.0]
+        if not frontier:
+            break
+        knots.update(frontier)
+        if len(knots) > _MAX_KNOTS:
+            raise ValueError(f"this iterate has more than {_MAX_KNOTS} knots; "
+                             "its epsilon and delta are too small for its power")
+    return tuple(sorted(knots))
 
 
 def _finite_product(k: int, x: float, name: str) -> float:
@@ -227,9 +255,7 @@ def compose_self(f: TradeoffSpec, k: int) -> TradeoffSpec:
     curve is not another ``exact_dp`` curve, though ``iterate_tradeoff``
     still evaluates it in closed form.
     """
-    k = int(k)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = _check_integer(k, "k", 1)
     if k == 1:
         return f
     if f.family == GAUSSIAN_DP:
@@ -241,22 +267,12 @@ def compose_self(f: TradeoffSpec, k: int) -> TradeoffSpec:
     return self_power(f, k)
 
 
-def tensor_gdp(mu1: float, mu2: float) -> TradeoffSpec:
-    """Tradeoff of releasing two independent Gaussian-curve mechanisms."""
-    if mu1 < 0 or mu2 < 0:
+def tensor_gdp(*mus: float) -> TradeoffSpec:
+    """Tradeoff of releasing independent Gaussian-curve mechanisms together:
+    G_mu with mu = sqrt(mu1^2 + ... + muk^2)."""
+    if any(mu < 0 for mu in mus):
         raise ValueError("mu values must be >= 0")
-    return gaussian_dp(math.hypot(mu1, mu2))
-
-
-def tensor_exact_lower_bound(f: TradeoffSpec, g: TradeoffSpec) -> tuple[TradeoffSpec, str]:
-    """Composition bound for two exact_dp curves: (eps1+eps2, delta1+delta2).
-
-    This is a valid lower bound on the composed tradeoff, not the exact
-    curve, hence the LOWER_BOUND label in the result.
-    """
-    if f.family != EXACT_DP or g.family != EXACT_DP:
-        raise ValueError("tensor_exact_lower_bound requires exact_dp inputs")
-    return exact_dp(f.epsilon + g.epsilon, min(1.0, f.delta + g.delta)), LOWER_BOUND
+    return gaussian_dp(math.hypot(*mus))
 
 
 @dataclass(frozen=True)
@@ -279,15 +295,13 @@ def composition_order_check(fs: Sequence[TradeoffSpec], a: int) -> CompositionOr
     Implemented for the Gaussian family, where both sides have closed forms;
     there they coincide exactly.
     """
-    if a < 1:
-        raise ValueError(f"a must be >= 1, got {a}")
+    _check_integer(a, "a", 1)
     if not fs:
         raise ValueError("fs must be non-empty")
     if any(f.family != GAUSSIAN_DP for f in fs):
         raise ValueError("composition_order_check supports the gaussian_dp family only")
-    mus = np.array([f.mu for f in fs], dtype=float)
-    lhs = compose_self(gaussian_dp(float(np.sqrt(np.sum(mus**2)))), a)
-    rhs = gaussian_dp(float(np.sqrt(np.sum((a * mus) ** 2))))
+    lhs = compose_self(tensor_gdp(*(f.mu for f in fs)), a)
+    rhs = tensor_gdp(*(compose_self(f, a).mu for f in fs))
     arr = np.asarray(DEFAULT_COMPARISON_GRID, dtype=float)
     lv = eval_tradeoff(lhs, arr)
     rv = eval_tradeoff(rhs, arr)
@@ -324,8 +338,7 @@ def zcdp_group(rho: float, k: int) -> float:
     """Concentrated-DP parameter after widening protection to groups of size k."""
     if not 0 <= rho < math.inf:
         raise ValueError(f"rho must be finite and >= 0, got {rho}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = _check_integer(k, "k", 1)
     return _finite_product(k**2, rho, "group rho")
 
 
@@ -347,8 +360,8 @@ class PrivacyGuarantee:
     tradeoff: TradeoffSpec
 
     def __post_init__(self) -> None:
-        if self.adjacency_radius < 0:
-            raise ValueError("adjacency_radius must be >= 0")
+        object.__setattr__(self, "adjacency_radius",
+                           _check_integer(self.adjacency_radius, "adjacency_radius", 0))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -360,26 +373,6 @@ class PrivacyGuarantee:
             },
             sort_keys=True,
         )
-
-
-def guarantee_from_json(text: str) -> PrivacyGuarantee:
-    obj = json.loads(text)
-    return PrivacyGuarantee(
-        dataspace_label=obj["dataspace"],
-        adjacency_radius=int(obj["adjacency_radius"]),
-        tradeoff=_spec_from_params(obj["family"], obj["params"]),
-    )
-
-
-def _spec_from_params(family: str, params: dict) -> TradeoffSpec:
-    if family == EXACT_DP:
-        return exact_dp(params["epsilon"], params["delta"])
-    if family == GAUSSIAN_DP:
-        return gaussian_dp(params["mu"])
-    if family == SELF_POWER:
-        base = params["base"]
-        return self_power(_spec_from_params(base["family"], base["params"]), params["k"])
-    raise ValueError(f"unknown tradeoff family: {family!r}")
 
 
 def _canonical_pairs(pairs: Iterable) -> set[frozenset]:
@@ -405,7 +398,10 @@ def compare_guarantees(
 
     g1 is at least as strong as g2 when every pair g2 protects is protected
     by g1 and g2's tradeoff sits below g1's on ``DEFAULT_COMPARISON_GRID``
-    and both curves' breakpoints. Returns one of
+    and both curves' breakpoints. Between consecutive points of that union
+    two piecewise-linear curves (``exact_dp`` and its iterates) are both
+    linear, so for them the comparison is exact; a Gaussian curve is
+    compared on the grid alone. Returns one of
     ``g1_stronger``, ``g2_stronger``, ``equal``, ``incomparable``.
     """
     pairs1 = _canonical_pairs(ind1)

@@ -14,7 +14,6 @@ from semidp.inference import (
     Table2x2,
     TestResult,
     nchg_distribution,
-    nchg_pmf,
     private_pvalue,
     solve_threshold_m,
     umpu_test,
@@ -49,21 +48,18 @@ def test_central_pmf_against_exact_rational_oracle():
     t = Margins(5, 5, 4, 6)
     lo, hi = t.support()
     den = sum(math.comb(5, k) * math.comb(5, 4 - k) for k in range(lo, hi + 1))
-    for x in range(lo, hi + 1):
+    xs, pmf = nchg_distribution(t, 1.0)
+    assert xs.tolist() == list(range(lo, hi + 1))
+    for x, p in zip(xs.tolist(), pmf):
         exact = Fraction(math.comb(5, x) * math.comb(5, 4 - x), den)
-        assert nchg_pmf(t, 1.0, x) == pytest.approx(float(exact), abs=1e-14)
-
-
-def test_pmf_off_support_is_zero():
-    t = Margins(5, 5, 4, 6)
-    assert nchg_pmf(t, 1.0, -1) == 0.0
-    assert nchg_pmf(t, 1.0, 5) == 0.0
+        assert p == pytest.approx(float(exact), abs=1e-14)
 
 
 def test_pmf_degenerate_support():
     t = Margins(3, 0, 3, 0)
     assert t.support() == (3, 3)
-    assert nchg_pmf(t, 2.0, 3) == 1.0
+    xs, pmf = nchg_distribution(t, 2.0)
+    assert xs.tolist() == [3] and pmf.tolist() == [1.0]
 
 
 @pytest.mark.parametrize("w", [0.5, 1.0, 3.0])

@@ -87,6 +87,21 @@ def test_gaussian_semi_degenerate_space_warns():
     assert "warning" in out.meta
 
 
+def test_meta_keys_on_degenerate_and_full_spaces():
+    zero = SensitivitySpace(array=((0, 0, 0, 0),), provenance="zero")
+    common = {"mechanism", "span_dim", "rng"}
+    for space, s in ((zero, 0), (S22, 1)):
+        g = gaussian_semi(QUERY, space, 1.0, RngSeed(5))
+        k = knorm_optimal(QUERY, space, 1.0, RngSeed(5))
+        assert g.meta["span_dim"] == k.meta["span_dim"] == s
+        warn = {"warning"} if s == 0 else set()
+        assert set(g.meta) == common | {"mu", "delta2"} | warn
+        draws = set() if s == 0 else {"delta_k", "radius", "rejections"}
+        assert set(k.meta) == common | {"epsilon"} | warn | draws
+    for out in (gaussian_semi(QUERY, zero, 1.0, RngSeed(5)), knorm_optimal(QUERY, zero, 1.0, RngSeed(5))):
+        assert out.noise.tolist() == [0.0] * 4 and np.array_equal(out.value, QUERY)
+
+
 def test_gaussian_semi_rejects_bad_mu():
     with pytest.raises(ValueError):
         gaussian_semi(QUERY, S22, 0.0, RngSeed(1))

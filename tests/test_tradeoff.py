@@ -1,5 +1,6 @@
 """Tradeoff-function evaluation, composition, conversions, and ordering."""
 
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from semidp import _special
 from semidp.tradeoff import (
     DEFAULT_COMPARISON_GRID,
     PrivacyGuarantee,
+    breakpoints,
     compare_guarantees,
     compose_self,
     composition_order_check,
@@ -17,10 +19,8 @@ from semidp.tradeoff import (
     exact_dp,
     gaussian_dp,
     gdp_to_approx_dp,
-    guarantee_from_json,
     iterate_tradeoff,
     self_power,
-    tensor_exact_lower_bound,
     tensor_gdp,
     zcdp_group,
     zcdp_to_approx_dp,
@@ -168,6 +168,12 @@ def test_tensor_gdp_closed_form():
     assert tensor_gdp(0.0, 1.7) == gaussian_dp(1.7)
     assert tensor_gdp(3.0, 4.0) == gaussian_dp(5.0)
     assert tensor_gdp(1.0, 1.0).mu == pytest.approx(math.sqrt(2.0), abs=1e-15)
+    # any number of curves, numpy floats included
+    assert tensor_gdp(1.0, 2.0, 2.0) == gaussian_dp(3.0)
+    assert tensor_gdp(*np.array([2.0, 3.0, 6.0])) == gaussian_dp(7.0)
+    assert tensor_gdp(0.6) == gaussian_dp(0.6)
+    with pytest.raises(ValueError, match="mu values"):
+        tensor_gdp(1.0, 2.0, -0.5)
 
 
 def test_tensor_gdp_monte_carlo_product_test():
@@ -184,14 +190,6 @@ def test_tensor_gdp_monte_carlo_product_test():
         assert abs(beta_hat - beta) < 5 * se + 1e-9
 
 
-def test_tensor_exact_lower_bound_labelled():
-    bound, label = tensor_exact_lower_bound(exact_dp(0.5, 0.01), exact_dp(0.7, 0.02))
-    assert label == "LOWER_BOUND"
-    assert bound == exact_dp(1.2, 0.03)
-    with pytest.raises(ValueError):
-        tensor_exact_lower_bound(gaussian_dp(1.0), exact_dp(1.0, 0.0))
-
-
 def test_composition_order_check_gaussian_pairs():
     report = composition_order_check([gaussian_dp(1.0), gaussian_dp(1.0)], 2)
     assert report.ordered
@@ -203,6 +201,10 @@ def test_composition_order_check_gaussian_pairs():
 
     report = composition_order_check([gaussian_dp(0.5), gaussian_dp(1.2)], 3)
     assert report.ordered and abs(report.max_lhs_minus_rhs) < 1e-12
+    # both sides are tensor_gdp compositions: of the curves, then of their powers
+    report = composition_order_check([gaussian_dp(0.5), gaussian_dp(1.2), gaussian_dp(0.4)], np.int64(2))
+    assert report.tensor_then_power == compose_self(tensor_gdp(0.5, 1.2, 0.4), 2)
+    assert report.power_then_tensor == tensor_gdp(1.0, 2.4, 0.8)
 
 
 def test_composition_order_check_rejects_other_families():
@@ -316,13 +318,103 @@ def test_compare_guarantees_orderings():
 
 def test_guarantee_json_round_trip():
     g = PrivacyGuarantee("table_margins", 3, exact_dp(0.5, 0.01))
-    text = g.to_json()
-    assert '"dataspace"' in text and '"adjacency_radius"' in text
-    assert '"family"' in text and '"params"' in text
-    assert guarantee_from_json(text) == g
+    assert json.loads(g.to_json()) == {
+        "dataspace": "table_margins", "adjacency_radius": 3, "family": "exact_dp",
+        "params": {"epsilon": 0.5, "delta": 0.01},
+    }
+    # numpy integers are stored as ints, so the triple stays JSON-ready
+    g2 = PrivacyGuarantee("cube", np.int64(2), self_power(gaussian_dp(0.7), np.int64(2)))
+    assert json.loads(g2.to_json()) == {
+        "dataspace": "cube", "adjacency_radius": 2, "family": "self_power",
+        "params": {"k": 2, "base": {"family": "gaussian_dp", "params": {"mu": 0.7}}},
+    }
 
-    g2 = PrivacyGuarantee("cube", 2, self_power(gaussian_dp(0.7), 2))
-    assert guarantee_from_json(g2.to_json()) == g2
+
+def test_group_sizes_and_radii_must_be_integers():
+    cases = [
+        (lambda v: compose_self(gaussian_dp(1.0), v), "k", 0),
+        (lambda v: compose_self(exact_dp(1.0), v), "k", -1),
+        (lambda v: self_power(exact_dp(1.0), v), "power", 0),
+        (lambda v: composition_order_check([gaussian_dp(1.0)], v), "a", 0),
+        (lambda v: zcdp_group(1.0, v), "k", 0),
+        (lambda v: PrivacyGuarantee("x", v, exact_dp(1.0)), "adjacency_radius", -1),
+    ]
+    for build, name, below in cases:
+        for bad in (2.5, 2.7, 2.0, 1.5, math.nan, "2"):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                build(bad)
+        with pytest.raises(ValueError, match=f"^{name} must be >= "):
+            build(below)
+        build(np.int64(2))
+        build(2)
+    assert compose_self(gaussian_dp(1.0), np.int64(3)) == gaussian_dp(3.0)
+    assert zcdp_group(1.0, np.int64(10**10)) == 1e20  # k^2 in Python ints, not int64
+
+
+def _dense_max(f, g, n=100_001):
+    """max of f - g on a uniform grid of n points: an oracle independent of the knots."""
+    a = np.linspace(0.0, 1.0, n)
+    return float(np.max(eval_tradeoff(f, a) - eval_tradeoff(g, a)))
+
+
+def test_compare_guarantees_sees_the_knots_of_iterated_curves():
+    # the 4-fold iterate of (1.1, 0.02) lies below (0.88, 0.88) by 1.2e-3 only
+    # near alpha = 0.98175, a knot of the iterate that the base curve lacks
+    f, g = self_power(exact_dp(1.1, 0.02), 4), exact_dp(0.88, 0.88)
+    assert eval_tradeoff(g, 0.981755) - eval_tradeoff(f, 0.981755) > 1.1e-3
+    assert _dense_max(g, f) > 1.1e-3 and _dense_max(f, g) > 0.11
+    for knot in (0.7605, 0.9252, 0.9818):
+        assert min(abs(k - knot) for k in breakpoints(f)) < 1e-4
+    assert compare_guarantees(PrivacyGuarantee("s", 2, f), PrivacyGuarantee("s", 2, g), [], []) == "incomparable"
+    assert compare_guarantees(PrivacyGuarantee("s", 2, g), PrivacyGuarantee("s", 2, f), [], []) == "incomparable"
+
+
+def _random_iterate(rng):
+    eps = float(rng.choice([0.0, rng.uniform(0.02, 2.0)]))
+    delta = float(rng.choice([0.0, rng.uniform(0.0, 0.3)]))
+    return compose_self(exact_dp(eps, delta), int(rng.integers(1, 7)))
+
+
+def test_iterates_are_linear_between_their_knots():
+    rng = np.random.default_rng(1606)
+    t = np.linspace(0.0, 1.0, 401)[1:-1]
+    for _ in range(60):
+        f = _random_iterate(rng)
+        knots = np.array([0.0, *breakpoints(f), 1.0])
+        assert np.all(np.diff(knots) > 0.0)
+        lo, hi = knots[:-1], knots[1:]
+        x = lo[:, None] + t * (hi - lo)[:, None]  # dense points inside each piece
+        flo, fhi = eval_tradeoff(f, lo), eval_tradeoff(f, hi)
+        chord = flo[:, None] + t * (fhi - flo)[:, None]
+        assert np.max(np.abs(eval_tradeoff(f, x) - chord)) < 1e-9, f
+
+
+def test_compare_guarantees_agrees_with_a_dense_grid_on_iterates():
+    rng = np.random.default_rng(2024)
+    verdicts = set()
+    for _ in range(80):
+        f, g = _random_iterate(rng), _random_iterate(rng)
+        g_le_f, f_le_g = _dense_max(g, f) <= 1e-9, _dense_max(f, g) <= 1e-9
+        oracle = {(True, True): "equal", (True, False): "g1_stronger",
+                  (False, True): "g2_stronger", (False, False): "incomparable"}[g_le_f, f_le_g]
+        got = compare_guarantees(PrivacyGuarantee("s", 1, f), PrivacyGuarantee("s", 1, g), [], [])
+        assert got == oracle, (f, g)
+        verdicts.add(got)
+    assert verdicts == {"equal", "g1_stronger", "g2_stronger", "incomparable"}
+
+
+def test_compare_guarantees_refuses_an_overflowing_epsilon_by_name():
+    for f in (exact_dp(800.0), self_power(exact_dp(800.0, 0.1), 3)):
+        for g1, g2 in ((f, exact_dp(1.0)), (exact_dp(1.0), f)):
+            with pytest.raises(ValueError, match="epsilon = 800.0 is too large"):
+                compare_guarantees(PrivacyGuarantee("s", 1, g1), PrivacyGuarantee("s", 1, g2), [], [])
+    assert breakpoints(exact_dp(709.0, 0.1)) == (0.1,)
+
+
+def test_breakpoints_refuse_an_iterate_with_too_many_knots():
+    with pytest.raises(ValueError, match="knots"):
+        breakpoints(compose_self(exact_dp(1e-6), 10**9))
+    assert breakpoints(compose_self(gaussian_dp(1.0), 10**9)) == ()
 
 
 def test_comparison_grid_default():
