@@ -1,11 +1,11 @@
-"""The five special functions semidp needs, on numpy and ``math`` alone.
+"""The three special functions semidp needs, on numpy and ``math`` alone.
 
 They follow ``scipy.special`` at +-inf, nan, 0, 1 and outside the domain,
 and keep ``scipy.special`` off the import path: it costs more start-up time
 and memory than the rest of ``import semidp.cli`` together. ``ndtri`` is
 Moshier's Cephes algorithm (Cephes Math Library, 1989) with scipy's
 coefficients, Horner order and libm ``log``, so Gaussian draws keep their
-bytes. ``ndtr``, ``log_ndtr`` and ``gammaln`` rest on libm through ``math``.
+bytes. ``ndtr`` and ``log_ndtr`` rest on libm through ``math``.
 
 Callers make many small calls, so a 0-d input takes a scalar ``math`` path,
 and an array evaluates each branch on that branch's elements only.
@@ -189,26 +189,3 @@ def _log_ndtr(x: float) -> float:
 def log_ndtr(x):
     """log of the standard normal CDF, without underflow in the left tail."""
     return _apply(_log_ndtr, x)
-
-
-def _gammaln(x: float) -> float:
-    if not math.isfinite(x):
-        return x  # scipy's convention: gammaln(+-inf) = +-inf
-    try:
-        return math.lgamma(x)
-    except (ValueError, OverflowError):  # the poles 0, -1, -2, ... and x past 2.5e305
-        return math.inf
-
-
-def gammaln(x):
-    """log |Gamma(x)|: inf at the non-positive integers."""
-    return _apply(_gammaln, x)
-
-
-def logsumexp(a):
-    """log(sum(exp(a))) over every element, shifted by the largest one."""
-    arr = np.asarray(a, dtype=float)
-    peak = arr.max()
-    if not np.isfinite(peak):
-        return peak  # nan stays nan, an inf entry gives inf, all -inf gives -inf
-    return peak + np.log(np.exp(arr - peak).sum())

@@ -307,7 +307,8 @@ def semi_adjacent_bound(p: int) -> int:
 def _check_integer(value, name: str, minimum: int) -> int:
     """``value`` as an int; ValueError naming ``name`` unless it is an integer
     (numpy integers included) at or above ``minimum``."""
-    if not isinstance(value, numbers.Integral):
+    # a plain int skips the ABC check, which costs about 1 us
+    if type(value) is not int and not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value!r}")

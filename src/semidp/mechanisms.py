@@ -18,6 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .dataspace import _check_integer
 from .rng import NoiseRng, RngSeed
 from .sensitivity import (
     HULL_TOL,
@@ -223,8 +224,7 @@ class NaiveGroupMechanism:
     delta: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.group_size < 1:
-            raise ValueError("group size must be >= 1")
+        object.__setattr__(self, "group_size", _check_integer(self.group_size, "group_size", 1))
         if not 0 < self.base_param < math.inf:
             raise ValueError("privacy parameter must be positive and finite")
         if self.kind not in KIND_NORM:

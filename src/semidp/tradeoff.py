@@ -22,8 +22,9 @@ radii must be integers. ``tensor_gdp`` composes Gaussian curves, and
 iterating then composing. A ``PrivacyGuarantee`` is the triple of dataspace
 label, adjacency radius and tradeoff curve; ``compare_guarantees`` orders two
 of them by protected pairs and curve strength, exactly for piecewise-linear
-curves and their iterates (on the union of their knots, ``breakpoints``) and
-on a grid for Gaussian curves.
+curves and their iterates (on the union of their knots, ``breakpoints``),
+exactly for a Gaussian curve against those (also at each piece's tangent
+point) and on a grid for two Gaussian curves.
 
 All values are immutable and every function here is pure, so concurrent use
 is safe.
@@ -400,18 +401,29 @@ def compare_guarantees(
     by g1 and g2's tradeoff sits below g1's on ``DEFAULT_COMPARISON_GRID``
     and both curves' breakpoints. Between consecutive points of that union
     two piecewise-linear curves (``exact_dp`` and its iterates) are both
-    linear, so for them the comparison is exact; a Gaussian curve is
-    compared on the grid alone. Returns one of
+    linear, so for them the comparison is exact. A piecewise-linear curve
+    is also compared with a Gaussian G_mu where G_mu's slope equals each of
+    its pieces' slopes, which makes that comparison exact too; two Gaussian
+    curves are compared on the grid. Returns one of
     ``g1_stronger``, ``g2_stronger``, ``equal``, ``incomparable``.
     """
     pairs1 = _canonical_pairs(ind1)
     pairs2 = _canonical_pairs(ind2)
-    arr = np.asarray(
-        sorted(set(DEFAULT_COMPARISON_GRID) | set(breakpoints(g1.tradeoff)) | set(breakpoints(g2.tradeoff))),
-        dtype=float,
-    )
-    g2_below_g1 = pairs2 <= pairs1 and _pointwise_le(g2.tradeoff, g1.tradeoff, arr)
-    g1_below_g2 = pairs1 <= pairs2 and _pointwise_le(g1.tradeoff, g2.tradeoff, arr)
+    f1, f2 = g1.tradeoff, g2.tradeoff
+    knots1, knots2 = breakpoints(f1), breakpoints(f2)
+    points = {*DEFAULT_COMPARISON_GRID, *knots1, *knots2}
+    c1, c2 = _curve(f1), _curve(f2)
+    if c1.gaussian != c2.gaussian and (c1.mu or c2.mu):
+        # on a piece of slope s, the piecewise-linear curve minus the convex G_mu
+        # is concave, so it rises furthest at an end or where G_mu's slope
+        # exp(mu Phi^-1(alpha) - mu^2 / 2) is s (mu the iterate's p mu)
+        pl, knots, mu = (f2, knots2, c1.p * c1.mu) if c1.gaussian else (f1, knots1, c2.p * c2.mu)
+        ends = np.array([0.0, *knots, 1.0])
+        slopes = np.diff(eval_tradeoff(pl, ends)) / np.diff(ends)
+        points.update(ndtr((np.log(slopes[slopes > 0.0]) + 0.5 * mu * mu) / mu))
+    arr = np.asarray(sorted(points), dtype=float)
+    g2_below_g1 = pairs2 <= pairs1 and _pointwise_le(f2, f1, arr)
+    g1_below_g2 = pairs1 <= pairs2 and _pointwise_le(f1, f2, arr)
     if g2_below_g1 and g1_below_g2:
         return "equal"
     if g2_below_g1:

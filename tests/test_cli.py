@@ -10,6 +10,7 @@ import pytest
 
 import semidp
 from semidp.cli import cli_dispatch
+from semidp.inference import SUPPORT_CAP
 
 
 def _refuse_constant(name):
@@ -308,11 +309,13 @@ def test_out_of_range_points_and_shapes_exit_1(capsys, argv, message):
         (["cnd", "--f", "gdp:80", "--cdf", "0.3"], "underflows to 0"),
         (["cnd", "--f", "gdp:1", "--sample", "10000000000000", "--seed", "1"], "count must lie in"),
         (["cnd", "--f", "gdp:1", "--sample", "1000001", "--seed", "1"], "count must lie in"),
+        (["test", "--table", f"0,{SUPPORT_CAP},{SUPPORT_CAP},0", "--f", "gdp:1"], "more than SUPPORT_CAP"),
     ],
 )
 def test_curves_and_sample_counts_beyond_the_float_range_exit_1(capsys, argv, message):
-    # e^eps past the float range, c below the smallest float and a sample
-    # count past the cap are refused by name, before any draw is allocated
+    # e^eps past the float range, c below the smallest float, and a sample
+    # count or a test's support past its cap are refused by name, before any
+    # draw or support is allocated
     code, out, err = run(capsys, argv)
     assert code == 1
     assert out == ""

@@ -1,13 +1,13 @@
 """Conditional odds-ratio test: pmf, threshold, test function, p-value."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import semidp.inference
-from semidp._special import gammaln
 from semidp.cnd import cnd_cdf, cnd_quantile, cnd_sample, make_cnd
 from semidp.inference import (
     Margins,
@@ -80,24 +80,107 @@ def test_pmf_normalization_heavy_margins():
             assert abs(pmf.sum() - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 37, 255, 256, 1000, 4097, 14_000, 32_767])
-def test_log_binom_table_is_bit_equal_to_the_log_gamma_expression(n):
-    k = np.arange(n + 1)
-    expected = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-    assert np.array_equal(semidp.inference._log_binom(n, k), expected)
-
-
-def test_log_binom_builds_no_table_for_a_margin_in_the_millions():
-    semidp.inference._log_factorials.cache_clear()
-    n, k = 3_000_000, np.arange(5)
-    expected = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-    assert np.array_equal(semidp.inference._log_binom(n, k), expected)
-    assert semidp.inference._log_factorials.cache_info().currsize == 0
-
-
 def test_pmf_rejects_nonpositive_odds():
     with pytest.raises(ValueError):
         nchg_distribution(REF_MARGINS, 0.0)
+
+
+@pytest.mark.parametrize("w", [math.nan, math.inf])
+def test_pmf_rejects_non_finite_odds(w):
+    with pytest.raises(ValueError, match="odds parameter w must be positive and finite"):
+        nchg_distribution(REF_MARGINS, w)
+
+
+def _exact_central_law(t, w=Fraction(1)):
+    """The pmf as Fractions, by the exact ratio of consecutive probabilities."""
+    lo, hi = t.support()
+    ps = [Fraction(1)]
+    for x in range(lo, hi):
+        ps.append(ps[-1] * w * (t.t1dot - x) * (t.tdot1 - x) / ((x + 1) * (t.t2dot - t.tdot1 + x + 1)))
+    total = sum(ps)
+    return [p / total for p in ps]
+
+
+def _census_margins(r1, r2, c1):
+    return Margins(r1, r2, c1, r1 + r2 - c1)
+
+
+CENSUS_MARGINS = [_census_margins(100, 10**9, 10**8), _census_margins(100, 10**11, 10**10)]
+
+
+@pytest.mark.parametrize("t, w", [
+    *((t, 1.0) for t in CENSUS_MARGINS),
+    (_census_margins(40, 3 * 10**8, 10**8), 1.0),
+    (REF_MARGINS, 1.0),
+    (Margins(30, 50, 40, 40), 0.25),
+    (Margins(30, 50, 40, 40), 4.0),
+    (_census_margins(100, 10**9, 10**8), 0.25),
+], ids=["census_1e9", "census_1e11", "census_3e8", "ref", "w_0.25", "w_4", "census_1e9_w_0.25"])
+def test_pmf_relative_error_against_the_exact_law(t, w):
+    xs, pmf = nchg_distribution(t, w)
+    exact = np.array([float(p) for p in _exact_central_law(t, Fraction(w))])
+    lo, hi = t.support()
+    assert xs.tolist() == list(range(lo, hi + 1))
+    kept = exact > 1e-12
+    assert np.max(np.abs(pmf[kept] - exact[kept]) / exact[kept]) < 1e-14
+
+
+@pytest.mark.parametrize("f", [gaussian_dp(1.0), exact_dp(1.0)], ids=["gdp_1", "eps_1"])
+@pytest.mark.parametrize("t", CENSUS_MARGINS, ids=["census_1e9", "census_1e11"])
+def test_exact_size_at_census_scale_margins(t, f):
+    # log-factorial differences at these margins cancel to a few digits and
+    # missed alpha by 4.8e-8 and 9.9e-7
+    spec = make_cnd(f)
+    m = solve_threshold_m(t, spec, 0.05)
+    xs, _ = nchg_distribution(t, 1.0)
+    cdf = cnd_cdf(spec, xs - m)
+    size = sum(p * Fraction(float(c)) for p, c in zip(_exact_central_law(t), cdf))
+    assert abs(float(size - Fraction(0.05))) < 1e-12
+
+
+@pytest.mark.parametrize("w", [1e-300, 1e300])
+def test_pmf_at_extreme_odds_is_finite_and_normalized(w):
+    xs, pmf = nchg_distribution(Margins(30, 50, 40, 40), w)
+    assert np.all(np.isfinite(pmf)) and pmf.sum() == pytest.approx(1.0, abs=1e-15)
+    # the whole mass sits at the end of the support that the odds favour
+    assert pmf[-1 if w > 1 else 0] == pytest.approx(1.0, abs=1e-15)
+
+
+def test_cells_and_margins_must_be_integers_at_least_zero():
+    for bad in (1.5, math.nan, "2", None):
+        with pytest.raises(ValueError, match="^x11 must be an integer"):
+            Table2x2(bad, 2, 3, 4)
+        with pytest.raises(ValueError, match="^tdot2 must be an integer"):
+            Margins(3, 4, 5, bad)
+    with pytest.raises(ValueError, match="^x22 must be >= 0"):
+        Table2x2(1, 2, 3, -1)
+    with pytest.raises(ValueError, match="^t1dot must be >= 0"):
+        Margins(-1, 2, 0, 1)
+    table = Table2x2(np.int64(5), np.int32(3), np.uint8(2), 4)
+    assert table == Table2x2(5, 3, 2, 4)
+    assert all(type(v) is int for v in (table.x11, table.x12, table.x21, table.x22))
+    t = table.margins()
+    assert all(type(v) is int for v in (t.t1dot, t.t2dot, t.tdot1, t.tdot2))
+    assert umpu_test(table, SPEC, 0.05) == umpu_test(Table2x2(5, 3, 2, 4), SPEC, 0.05)
+
+
+def test_support_cap_is_checked_before_anything_is_allocated(monkeypatch):
+    cap = semidp.inference.SUPPORT_CAP
+    wide = Table2x2(0, cap, cap, 0)  # support 0..cap, one point past the cap
+    assert wide.margins().support() == (0, cap)
+    tracemalloc.start()
+    with pytest.raises(ValueError, match=f"{cap + 1:,} points, more than SUPPORT_CAP"):
+        umpu_test(wide, SPEC, 0.05)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 100_000
+    with pytest.raises(ValueError, match="SUPPORT_CAP"):
+        private_pvalue(wide, SPEC, RngSeed(1))
+    # a support of exactly the cap is built
+    monkeypatch.setattr(semidp.inference, "SUPPORT_CAP", 5)
+    assert len(nchg_distribution(Margins(4, 6, 5, 5), 1.0)[0]) == 5
+    with pytest.raises(ValueError, match="6 points"):
+        nchg_distribution(Margins(5, 6, 5, 6), 1.0)
 
 
 def test_central_law_is_built_once_and_read_only():
@@ -246,13 +329,17 @@ def test_pvalue_super_uniform_under_null():
         assert count / n <= alpha + 3 * se
 
 
-PVALUE_OVERSHOOT_CASE = (Table2x2(9, 44, 76, 8), make_cnd(gaussian_dp(1.206)), RngSeed(1534301711))
+PVALUE_OVERSHOOT_CASE = (Table2x2(0, 89, 64, 27), make_cnd(gaussian_dp(2.0)), RngSeed(1))
 
 
 def test_pvalue_rounding_overshoot_is_clamped():
-    # U falls far below the support, so every CDF term is 1 and p is the
-    # pmf's sum, which exceeds 1 by a few ulps here
-    assert private_pvalue(*PVALUE_OVERSHOOT_CASE).p_value == 1.0
+    # U = -0.29 lies at the bottom of the support, below nearly all of the
+    # central law's mass, so p is the pmf's sum up to rounding: 1 + 2.2e-16
+    table, spec, seed = PVALUE_OVERSHOOT_CASE
+    xs, pmf = nchg_distribution(table.margins(), 1.0)
+    res = private_pvalue(*PVALUE_OVERSHOOT_CASE)
+    assert float(pmf @ cnd_cdf(spec, xs - res.noisy_statistic)) > 1.0
+    assert res.p_value == 1.0
 
 
 def test_pvalue_overshoot_beyond_rounding_still_raises(monkeypatch):

@@ -230,6 +230,16 @@ def test_naive_group_wrapper_parameters():
         NaiveGroupMechanism("cauchy", 2, 1.0)
 
 
+def test_naive_group_size_must_be_an_integer_at_least_one():
+    for bad in (2.5, 1.5, math.nan, "2"):
+        with pytest.raises(ValueError, match="^group_size must be an integer"):
+            NaiveGroupMechanism("gaussian", bad, 1.0)
+    with pytest.raises(ValueError, match="^group_size must be >= 1"):
+        NaiveGroupMechanism("l1", 0, 1.0)
+    three = NaiveGroupMechanism("gaussian", np.int64(3), 1.0)
+    assert type(three.group_size) is int and three == NaiveGroupMechanism("gaussian", 3, 1.0)
+
+
 def test_naive_group_wrapper_call():
     out = NaiveGroupMechanism("linf", 3, 0.9)(QUERY, RngSeed(17))
     assert np.array_equal(out.value, QUERY + out.noise)

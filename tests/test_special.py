@@ -14,8 +14,6 @@ import scipy.special as sp
 from semidp import _special
 from semidp.rng import NoiseRng, RngSeed
 
-EPS = np.finfo(float).eps
-
 
 def _ulps(got, want):
     """|got - want| in units of the spacing at want; equal infinities and nans are 0."""
@@ -134,46 +132,3 @@ def test_log_ndtr_matches_scipy_on_both_sides_of_the_branch_points():
     assert _special.log_ndtr(-np.inf) == -np.inf
     assert _special.log_ndtr(np.inf) == 0.0
     assert np.isnan(_special.log_ndtr(np.nan))
-
-
-def test_gammaln_matches_scipy_up_to_n_14000():
-    k = np.arange(14_001, dtype=float)
-    x = np.concatenate([k + 1.0, k + 0.5, np.linspace(1e-6, 3.0, 3001)])
-    want = sp.gammaln(x)
-    for got, index in _each_path(_special.gammaln, x):
-        assert np.all(np.abs(got - want[index]) <= 1e-14 * np.maximum(np.abs(want[index]), 1.0))
-    # log n! = sum of logs, independently of scipy
-    log_factorial = np.concatenate([[0.0], np.cumsum(np.log(k[1:]))])
-    assert np.allclose(_special.gammaln(k + 1.0), log_factorial, rtol=1e-13, atol=0.0)
-
-
-def test_gammaln_poles_and_infinities_follow_scipy():
-    x = np.array([0.0, -0.0, -1.0, -2.0, -14_000.0, -1e300, np.inf, -np.inf, np.nan, 1e306])
-    want = sp.gammaln(x)
-    assert np.array_equal(_special.gammaln(x), want, equal_nan=True)
-    assert all(np.array_equal(_special.gammaln(v), w, equal_nan=True) for v, w in zip(x, want))
-    assert _special.gammaln(-2.5) == pytest.approx(sp.gammaln(-2.5), rel=1e-14)
-    assert _special.gammaln(3) == pytest.approx(math.log(2.0), rel=1e-14)
-
-
-@pytest.mark.parametrize("a", [
-    [0.0, 1.0, 2.0],
-    [-np.inf, 0.0, 1.0],
-    [-np.inf, -np.inf],
-    [-np.inf],
-    [np.inf, 1.0],
-    [np.nan, 1.0],
-    [1e308, 1e308],
-    [-745.0, -1000.0, 700.0],
-])
-def test_logsumexp_matches_scipy_at_infinities(a):
-    got, want = _special.logsumexp(np.array(a)), sp.logsumexp(np.array(a))
-    assert isinstance(got, np.float64)
-    assert np.array_equal(got, want, equal_nan=True) or abs(got - want) <= 4 * EPS * abs(want)
-
-
-def test_logsumexp_on_random_logs():
-    rng = np.random.default_rng(5)
-    for size in (1, 7, 60, 5000):
-        a = rng.normal(scale=50.0, size=size)
-        assert _special.logsumexp(a) == pytest.approx(sp.logsumexp(a), rel=4 * EPS)

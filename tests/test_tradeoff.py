@@ -403,6 +403,45 @@ def test_compare_guarantees_agrees_with_a_dense_grid_on_iterates():
     assert verdicts == {"equal", "g1_stronger", "g2_stronger", "incomparable"}
 
 
+def test_compare_guarantees_sees_where_an_exact_curve_rises_above_a_gaussian():
+    # the (1, delta) curve tangent to G_1 lowered by 1e-6 in delta rises above
+    # G_1 by 3.7e-7 and 1.0e-6 at its tangent points 0.30854 and 0.93319,
+    # between the 101-point grid's points
+    g = gaussian_dp(1.0)
+    for shift, verdict in ((1e-6, "incomparable"), (0.0, "g1_stronger")):
+        f = exact_dp(1.0, gdp_to_approx_dp(1.0, 1.0) - shift)
+        if shift:
+            rise = eval_tradeoff(f, np.array([0.30854, 0.93319])) - eval_tradeoff(g, np.array([0.30854, 0.93319]))
+            assert rise == pytest.approx([3.68e-7, 1.0e-6], rel=0.02)
+        gg, gf = PrivacyGuarantee("s", 1, g), PrivacyGuarantee("s", 1, f)
+        assert compare_guarantees(gg, gf, [], []) == verdict
+        assert compare_guarantees(gf, gg, [], []) == verdict.replace("g1", "g2")
+
+
+def test_compare_guarantees_agrees_with_a_dense_grid_on_gaussian_curves():
+    # (epsilon, delta) curves near tangent to G_mu, and their iterates against
+    # G_mu's, with delta moved by 1e-6 to 1e-4 either way; the oracle takes
+    # 100,001 uniform points and 100,001 uniform in Phi^-1(alpha), which
+    # crowd both ends, with G_(k mu) from scipy
+    grid = np.concatenate([np.linspace(0.0, 1.0, 100_001), ndtr(np.linspace(-9.0, 9.0, 100_001))])
+    verdict = {(True, True): "equal", (True, False): "g1_stronger",
+               (False, True): "g2_stronger", (False, False): "incomparable"}
+    rng = np.random.default_rng(88)
+    seen = set()
+    for _ in range(40):
+        mu, eps, k = rng.uniform(0.3, 2.0), rng.uniform(0.1, 2.0), int(rng.integers(1, 4))
+        shift = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, -4.0)
+        gauss = self_power(gaussian_dp(mu), k) if k > 1 else gaussian_dp(mu)
+        pl = compose_self(exact_dp(eps, max(0.0, gdp_to_approx_dp(mu, eps) + shift)), k)
+        rise = eval_tradeoff(pl, grid) - ndtr(ndtri(grid) - k * mu)
+        pl_le_g, g_le_pl = np.max(rise) <= 1e-9, np.max(-rise) <= 1e-9
+        for (f, g), want in (((gauss, pl), verdict[pl_le_g, g_le_pl]), ((pl, gauss), verdict[g_le_pl, pl_le_g])):
+            got = compare_guarantees(PrivacyGuarantee("s", 1, f), PrivacyGuarantee("s", 1, g), [], [])
+            assert got == want, (f, g)
+            seen.add(got)
+    assert seen == {"g1_stronger", "g2_stronger", "incomparable"}
+
+
 def test_compare_guarantees_refuses_an_overflowing_epsilon_by_name():
     for f in (exact_dp(800.0), self_power(exact_dp(800.0, 0.1), 3)):
         for g1, g2 in ((f, exact_dp(1.0)), (exact_dp(1.0), f)):
