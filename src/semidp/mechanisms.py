@@ -23,6 +23,7 @@ from .rng import NoiseRng, RngSeed
 from .sensitivity import (
     HULL_TOL,
     SensitivitySpace,
+    _table_shape,
     hull_geometry,
     lp_sensitivity,
     projection_matrix,
@@ -71,11 +72,22 @@ def _as_vector(query_value, dim: int | None = None) -> np.ndarray:
 
 @lru_cache(maxsize=128)
 def _gaussian_constants(space: SensitivitySpace) -> tuple[int, float, np.ndarray]:
-    """Span dimension, Delta_2 and span projector of a space, computed once per space."""
-    basis = span_basis(space)
-    P = projection_matrix(basis, space.ambient_dim)
+    """Span dimension, Delta_2 and span projector of a space, computed once per space.
+
+    The span of the r x c one-way-margin space is every table with zero row
+    and column sums, so its projector is the double centring
+    (I_r - J_r / r) kron (I_c - J_c / c), of rank (r - 1)(c - 1); any other
+    space takes its projector from ``span_basis``.
+    """
+    shape = _table_shape(space)
+    if shape is None:
+        basis = span_basis(space)
+        s, P = basis.s, projection_matrix(basis, space.ambient_dim)
+    else:
+        r, c = shape
+        s, P = (r - 1) * (c - 1), np.kron(np.eye(r) - 1.0 / r, np.eye(c) - 1.0 / c)
     P.setflags(write=False)
-    return basis.s, lp_sensitivity(space, 2), P
+    return s, lp_sensitivity(space, 2), P
 
 
 def gaussian_noise_samples(

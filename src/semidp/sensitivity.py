@@ -64,23 +64,29 @@ FACET_SIZES = range(2, 5)
 @dataclass(frozen=True, eq=False)
 class SensitivitySpace:
     """A finite, negation-closed set of integer difference vectors: a
-    read-only (m, d) int64 array, rows put in lexicographic order by the
-    constructor (so they are distinct when they strictly increase, and
-    negation-closed when negating reverses them). Equality compares
-    provenance too; the hash, the same in every process, leaves it out.
+    read-only (m, d) int64 array, copied from the caller's and held with
+    its rows in lexicographic order, so they strictly increase when they
+    are distinct and negating them reverses them when the set is
+    negation-closed. Rows that already strictly increase (as the table
+    spaces are built) are checked in one pass and kept; any others are
+    sorted. Equality compares provenance too; the hash, the same in every
+    process, leaves it out.
     """
 
     array: np.ndarray
     provenance: str
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.array, dtype=np.int64)
+        arr = np.array(self.array, dtype=np.int64, order="C")
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("sensitivity space must be a non-empty (m, d) array of vectors")
-        arr = arr[np.lexsort(arr.T[::-1])]
-        if not (arr[1:] != arr[:-1]).any(axis=1).all():
-            raise ValueError("sensitivity vectors must be deduplicated")
-        if not np.array_equal(arr, -arr[::-1]):
+        if not _rows_increase(arr):
+            arr = arr[np.lexsort(arr.T[::-1])]
+            if not _rows_increase(arr):
+                raise ValueError("sensitivity vectors must be deduplicated")
+        # row i must be the negation of row m - 1 - i; the first half decides it
+        half = (len(arr) + 1) // 2
+        if not np.array_equal(arr[:half], -arr[::-1][:half]):
             raise ValueError("sensitivity space must be closed under negation")
         arr.setflags(write=False)
         object.__setattr__(self, "array", arr)
@@ -100,6 +106,14 @@ class SensitivitySpace:
     @property
     def vectors(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, self.array.tolist()))
+
+
+def _rows_increase(arr: np.ndarray) -> bool:
+    """True when each row is lexicographically greater than the one before:
+    at the first column where two consecutive rows differ, the later is larger."""
+    before, after = arr[:-1], arr[1:]
+    first = (before != after).argmax(axis=1)[:, None]
+    return bool((np.take_along_axis(after, first, 1) > np.take_along_axis(before, first, 1)).all())
 
 
 def cell_count_query(space: DataspaceSpec) -> Callable[[Dataset], tuple[int, ...]]:
@@ -197,21 +211,34 @@ def contingency_s_dp(r: int, c: int) -> SensitivitySpace:
 
 @lru_cache(maxsize=32)
 def _table_space(kind: str, r: int, c: int) -> SensitivitySpace:
-    """The semi or dp space of an r x c table, built once per (kind, r, c)."""
+    """The semi or dp space of an r x c table, built once per (kind, r, c).
+
+    The rows come out in lexicographic order, so the constructor sorts
+    nothing: the moves whose first nonzero entry is +1 come last, by that
+    position descending (a later leading +1 is the smaller row), then by
+    each later nonzero position ascending (an earlier -1 is the smaller);
+    zero precedes them, and their negations in reverse precede zero.
+    """
     d = r * c
     if kind == "semi":
-        # one row per move with i < k and j != l; (k, i, l, j) is the same move
-        upper = np.triu(np.ones((r, r), dtype=bool), 1)
-        i, k, j, l = np.nonzero(upper[:, :, None, None] & ~np.eye(c, dtype=bool))
+        # +1 at (i, j), (k, l) and -1 at (i, l), (k, j) with i < k and j < l
+        after = np.arange(r)[:, None] < np.arange(r)  # [i, k]: i < k
+        right = np.arange(c)[:, None] < np.arange(c)  # [j, l]: j < l
+        ri, rj, l, k = np.nonzero(after[::-1, None, None, :] & right[None, ::-1, :, None])
+        i, j = r - 1 - ri, c - 1 - rj
         plus, minus = (i * c + j, k * c + l), (i * c + l, k * c + j)
     else:
-        # one row per ordered pair of distinct cells
-        a, b = np.nonzero(~np.eye(d, dtype=bool))
-        plus, minus = (a,), (b,)
-    V = np.zeros((len(plus[0]) + 1, d), dtype=np.int64)
-    rows = np.arange(1, len(V))[:, None]
+        # +1 at a, -1 at b with a < b
+        ra, b = np.nonzero(np.arange(d)[::-1, None] < np.arange(d))
+        plus, minus = (d - 1 - ra,), (b,)
+    half = len(plus[0])
+    # int8 holds every entry; the constructor's int64 copy is then the only
+    # full-size array the build writes
+    V = np.zeros((2 * half + 1, d), dtype=np.int8)
+    rows = np.arange(half + 1, len(V))[:, None]
     V[rows, np.transpose(plus)] = 1
     V[rows, np.transpose(minus)] = -1
+    np.negative(V[:half:-1], out=V[:half])
     name = "contingency_margins" if kind == "semi" else "contingency_single_move"
     return SensitivitySpace(V, f"{name}({r}x{c})")
 
@@ -363,17 +390,38 @@ def hull_geometry(space: SensitivitySpace) -> HullGeometry:
     return HullGeometry(basis=basis, coords=coords, box=box, facets=_table_facets(space))
 
 
+def _table_shape(space: SensitivitySpace) -> tuple[int, int] | None:
+    """(r, c) when the space's vectors are those of ``contingency_s_semi(r, c)``,
+    whatever its provenance; else None.
+
+    The r x c semi space has m = r c (r - 1)(c - 1) / 2 + 1 vectors in d = r c
+    dimensions, so (m, d) fixes r + c = d + 1 - 2 (m - 1) / d and r c = d:
+    r and c are the roots of one quadratic, and only (r, c) and (c, r) are
+    compared with the built table space.
+    """
+    m, d = space.array.shape
+    q, rest = divmod(2 * (m - 1), d)
+    total = d + 1 - q  # r + c
+    square = total * total - 4 * d  # (r - c)^2
+    root = math.isqrt(max(square, 0))
+    if rest or root * root != square:
+        return None
+    for r in sorted({(total - root) // 2, (total + root) // 2}):
+        c = total - r
+        if r >= 2 and c >= 2:
+            table = _table_space("semi", r, c)
+            if table is space or (hash(table) == hash(space) and np.array_equal(table.array, space.array)):
+                return r, c
+    return None
+
+
 def _table_facets(space: SensitivitySpace) -> np.ndarray | None:
     """The facet table of a space whose vectors are those of a tabled
     ``contingency_s_semi(r, c)``, whatever its provenance; else None."""
-    d = space.ambient_dim
-    for r in FACET_SIZES:
-        c = d // r
-        if r * c == d and c in FACET_SIZES:
-            table = _table_space("semi", r, c)
-            if hash(table) == hash(space) and np.array_equal(table.array, space.array):
-                return _facet_table(r, c)
-    return None
+    shape = _table_shape(space)
+    if shape is None or not all(n in FACET_SIZES for n in shape):
+        return None
+    return _facet_table(*shape)
 
 
 @lru_cache(maxsize=len(FACET_SIZES) ** 2)

@@ -8,7 +8,7 @@ from semidp.dataspace import DataspaceSpec, OneWayMargins, conforming_set
 from semidp.inference import Table2x2, _nchg_cached, umpu_test
 from semidp.mechanisms import _gaussian_constants, gaussian_semi
 from semidp.rng import RngSeed
-from semidp.sensitivity import _span_basis_cached, contingency_s_semi
+from semidp.sensitivity import _span_basis_cached, contingency_s_dp, contingency_s_semi
 from semidp.tradeoff import gaussian_dp
 
 
@@ -34,7 +34,9 @@ def test_module_cache_walk_empties_space_and_conforming_caches():
 
 
 def test_module_cache_walk_empties_span_and_gaussian_caches():
-    gaussian_semi(range(9), contingency_s_semi(3, 3), 1.0, RngSeed(1))
+    # a table's semi space takes its projector in closed form, without span_basis;
+    # the single-move space is not a semi space, so it fills both caches
+    gaussian_semi(range(9), contingency_s_dp(3, 3), 1.0, RngSeed(1))
     assert _span_basis_cached.cache_info().currsize and _gaussian_constants.cache_info().currsize
     _clear_semidp_caches()
     assert _span_basis_cached.cache_info().currsize == _gaussian_constants.cache_info().currsize == 0

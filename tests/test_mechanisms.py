@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
+from semidp import mechanisms, sensitivity
 from semidp.mechanisms import (
     NaiveGroupMechanism,
     gaussian_noise_samples,
@@ -18,6 +19,7 @@ from semidp.mechanisms import (
 from semidp.rng import NoiseRng, RngSeed
 from semidp.sensitivity import (
     SensitivitySpace,
+    contingency_s_dp,
     contingency_s_semi,
     gauge_norm,
     hull_geometry,
@@ -105,6 +107,59 @@ def test_meta_keys_on_degenerate_and_full_spaces():
 def test_gaussian_semi_rejects_bad_mu():
     with pytest.raises(ValueError):
         gaussian_semi(QUERY, S22, 0.0, RngSeed(1))
+
+
+def test_table_projector_is_the_double_centring_of_the_span_basis():
+    for r in range(2, 7):
+        for c in range(2, 7):
+            space = contingency_s_semi(r, c)
+            s, delta2, P = mechanisms._gaussian_constants(space)
+            basis = span_basis(space)
+            assert s == basis.s == (r - 1) * (c - 1) and delta2 == 2.0
+            assert np.abs(P - projection_matrix(basis, r * c)).max() < 1e-12
+            assert np.abs(P - P.T).max() < 1e-12 and np.abs(P @ P - P).max() < 1e-12
+            assert not P.flags.writeable
+
+
+def test_table_projector_draws_match_the_basis_path(monkeypatch):
+    space = contingency_s_semi(4, 5)
+    query = np.arange(20.0)
+    table = gaussian_semi(query, space, 0.7, RngSeed(8))
+    # a renamed space misses the constants cache; with no shape recognized it
+    # takes its projector from span_basis
+    monkeypatch.setattr(mechanisms, "_table_shape", lambda space: None)
+    foreign = gaussian_semi(query, SensitivitySpace(space.array, "foreign"), 0.7, RngSeed(8))
+    assert table.meta == foreign.meta
+    assert np.abs(table.noise - foreign.noise).max() < 1e-12
+    assert np.abs(table.value - foreign.value).max() < 1e-12
+
+
+@pytest.mark.parametrize("r,c", [(2, 2), (3, 7), (10, 10)])
+def test_table_noise_keeps_row_and_column_sums(r, c):
+    noise = gaussian_noise_samples(contingency_s_semi(r, c), 0.5, NoiseRng(RngSeed(6)), 40)
+    cells = noise.reshape(40, r, c)
+    assert np.abs(cells.sum(axis=2)).max() < 1e-12 and np.abs(cells.sum(axis=1)).max() < 1e-12
+    query = np.arange(r * c, dtype=float)
+    out = gaussian_semi(query, contingency_s_semi(r, c), 0.5, RngSeed(6))
+    released, true = out.value.reshape(r, c), query.reshape(r, c)
+    assert np.abs(released.sum(axis=1) - true.sum(axis=1)).max() < 1e-12
+    assert np.abs(released.sum(axis=0) - true.sum(axis=0)).max() < 1e-12
+
+
+def test_table_spaces_and_projector_need_no_sort_and_no_span_basis(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("called on the table fast path")
+
+    sensitivity._table_space.cache_clear()
+    mechanisms._gaussian_constants.cache_clear()
+    monkeypatch.setattr(np, "lexsort", refuse)
+    for module in (sensitivity, mechanisms):
+        monkeypatch.setattr(module, "span_basis", refuse)
+    monkeypatch.setattr(sensitivity, "_span_basis_cached", refuse)
+    contingency_s_dp(4, 4)
+    space = contingency_s_semi(10, 10)
+    out = gaussian_semi(np.zeros(100), space, 1.0, RngSeed(2))
+    assert out.meta["span_dim"] == 81
 
 
 def test_knorm_geometry_box_contains_vertices():

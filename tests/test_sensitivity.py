@@ -229,6 +229,76 @@ def test_array_is_read_only_and_owned():
     assert rows.flags.writeable  # the caller's array is copied, not frozen
 
 
+def test_rows_that_increase_are_kept_and_others_sorted():
+    space = contingency_s_semi(3, 4)
+    for rows in (space.array[::-1], np.roll(space.array, 5, axis=0), space.array.tolist()):
+        built = SensitivitySpace(rows, space.provenance)
+        assert built == space and hash(built) == hash(space)
+    # rows that increase everywhere but one pair are sorted, not kept
+    swapped = space.array.copy()
+    swapped[[3, 4]] = swapped[[4, 3]]
+    assert SensitivitySpace(swapped, space.provenance) == space
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ((-1, 0), (0, 0), (0, 0), (1, 0)),  # sorted, one row repeated
+        ((1, 0), (0, 0), (-1, 0), (0, 0)),  # unsorted, one row repeated
+        ((0, 0), (0, 0)),
+    ],
+)
+def test_duplicate_rows_are_refused_in_any_order(rows):
+    with pytest.raises(ValueError, match="deduplicated"):
+        SensitivitySpace(rows, "bad")
+
+
+def test_sorted_rows_are_copied_not_aliased():
+    rows = contingency_s_semi(2, 3).array.copy()
+    space = SensitivitySpace(rows, "copy")
+    assert rows.flags.writeable and not np.shares_memory(rows, space.array)
+    rows[0, 0] = 7
+    assert np.array_equal(space.array, contingency_s_semi(2, 3).array)
+    fortran = np.asfortranarray(contingency_s_semi(2, 3).array)
+    assert hash(SensitivitySpace(fortran, "copy")) == hash(contingency_s_semi(2, 3))
+
+
+def test_table_shape_recognizes_every_semi_space_by_its_vectors():
+    for r, c in itertools.product(range(2, 11), repeat=2):
+        semi = contingency_s_semi(r, c)
+        assert sensitivity._table_shape(semi) == (r, c)
+        assert sensitivity._table_shape(SensitivitySpace(semi.array, "other")) == (r, c)
+
+
+@pytest.mark.parametrize("r,c", [(2, 3), (3, 5), (4, 9), (2, 10)])
+def test_table_shape_tells_the_transposed_shape_apart(r, c):
+    # (r, c) and (c, r) share (m, d), so only the comparison of vectors decides
+    semi, transposed = contingency_s_semi(r, c), contingency_s_semi(c, r)
+    assert semi.array.shape == transposed.array.shape
+    assert sensitivity._table_shape(SensitivitySpace(semi.array, "x")) == (r, c)
+    assert sensitivity._table_shape(SensitivitySpace(transposed.array, "x")) == (c, r)
+
+
+def test_table_shape_refuses_spaces_with_other_vectors():
+    for r, c in [(1, 4), (2, 2), (3, 3), (4, 4)]:
+        assert sensitivity._table_shape(contingency_s_dp(r, c)) is None
+    # the 3x3 space with all margins one: radius 2 gives the semi vectors, and
+    # radius 3 adds the rotations of three records
+    space, t = DataspaceSpec(n=3, levels=(3, 3)), ((1, 1, 1), (1, 1, 1))
+    members = conforming_set(space, TABLE_INV, t)
+    swaps, rotations = (brute_force_sensitivity_space(space, members, cell_count_query(space), radius)
+                        for radius in (2, 3))
+    assert sensitivity._table_shape(swaps) == (3, 3)
+    assert len(rotations.array) > len(swaps.array)
+    assert sensitivity._table_shape(rotations) is None
+    # the same (m, d) as the 3x3 space, with cells (0, 0) and (1, 1) swapped
+    swapped = SensitivitySpace(contingency_s_semi(3, 3).array[:, [4, 1, 2, 3, 0, 5, 6, 7, 8]], "x")
+    assert swapped.array.shape == contingency_s_semi(3, 3).array.shape
+    assert set(swapped.vectors) != set(contingency_s_semi(3, 3).vectors)
+    assert sensitivity._table_shape(swapped) is None
+    assert sensitivity._table_shape(SensitivitySpace(np.zeros((1, 4), dtype=int), "zero")) is None
+
+
 def test_brute_force_singleton_subset():
     q = cell_count_query(TABLE_SPACE)
     x = ((1, 1), (1, 2), (2, 1))
