@@ -24,7 +24,7 @@ from .tradeoff import zcdp_group, zcdp_to_approx_dp
 CSV_HEADER = "k,model,method,param,mean_l2,se"
 
 #: Worst-case replacement radius for one-way margins of a two-feature table.
-TABLE_GROUP_SIZE = 3
+TABLE_GROUP_SIZE = semi_adjacent_bound(2)
 
 MODELS = ("I", "II")
 
@@ -148,35 +148,28 @@ def census_report(budget: CensusBudget) -> dict:
     advertised and effective budgets are also converted to (epsilon, delta).
     """
     a_t = semi_adjacent_bound(1)
-    components = []
-    for label, rho in budget.components:
-        effective_rho = zcdp_group(rho, a_t)
-        components.append(
-            {
-                "label": label,
-                "rho": rho,
-                "advertised": {
-                    "dataspace": "full",
-                    "adjacency_radius": 1,
-                    "family": "zcdp",
-                    "params": {"rho": rho},
-                    "epsilon": zcdp_to_approx_dp(rho, budget.delta) if rho > 0 else 0.0,
-                },
-                "semi_adjacent_parameter": a_t,
-                "effective": {
-                    "dataspace": "invariant_conforming",
-                    "adjacency_radius": a_t,
-                    "family": "zcdp",
-                    "params": {"rho": effective_rho},
-                    "epsilon": zcdp_to_approx_dp(effective_rho, budget.delta)
-                    if effective_rho > 0
-                    else 0.0,
-                },
-            }
-        )
+
+    def guarantee(dataspace: str, radius: int, rho: float) -> dict:
+        return {
+            "dataspace": dataspace,
+            "adjacency_radius": radius,
+            "family": "zcdp",
+            "params": {"rho": rho},
+            "epsilon": zcdp_to_approx_dp(rho, budget.delta) if rho > 0 else 0.0,
+        }
+
     return {
         "total_rho": budget.total_rho,
         "delta": budget.delta,
         "invariants": list(CENSUS_INVARIANTS),
-        "components": components,
+        "components": [
+            {
+                "label": label,
+                "rho": rho,
+                "advertised": guarantee("full", 1, rho),
+                "semi_adjacent_parameter": a_t,
+                "effective": guarantee("invariant_conforming", a_t, zcdp_group(rho, a_t)),
+            }
+            for label, rho in budget.components
+        ],
     }

@@ -9,14 +9,12 @@ span coordinates (``hull_geometry``).
 One gauge, ``HullGeometry.gauge``, reads the hull, on span coordinates y;
 ``gauge_norm`` and ``hull_membership`` validate and project a point, then
 call it, and the hull sampler calls it on its box tries directly. For the
-one-way-margin table spaces ``contingency_s_semi(r, c)`` with 2 <= r, c <= 4
-the hull's facets ship precomputed (``facets.npz``, written by
-``tools/facet_tables.py``): rows 2a of a small integer matrix F, one per
-facet a.x <= 1, so the gauge of the span point x = y B is max(F x) / 2. A
-gauge stopped at a bound (membership stops at 1 + ``HULL_TOL``) leaves only
-values within ``FACET_BAND`` of it to the LP. Every other space takes the
-LP: the gauge is the support function of the polar body, solved by the
-one-phase simplex in ``simplex`` and stopped once it passes the bound.
+tables ``contingency_s_semi(r, c)`` with 2 <= r, c <= 4 the hull's facets
+ship precomputed (``facets.npz``, from ``tools/facet_tables.py``) and are
+held as (f, s) facet normals in span coordinates, so the gauge is the
+largest entry of their product with y. Every other space takes the LP: the
+support function of the polar body, solved by the one-phase simplex in
+``simplex`` and stopped once it passes a bound.
 """
 
 from __future__ import annotations
@@ -42,17 +40,18 @@ RANK_TOL = 1e-10
 PIVOT_TIE = 1e-9
 
 #: Downdated residual norms are recomputed once all fall below RECHECK_TOL
-#: times the largest vector norm, RECHECK_BLOCK rows at a time.
+#: times the largest vector norm.
 RECHECK_TOL = 1e-6
-RECHECK_BLOCK = 1024
 
 #: Hull tolerance: membership accepts gauges up to 1 + HULL_TOL, and a point
 #: whose residual off the span exceeds HULL_TOL * max(1, |v|) has gauge inf.
 HULL_TOL = 1e-9
 
-#: A gauge stopped at a bound returns the facet value unless it lies within
-#: FACET_BAND of that bound; there the LP decides, as for untabled spaces.
-FACET_BAND = 1e-9
+#: Most entries m * d a table space may hold, checked before it is built. On a
+#: 2-vCPU host the 15 x 15 semi space (4.96 M entries, 40 MB in int64) builds
+#: in 0.04-0.08 s at 95 MB peak RSS, and ``semidp sens`` on it (span basis too)
+#: in 0.24-0.30 s at 162 MB; the 9 x 19 dp space (4.97 M), 0.07 s and 94 MB.
+TABLE_SPACE_CAP = 5_000_000
 
 #: Package data file of the facet tables: one int8 array per key "RxC", each
 #: row twice a facet normal of hull(contingency_s_semi(r, c)), for r and c in
@@ -199,6 +198,7 @@ def contingency_s_semi(r: int, c: int) -> SensitivitySpace:
     """
     if r < 2 or c < 2:
         raise ValueError("r and c must both be >= 2")
+    _check_table_size(r, c, r * c * (r - 1) * (c - 1) // 2 + 1)
     return _table_space("semi", r, c)
 
 
@@ -206,7 +206,15 @@ def contingency_s_dp(r: int, c: int) -> SensitivitySpace:
     """Single-record moves of an r x c table: one +1, one -1, plus zero."""
     if r < 1 or c < 1:
         raise ValueError("r and c must both be >= 1")
+    _check_table_size(r, c, r * c * (r * c - 1) + 1)
     return _table_space("dp", r, c)
+
+
+def _check_table_size(r: int, c: int, m: int) -> None:
+    """ValueError when m vectors of an r x c table exceed ``TABLE_SPACE_CAP`` entries."""
+    if m * r * c > TABLE_SPACE_CAP:
+        raise ValueError(f"a {r}x{c} table space of {m:,} vectors has {m * r * c:,} entries, "
+                         f"more than TABLE_SPACE_CAP = {TABLE_SPACE_CAP:,}")
 
 
 @lru_cache(maxsize=32)
@@ -285,9 +293,9 @@ def span_basis(space: SensitivitySpace) -> OrthonormalBasis:
     positive. A row and its negation have equal residuals, so only the
     first row of each pair takes part. Downdated norms lose their digits
     near zero, so once the largest falls below ``RECHECK_TOL`` times the
-    largest input norm, the true residual norms are recomputed (in row
-    blocks); the basis is complete only when every true residual is at
-    most ``RANK_TOL`` times the largest input norm, and otherwise pivoting
+    largest input norm, the true residual norms are recomputed in one
+    product; the basis is complete only when every true residual is at most
+    ``RANK_TOL`` times the largest input norm, and otherwise pivoting
     resumes from them.
     """
     # the cache lives on its own name, so a wrapper installed over ``span_basis``
@@ -311,9 +319,8 @@ def _span_basis_cached(space: SensitivitySpace) -> OrthonormalBasis:
     k = 0
     while k < len(basis):
         if top <= recheck:
-            for lo in range(0, m, RECHECK_BLOCK):
-                R = A[lo:lo + RECHECK_BLOCK] - coef[:k, lo:lo + RECHECK_BLOCK].T @ basis[:k]
-                np.einsum("ij,ij->i", R, R, out=rem[lo:lo + RECHECK_BLOCK])
+            R = A - coef[:k].T @ basis[:k]
+            rem = np.einsum("ij,ij->i", R, R)
             top = rem.max()
             if top <= floor:
                 break
@@ -345,34 +352,30 @@ class HullGeometry:
 
     ``coords`` holds each vector's coordinates in the span basis, one row
     per vector, and ``box`` the half-widths of the axis-aligned box that
-    bounds them. ``facets`` is the space's facet table F when one ships for
-    it (see ``_table_facets``), else None.
+    bounds them. ``facets`` holds the facet normals of a shipped facet table
+    (see ``_table_facets``) in span coordinates, one row a B' per facet
+    a.x <= 1, shape (f, s); else None.
     """
 
     basis: OrthonormalBasis
     coords: np.ndarray  # (m, s)
     box: np.ndarray  # (s,)
-    facets: np.ndarray | None  # (f, d), integer-valued floats
+    facets: np.ndarray | None  # (f, s)
 
     @property
     def s(self) -> int:
         return self.basis.s
 
     def gauge(self, y: np.ndarray, stop_above: float = math.inf) -> float:
-        """Gauge of the span point with coordinates y, or a value above
-        ``stop_above``.
-
-        With a facet table it is max(F (y B)) / 2, returned unless it lies
-        within ``FACET_BAND`` of ``stop_above``. There, and for every
-        untabled space, the LP decides: with C the vertex coordinates, the
-        support function of the polar body, max y'z subject to Cz <= 1, with
-        z = z+ - z- split into non-negative parts, stopped once its value
-        passes ``stop_above``.
+        """Gauge of the span point with coordinates y: max(facets y) when the
+        hull has its (f, s) facets, else the LP, the only reader of
+        ``stop_above``: with C the vertex coordinates, the support function
+        of the polar body, max y'z subject to Cz <= 1, with z = z+ - z- split
+        into non-negative parts, stopped once its value passes ``stop_above``
+        (its value is then known only to lie above that bound).
         """
         if self.facets is not None:
-            value = float((self.facets @ (y @ self.basis.vectors)).max()) / 2.0
-            if abs(value - stop_above) > FACET_BAND:
-                return value
+            return float((self.facets @ y).max())
         C = self.coords
         return solve_lp(
             np.hstack([C, -C]), np.ones(C.shape[0]), np.concatenate([y, -y]), stop_above=stop_above
@@ -385,9 +388,12 @@ def hull_geometry(space: SensitivitySpace) -> HullGeometry:
     basis = span_basis(space)
     coords = space.array.astype(float) @ basis.vectors.T
     box = np.abs(coords).max(axis=0)
-    coords.setflags(write=False)
-    box.setflags(write=False)
-    return HullGeometry(basis=basis, coords=coords, box=box, facets=_table_facets(space))
+    F = _table_facets(space)
+    facets = None if F is None else F @ basis.vectors.T / 2.0
+    for array in (coords, box, facets):
+        if array is not None:
+            array.setflags(write=False)
+    return HullGeometry(basis=basis, coords=coords, box=box, facets=facets)
 
 
 def _table_shape(space: SensitivitySpace) -> tuple[int, int] | None:
@@ -426,7 +432,7 @@ def _table_facets(space: SensitivitySpace) -> np.ndarray | None:
 
 @lru_cache(maxsize=len(FACET_SIZES) ** 2)
 def _facet_table(r: int, c: int) -> np.ndarray:
-    """The committed table F of hull(contingency_s_semi(r, c)), read once.
+    """The committed table F of hull(contingency_s_semi(r, c)), read once, in int64.
 
     Each row 2a must reach exactly 2 over the vertices, checked in integers:
     a.x <= 1 holds on the hull (valid) and with equality at a vertex.
@@ -436,7 +442,6 @@ def _facet_table(r: int, c: int) -> np.ndarray:
     V = _table_space("semi", r, c).array
     if F.shape[1] != V.shape[1] or not ((F @ V.T).max(axis=1) == 2).all():
         raise RuntimeError(f"{FACET_FILE}: the {r}x{c} table is not the facets of its hull")
-    F = F.astype(float)
     F.setflags(write=False)
     return F
 

@@ -301,6 +301,29 @@ def test_out_of_range_points_and_shapes_exit_1(capsys, argv, message):
     assert err.startswith("semidp: error:") and message in err
 
 
+_CELLS_15X16 = ",".join(["1"] * 240)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sens", "--r", "15", "--c", "16"],
+        ["sens", "--r", "4", "--c", "43", "--space", "dp"],
+        ["mech", "--query", _CELLS_15X16, "--kind", "gaussian", "--mu", "1", "--r", "15"],
+        ["mech", "--query", _CELLS_15X16, "--kind", "knorm", "--eps", "1", "--r", "15"],
+    ],
+)
+def test_table_spaces_past_the_cap_exit_1(capsys, monkeypatch, argv):
+    def refuse_to_build(*args):
+        raise AssertionError("a table space past the cap was built")
+
+    monkeypatch.setattr(semidp.sensitivity, "_table_space", refuse_to_build)
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("semidp: error:") and "more than TABLE_SPACE_CAP = 5,000,000" in err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

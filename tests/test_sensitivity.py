@@ -279,6 +279,37 @@ def test_table_shape_tells_the_transposed_shape_apart(r, c):
     assert sensitivity._table_shape(SensitivitySpace(transposed.array, "x")) == (c, r)
 
 
+def _refuse_to_build(*args):
+    raise AssertionError("a table space past the cap was built")
+
+
+@pytest.mark.parametrize("build,r,c", [(contingency_s_semi, 15, 16), (contingency_s_semi, 16, 15),
+                                       (contingency_s_dp, 1, 172), (contingency_s_dp, 4, 43)])
+def test_table_spaces_past_the_cap_are_refused_before_building(monkeypatch, build, r, c):
+    # the smallest refused shapes: semi 14x16 (4.89 M entries) and dp with
+    # 171 cells (4.97 M) are under the 5 M cap, semi 15x16 and dp with 172
+    # cells over it
+    monkeypatch.setattr(sensitivity, "_table_space", _refuse_to_build)
+    with pytest.raises(ValueError, match="more than TABLE_SPACE_CAP = 5,000,000"):
+        build(r, c)
+    for r_under, c_under in ((r, c - 1), (r - 1, c)):
+        if min(r_under, c_under) >= (2 if build is contingency_s_semi else 1):
+            monkeypatch.setattr(sensitivity, "_table_space", lambda kind, r, c: (kind, r, c))
+            assert build(r_under, c_under)[1:] == (r_under, c_under)
+
+
+@pytest.mark.parametrize("build", [contingency_s_semi, contingency_s_dp])
+def test_table_space_cap_counts_the_entries_it_builds(monkeypatch, build):
+    for r, c in [(2, 2), (2, 5), (3, 4), (4, 3), (5, 5)]:
+        entries = build(r, c).array.size
+        monkeypatch.setattr(sensitivity, "TABLE_SPACE_CAP", entries)
+        build(r, c)
+        monkeypatch.setattr(sensitivity, "TABLE_SPACE_CAP", entries - 1)
+        with pytest.raises(ValueError, match=f"a {r}x{c} table space"):
+            build(r, c)
+        monkeypatch.undo()
+
+
 def test_table_shape_refuses_spaces_with_other_vectors():
     for r, c in [(1, 4), (2, 2), (3, 3), (4, 4)]:
         assert sensitivity._table_shape(contingency_s_dp(r, c)) is None
@@ -726,9 +757,18 @@ def test_facet_gauge_agrees_with_the_lp(r, c):
 def test_facets_attach_by_vectors_whatever_the_provenance():
     semi = contingency_s_semi(3, 3)
     renamed = SensitivitySpace(semi.array[::-1], "brute_force(radius=2, subset)")
-    assert renamed != semi and hull_geometry(renamed).facets is hull_geometry(semi).facets
+    assert renamed != semi and np.array_equal(hull_geometry(renamed).facets, hull_geometry(semi).facets)
     assert hull_geometry(contingency_s_dp(2, 3)).facets is None
     assert hull_geometry(contingency_s_semi(2, 5)).facets is None
+
+
+@pytest.mark.parametrize("r,c", FACET_SHAPES)
+def test_span_facets_reach_one_on_the_vertices(r, c):
+    geom = hull_geometry(contingency_s_semi(r, c))
+    assert geom.facets.shape == (len(_committed_table(r, c)), geom.s) and not geom.facets.flags.writeable
+    values = geom.facets @ geom.coords.T
+    assert np.abs(values.max(axis=1) - 1.0).max() <= 1e-12
+    assert values.max() <= 1.0 + 1e-12
 
 
 @pytest.mark.parametrize("corrupt", [lambda F: F[:, :-1], lambda F: np.vstack([F, F[:1] // 2])])
@@ -800,22 +840,29 @@ def _count_calls(monkeypatch, name, owner=sensitivity):
     return calls
 
 
-def test_only_tries_in_the_band_reach_the_lp(monkeypatch):
-    space = contingency_s_semi(3, 3)
-    vertex = _vertices(space)[0]
+def test_tabled_hulls_never_reach_the_lp(monkeypatch):
     lp_calls = _count_calls(monkeypatch, "solve_lp")
-    assert hull_membership(space, 0.5 * vertex) and not hull_membership(space, 1.5 * vertex)
-    assert not lp_calls
-    assert hull_membership(space, (1.0 + HULL_TOL) * vertex)  # gauge 1 + HULL_TOL: in the band
-    assert len(lp_calls) == 1
-    lp_calls.clear()
-    # a facet value in the band goes to the LP, whose value lies in the band too
+    for r, c in FACET_SHAPES:
+        space = contingency_s_semi(r, c)
+        for v in _vertices(space):
+            for scale, inside in ((0.5, True), (1.0 + HULL_TOL / 2, True), (1.0 + 2 * HULL_TOL, False)):
+                assert hull_membership(space, scale * v) == inside
+            assert gauge_norm(space, v) == pytest.approx(1.0, abs=1e-12)
     gauges = _count_calls(monkeypatch, "gauge", owner=sensitivity.HullGeometry)
-    _, _, rejections = _knorm_draws(space, 4049, 300)
+    _, _, rejections = _knorm_draws(contingency_s_semi(3, 3), 4049, 300)
     assert rejections.sum() > 100
     assert len(gauges) == 300 + rejections.sum()  # every try is one gauge call
-    in_band = [g for g in gauges if abs(g - 1.0 - HULL_TOL) <= sensitivity.FACET_BAND]
-    assert len(lp_calls) == len(in_band) == 0
+    assert lp_calls == []
+    # untabled hulls keep the LP: a single-move space, a semi space past the
+    # tables, and a brute-force space with vectors no table has
+    space, t = DataspaceSpec(n=3, levels=(3, 3)), ((1, 1, 1), (1, 1, 1))
+    rotations = brute_force_sensitivity_space(space, conforming_set(space, TABLE_INV, t),
+                                              cell_count_query(space), 3)
+    for untabled in (contingency_s_dp(2, 3), contingency_s_semi(2, 5), rotations):
+        assert hull_geometry(untabled).facets is None
+        calls = len(lp_calls)
+        assert hull_membership(untabled, _vertices(untabled)[0])
+        assert len(lp_calls) > calls
 
 
 def test_sampler_looks_up_the_geometry_once_and_stays_in_span_coordinates(monkeypatch):
