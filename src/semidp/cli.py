@@ -35,7 +35,6 @@ from .sensitivity import (
     contingency_s_semi,
     lp_sensitivity,
     sensitivity_space_to_csv,
-    span_basis,
 )
 from .tradeoff import (
     compose_self,
@@ -77,8 +76,9 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-@functools.cache  # parsing leaves the parser unchanged, so one instance serves every call
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache  # parsing leaves the parsers unchanged, so one instance serves every call
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top parser, and each subcommand's own parser by name."""
     parser = argparse.ArgumentParser(prog="semidp")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -148,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", type=int, default=None)
     common(p)
 
-    return parser
+    return parser, sub.choices
 
 
 def _unread_flag(args: argparse.Namespace) -> str | None:
@@ -175,12 +175,13 @@ def _run_sens(args: argparse.Namespace) -> None:
     if args.format == "csv":
         _emit(args, sensitivity_space_to_csv(space))
         return
-    basis = span_basis(space)
+    # the semi span is the tables with zero row and column sums, the dp span those summing to zero
+    span_dim = (args.r - 1) * (args.c - 1) if args.space == "semi" else args.r * args.c - 1
     payload = {
         "provenance": space.provenance,
         "ambient_dim": space.ambient_dim,
         "num_vectors": len(space.array),
-        "span_dim": basis.s,
+        "span_dim": span_dim,
         "delta_1": lp_sensitivity(space, 1),
         "delta_2": lp_sensitivity(space, 2),
         "delta_inf": lp_sensitivity(space, math.inf),
@@ -235,7 +236,7 @@ def _run_cnd(args: argparse.Namespace) -> None:
         payload["quantile"] = float(cnd_quantile(spec, args.quantile))
     if args.sample is not None:
         draws = cnd_sample(spec, _seed_from(args), args.sample)
-        payload["samples"] = [repr(float(v)) for v in draws]
+        payload["samples"] = list(map(repr, draws.tolist()))
     _emit(args, json.dumps(payload, sort_keys=True))
 
 
@@ -332,9 +333,17 @@ _RUNNERS = {
 
 
 def cli_dispatch(argv: list[str]) -> int:
-    parser = _build_parser()
+    parser, subparsers = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in subparsers:
+            # one parse, by the subcommand's own parser, with the top parser's
+            # message for what it leaves over: the bytes of parser.parse_args(argv)
+            args, extra = subparsers[argv[0]].parse_known_args(
+                argv[1:], argparse.Namespace(command=argv[0]))
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        else:
+            args = parser.parse_args(argv)
         unread = _unread_flag(args)
         if unread is not None:
             parser.error(unread)

@@ -1,12 +1,14 @@
 """Additive noise mechanisms calibrated on sensitivity spaces.
 
 Four samplers: a projected Gaussian that confines noise to the span of the
-sensitivity space, an optimal hull-calibrated mechanism driven by rejection
-sampling over the hull's bounding box in span coordinates (each try is one
-``HullGeometry.gauge`` call: a facet-table product on the tabled
-one-way-margin tables, a gauge LP elsewhere), the classic l1/l2/linf
-mechanisms, and naive group-privacy baselines for the table query. All
-draws are keyed by (seed, stream) and are bit-reproducible.
+sensitivity space; an optimal hull-calibrated mechanism, exact and without
+rejection on the tabled one-way-margin tables (s + 1 exponentials on a cone
+simplex picked by volume, mapped by a random table symmetry) and driven
+elsewhere by rejection sampling over the hull's bounding box in span
+coordinates (each try is one ``HullGeometry.gauge`` call, a gauge LP); the
+classic l1/l2/linf mechanisms; and naive group-privacy baselines for the
+table query. All draws are keyed by (seed, stream) and are
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -22,8 +24,10 @@ from .dataspace import _check_integer
 from .rng import NoiseRng, RngSeed
 from .sensitivity import (
     HULL_TOL,
+    HullCones,
     SensitivitySpace,
     _table_shape,
+    hull_cones,
     hull_geometry,
     lp_sensitivity,
     projection_matrix,
@@ -32,6 +36,16 @@ from .sensitivity import (
 
 #: Give up after this many consecutive rejected direction draws.
 MAX_CONSECUTIVE_REJECTIONS = 10**6
+
+#: Largest span dimension (r - 1)(c - 1) of an untabled semi table the box
+#: sampler takes on; larger ones are refused before the first try. Box tries
+#: a draw (seed 11, eps = 0.5, one LP of 0.1-0.3 ms a try on a 2-vCPU host):
+#: 4.8 on 2x5 (s = 4), 141 on 2x8 (s = 7) and 1,245 on 3x5 (s = 8, 0.15 s a
+#: draw), but 40,728 on 3x6 (s = 10, 7.4 s a draw).
+MAX_BOX_SPAN_DIM = 8
+
+#: Cone draws form their directions this many at a time.
+_CONE_BLOCK = 4096
 
 #: Single-record-change table sensitivities (one +1, one -1 per move).
 TABLE_SINGLE_MOVE_SENSITIVITY = {1: 2.0, 2: math.sqrt(2.0), math.inf: 1.0}
@@ -56,8 +70,8 @@ class MechanismOutput:
 
     def to_json(self) -> str:
         payload = {
-            "value": [repr(float(v)) for v in self.value],
-            "noise": [repr(float(v)) for v in self.noise],
+            "value": list(map(repr, self.value.tolist())),
+            "noise": list(map(repr, self.noise.tolist())),
             "meta": self.meta,
         }
         return json.dumps(payload, sort_keys=True)
@@ -128,16 +142,34 @@ def gaussian_semi(query_value, space: SensitivitySpace, mu: float, seed: RngSeed
 def knorm_noise_samples(
     space: SensitivitySpace, epsilon: float, rng: NoiseRng, size: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
-    """Bulk hull-mechanism draws.
+    """Bulk hull-mechanism draws: density proportional to exp(-epsilon ||y||_K)
+    on the span, K the hull of the space.
 
     Returns (noise, radii, directions, rejection counts): noise[i] equals
-    radii[i] * directions[i], where each direction is drawn uniformly from
-    the hull by rejection from its bounding box and each radius is an
-    independent Gamma(s + 1, epsilon) variate, since every adjacent move has
-    hull gauge at most 1. The geometry is looked up once a call, and a try y
-    stays in span coordinates: it is accepted when its gauge is at most
-    1 + ``HULL_TOL`` (as in ``hull_membership``), and only then mapped to y B.
+    radii[i] * directions[i], each radius a Gamma(s + 1, epsilon) variate and
+    each direction uniform in K, independent of it. On a tabled space
+    (``hull_cones``) a draw takes s + 3 uniforms and no rejection: s + 1
+    exponentials E_0..E_s, one to pick a simplex T = (v_1..v_s) of a
+    representative facet (with probability its orbit's size times its
+    cone's volume) and one for a uniform table symmetry g, with or without
+    negation. Their sum S is Gamma(s + 1) and independent of the Dirichlet
+    weights E / S, so the radius is S / epsilon and the direction is g applied
+    to sum_i (E_i / S) v_i, uniform in the cone conv(0, g T); its gauge is
+    exactly sum_{i >= 1} E_i / S. The draw is formed in ambient cells, with no
+    span basis, box or gauge, and every rejection count is 0.
+
+    Any other space takes the box: each direction is drawn by rejection from
+    the bounding box of K in span coordinates and each radius is an
+    independent Gamma(s + 1, epsilon) variate. The geometry is looked up once
+    a call, and a try y stays in span coordinates: it is accepted when its
+    gauge is at most 1 + ``HULL_TOL`` (as in ``hull_membership``), and only
+    then mapped to y B. Semi spaces whose box is hopeless
+    (``MAX_BOX_SPAN_DIM``) are refused before the first try.
     """
+    cones = hull_cones(space)
+    if cones is not None:
+        return _cone_draws(cones, epsilon, rng, size)
+    _refuse_hopeless_box(space)
     geom = hull_geometry(space)
     s, d = geom.s, space.ambient_dim
     if s == 0:
@@ -163,6 +195,39 @@ def knorm_noise_samples(
     return noise, radii, directions, rejections
 
 
+def _refuse_hopeless_box(space: SensitivitySpace) -> None:
+    """``RejectionLimitExceeded`` for a semi table space whose span dimension
+    passes ``MAX_BOX_SPAN_DIM``, before any geometry is built."""
+    shape = _table_shape(space)
+    if shape is not None and (shape[0] - 1) * (shape[1] - 1) > MAX_BOX_SPAN_DIM:
+        raise RejectionLimitExceeded(
+            f"the hull sampler refuses the {shape[0]}x{shape[1]} table: its span dimension "
+            f"{(shape[0] - 1) * (shape[1] - 1)} exceeds MAX_BOX_SPAN_DIM = {MAX_BOX_SPAN_DIM}, "
+            f"past which box rejection is hopeless"
+        )
+
+
+def _cone_draws(
+    cones: HullCones, epsilon: float, rng: NoiseRng, size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """``knorm_noise_samples`` on a tabled space: one block of (size, s + 3)
+    uniforms, row i holding draw i's s + 1 exponentials (as -log u), its
+    simplex pick and its symmetry, which moves the simplex's vertices."""
+    s = cones.s
+    u = np.asarray(rng.uniform_open((size, s + 3)))
+    E = -np.log(u[:, : s + 1])
+    total = E.sum(axis=1)
+    weights = E[:, 1:] / total[:, None]
+    picked = cones.simplices[np.searchsorted(cones.cdf, u[:, s + 1], side="right")]
+    moved = cones.moves[(u[:, s + 2] * len(cones.moves)).astype(np.intp)[:, None], picked]
+    directions = np.empty((size, cones.vertices.shape[1]))
+    for start in range(0, size, _CONE_BLOCK):  # (block, s, d) gathered vertices at a time
+        rows = slice(start, start + _CONE_BLOCK)
+        np.matmul(weights[rows, None, :], cones.vertices[moved[rows]], out=directions[rows, None, :])
+    radii = total / epsilon
+    return radii[:, None] * directions, radii, directions, [0] * size
+
+
 def knorm_optimal(query_value, space: SensitivitySpace, epsilon: float, seed: RngSeed) -> MechanismOutput:
     """Optimal hull-calibrated mechanism for a possibly rank-deficient space.
 
@@ -175,13 +240,17 @@ def knorm_optimal(query_value, space: SensitivitySpace, epsilon: float, seed: Rn
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     query = _as_vector(query_value, space.ambient_dim)
     rng = NoiseRng(seed)
-    s = hull_geometry(space).s
+    cones = hull_cones(space)
+    if cones is None:
+        _refuse_hopeless_box(space)
+    s = hull_geometry(space).s if cones is None else cones.s
     meta = {"mechanism": "knorm_optimal", "epsilon": epsilon, "span_dim": s, "rng": rng.meta()}
     if s == 0:
         meta["warning"] = _DEGENERATE_WARNING
         return MechanismOutput(value=query, noise=np.zeros_like(query), meta=meta)
     noise, radii, _, rejections = knorm_noise_samples(space, epsilon, rng, 1)
-    meta.update(delta_k=1.0, radius=repr(float(radii[0])), rejections=rejections[0])
+    meta.update(delta_k=1.0, radius=repr(float(radii[0])), rejections=rejections[0],
+                sampler="box" if cones is None else "cone")
     return MechanismOutput(value=query + noise[0], noise=noise[0], meta=meta)
 
 

@@ -20,7 +20,11 @@ from ._special import ndtri
 
 GENERATOR_NAME = "philox4x64"
 
-_TWO53 = float(1 << 53)
+#: ``Generator.random`` returns k / 2^53 for the top 53 bits k of a raw word;
+#: adding half a step centres each value in its step, and every sum but the
+#: top one, (2^53 - 1/2) / 2^53, which rounds to 1, is exact or ties to even.
+_HALF_ULP = 2.0**-54
+_BELOW_ONE = 1.0 - 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -49,9 +53,10 @@ class NoiseRng:
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def uniform_open(self, size=None) -> np.ndarray | float:
-        """Uniform draws strictly inside (0, 1)."""
-        ints = self._gen.integers(0, 1 << 53, size=size)
-        return (ints + 0.5) / _TWO53
+        """Uniform draws strictly inside (0, 1): (k + 1/2) / 2^53 for the top 53
+        bits k of one raw word each, except that the top k, whose value
+        rounds to 1, gives the largest double below 1."""
+        return np.minimum(self._gen.random(size) + _HALF_ULP, _BELOW_ONE)
 
     def uniform(self, low: float, high: float, size=None):
         return low + (high - low) * self.uniform_open(size)

@@ -8,13 +8,15 @@ span coordinates (``hull_geometry``).
 
 One gauge, ``HullGeometry.gauge``, reads the hull, on span coordinates y;
 ``gauge_norm`` and ``hull_membership`` validate and project a point, then
-call it, and the hull sampler calls it on its box tries directly. For the
+call it, and the box sampler calls it on its tries directly. For the
 tables ``contingency_s_semi(r, c)`` with 2 <= r, c <= 4 the hull's facets
 ship precomputed (``facets.npz``, from ``tools/facet_tables.py``) and are
 held as (f, s) facet normals in span coordinates, so the gauge is the
 largest entry of their product with y. Every other space takes the LP: the
 support function of the polar body, solved by the one-phase simplex in
-``simplex`` and stopped once it passes a bound.
+``simplex`` and stopped once it passes a bound. The same tables ship one
+triangulated facet per symmetry orbit (``hull_cones``), from which the hull
+sampler draws with no gauge, span basis or rejection.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ TABLE_SPACE_CAP = 5_000_000
 
 #: Package data file of the facet tables: one int8 array per key "RxC", each
 #: row twice a facet normal of hull(contingency_s_semi(r, c)), for r and c in
-#: FACET_SIZES.
+#: FACET_SIZES; and its cone table, one uint8 array per key "RxC_cones", each
+#: row the s vertex indices of a simplex of a representative facet.
 FACET_FILE = "facets.npz"
 FACET_SIZES = range(2, 5)
 
@@ -424,10 +427,15 @@ def _table_shape(space: SensitivitySpace) -> tuple[int, int] | None:
 def _table_facets(space: SensitivitySpace) -> np.ndarray | None:
     """The facet table of a space whose vectors are those of a tabled
     ``contingency_s_semi(r, c)``, whatever its provenance; else None."""
+    shape = _tabled_shape(space)
+    return None if shape is None else _facet_table(*shape)
+
+
+def _tabled_shape(space: SensitivitySpace) -> tuple[int, int] | None:
+    """(r, c) when the space's vectors are those of ``contingency_s_semi(r, c)``
+    with r and c in ``FACET_SIZES``; else None."""
     shape = _table_shape(space)
-    if shape is None or not all(n in FACET_SIZES for n in shape):
-        return None
-    return _facet_table(*shape)
+    return shape if shape is not None and all(n in FACET_SIZES for n in shape) else None
 
 
 @lru_cache(maxsize=len(FACET_SIZES) ** 2)
@@ -444,6 +452,132 @@ def _facet_table(r: int, c: int) -> np.ndarray:
         raise RuntimeError(f"{FACET_FILE}: the {r}x{c} table is not the facets of its hull")
     F.setflags(write=False)
     return F
+
+
+def _table_symmetries(r: int, c: int) -> np.ndarray:
+    """The r x c table symmetries as cell permutations, one (g, r c) row each:
+    every row permutation with every column permutation, and their
+    transposes when r == c. Row p maps a table x, flattened row-major, to
+    x[p]; with or without negation it maps the semi space, so its hull and
+    the hull's facets, onto themselves."""
+    cells = np.arange(r * c).reshape(r, c)
+    rows = np.array(list(itertools.permutations(range(r))))
+    cols = np.array(list(itertools.permutations(range(c))))
+    images = cells[rows[:, None, :, None], cols[None, :, None, :]]
+    if r == c:
+        images = np.concatenate([images, images.swapaxes(-1, -2)])
+    return images.reshape(-1, r * c)
+
+
+def _facet_images(row: np.ndarray, r: int, c: int, symmetries: np.ndarray) -> np.ndarray:
+    """The distinct facet-table rows that the symmetries, with and without
+    negation, map the facet-table row 2a onto: its orbit, sorted. A normal
+    is fixed only up to row and column constants, so each image is shifted,
+    as the table is, to a first row and column of zeros."""
+    images = np.concatenate([row[symmetries], -row[symmetries]]).reshape(-1, r, c)
+    images = images - images[:, :, :1] - images[:, :1, :] + images[:, :1, :1]
+    return _unique_rows(images.reshape(-1, r * c))[0]
+
+
+def _gram_determinants(W: np.ndarray) -> np.ndarray:
+    """det(W_k W_k') for each (s, d) integer slice W_k of W, exactly in int64.
+
+    Bareiss elimination without pivoting: the Gram matrix of independent
+    vectors is positive definite, so every pivot (a leading principal minor)
+    is positive, and each division is exact. A pivot of 0 means the leading
+    vectors, and so all of them, are dependent: that determinant is 0. The
+    entries are minors of a Gram matrix whose entries are at most 4 in
+    absolute value (the semi moves have squared norm 4), so for s <= 9 every
+    product stays below 10^17.
+    """
+    M = np.einsum("kid,kjd->kij", W, W)
+    prev = np.ones(len(M), dtype=np.int64)
+    singular = np.zeros(len(M), dtype=bool)
+    for i in range(M.shape[1] - 1):
+        singular |= M[:, i, i] == 0
+        pivot = np.where(singular, 1, M[:, i, i])
+        M[:, i + 1:, i + 1:] = (pivot[:, None, None] * M[:, i + 1:, i + 1:]
+                                - M[:, i + 1:, i:i + 1] * M[:, i:i + 1, i + 1:]) // prev[:, None, None]
+        prev = pivot
+    return np.where(singular, 0, M[:, -1, -1])
+
+
+@dataclass(frozen=True)
+class HullCones:
+    """The hull of a tabled space as the union of the cones conv(0, T) over
+    a triangulation of its facets, held as one triangulated representative
+    facet per orbit of the table symmetries (``_table_symmetries``, with and
+    without negation).
+
+    ``simplices`` holds the (n, s) vertex indices of the representatives'
+    simplices T into the space's vectors, ``vertices`` those vectors in
+    float64, ``cdf`` the cumulative probability of picking each simplex
+    (its orbit's size times its cone's volume, normalised; the last entry is
+    exactly 1), and ``moves`` row k the index of each vertex's image under
+    symmetry k // 2, negated when k is odd: (2 g, m).
+    """
+
+    vertices: np.ndarray  # (m, d)
+    simplices: np.ndarray  # (n, s)
+    cdf: np.ndarray  # (n,)
+    moves: np.ndarray  # (2 g, m)
+
+    @property
+    def s(self) -> int:
+        return int(self.simplices.shape[1])
+
+
+def hull_cones(space: SensitivitySpace) -> HullCones | None:
+    """The cone table of a space whose vectors are those of a tabled
+    ``contingency_s_semi(r, c)``, whatever its provenance; else None."""
+    shape = _tabled_shape(space)
+    return None if shape is None else _cone_table(*shape)
+
+
+@lru_cache(maxsize=len(FACET_SIZES) ** 2)
+def _cone_table(r: int, c: int) -> HullCones:
+    """The committed cone table of hull(contingency_s_semi(r, c)), read once.
+
+    Checked in integers against the facet table: each simplex has s
+    vertices on exactly one facet, and the orbits of those facets are
+    disjoint and make up the whole table. Each simplex is weighted by its
+    orbit's size times s! times its cone's volume, the square root of the
+    Gram determinant of its vertices, which must be positive.
+    """
+    with resources.files(__package__).joinpath(FACET_FILE).open("rb") as fh, np.load(fh) as tables:
+        T = tables[f"{r}x{c}_cones"].astype(np.intp)
+    F, V = _facet_table(r, c), _table_space("semi", r, c).array
+    if T.ndim != 2 or T.shape[1] != (r - 1) * (c - 1) or not (T < len(V)).all():
+        raise RuntimeError(f"{FACET_FILE}: the {r}x{c} cone table is not rows of s vertex indices")
+    holds = (F @ V.T == 2)[:, T].all(axis=2)  # [facet, simplex]: every vertex on the facet
+    if (holds.sum(axis=0) != 1).any():
+        raise RuntimeError(f"{FACET_FILE}: a {r}x{c} simplex is not on exactly one facet")
+    symmetries = _table_symmetries(r, c)
+    reps, rep_of = np.unique(holds.argmax(axis=0), return_inverse=True)
+    orbits = [_facet_images(F[i], r, c, symmetries) for i in reps]
+    covered = np.concatenate(orbits)
+    if len(covered) != len(F) or not np.array_equal(_unique_rows(covered)[0], _unique_rows(F)[0]):
+        raise RuntimeError(f"{FACET_FILE}: the {r}x{c} orbits are not the facet table")
+    dets = _gram_determinants(V[T])
+    if (dets <= 0).any():
+        raise RuntimeError(f"{FACET_FILE}: a {r}x{c} simplex is degenerate")
+    weights = np.array([len(o) for o in orbits])[rep_of] * np.sqrt(dets)
+    cdf = np.cumsum(weights) / weights.sum()
+    cdf[-1] = 1.0
+    # the rows of V, entries -1, 0, 1, increase, and so do their base-3 codes;
+    # x[p] puts cell j at place p^-1(j), so its code weighs x_j by powers[p^-1(j)]
+    powers = 3 ** np.arange(V.shape[1] - 1, -1, -1)
+    codes = (V + 1) @ powers
+    images = powers[np.argsort(symmetries, axis=1)] @ (V + 1).T  # [symmetry, vertex]
+    moves = np.searchsorted(codes, images).clip(max=len(V) - 1)
+    if not np.array_equal(codes[moves], images):
+        raise RuntimeError(f"the {r}x{c} symmetries do not map the semi space onto itself")
+    # the space is negation-closed and sorted: row i negated is row m - 1 - i
+    moves = np.stack([moves, len(V) - 1 - moves], axis=1).reshape(-1, len(V))
+    vertices = V.astype(float)
+    for array in (vertices, T, cdf, moves):
+        array.setflags(write=False)
+    return HullCones(vertices=vertices, simplices=T, cdf=cdf, moves=moves)
 
 
 def _span_coords(space: SensitivitySpace, v) -> tuple[HullGeometry, np.ndarray | None]:

@@ -1,5 +1,7 @@
 """Command-line dispatch: exit codes, output formats, seeding."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import semidp
+from semidp import cli
 from semidp.cli import cli_dispatch
 from semidp.inference import SUPPORT_CAP
 
@@ -360,7 +363,8 @@ def test_weak_privacy_curves_build_and_test(capsys, spec):
 def test_cli_import_leaves_slow_scipy_subpackages_unloaded():
     """Neither ``import semidp`` nor ``import semidp.cli`` loads any part of
     scipy, and the CLI import leaves the facet tables unread. A 3x3 knorm
-    draw and a 4x4 ``gauge_norm`` read the tables and still load no scipy."""
+    draw reads the 3x3 facet and cone tables, a 4x4 ``gauge_norm`` the 4x4
+    facet table, and neither loads scipy."""
     code = ("import contextlib, io, sys\n"
             "opened = []\n"
             "sys.addaudithook(lambda event, args: opened.append(args[0])\n"
@@ -379,4 +383,73 @@ def test_cli_import_leaves_slow_scipy_subpackages_unloaded():
     env = {**os.environ, "PYTHONPATH": str(Path(semidp.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out == "[]\n[] 0\n[] 0 1\n[] True 2 1.0\n"
+    assert out == "[]\n[] 0\n[] 0 2\n[] True 3 1.0\n"
+
+
+def _parse_as_one_parser(argv):
+    """(exit code, stdout, stderr) of ``parser.parse_args(argv)`` and the
+    unread-flag check, on the whole argv: the parse that ``cli_dispatch``
+    gives subcommands to their own parsers."""
+    parser, _ = cli._build_parser()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            unread = cli._unread_flag(parser.parse_args(argv))
+            if unread is not None:
+                parser.error(unread)
+            code = None
+        except SystemExit as exc:
+            code = int(exc.code or 0)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus"],
+        ["-h"],
+        ["mech", "--query", "5,3,2,4", "--kind", "knorm", "--eps", "1", "--bogus", "x"],
+        ["mech", "--help"],
+        ["sens", "--r", "x", "--c", "3"],
+        ["mech", "--query", "5,3,2,4", "--kind", "knorm", "--eps", "1", "--mu", "1"],
+        ["sens", "--r", "2", "--c", "3", "extra", "--", "more"],
+        ["experiment"],
+    ],
+)
+def test_usage_errors_and_help_match_one_parser_over_the_whole_argv(capsys, argv):
+    want = _parse_as_one_parser(argv)
+    assert want[0] is not None
+    assert run(capsys, argv) == want
+
+
+def test_sens_reads_its_span_dimension_in_closed_form(capsys, monkeypatch):
+    for r, c, space in ((2, 3, "semi"), (4, 3, "semi"), (1, 4, "dp"), (3, 3, "dp")):
+        code, out, _ = run(capsys, ["sens", "--r", str(r), "--c", str(c), "--space", space])
+        built = (semidp.contingency_s_semi if space == "semi" else semidp.contingency_s_dp)(r, c)
+        assert code == 0 and json.loads(out)["span_dim"] == semidp.span_basis(built).s
+
+    def refuse(*args):
+        raise AssertionError("sens built a span basis")
+
+    monkeypatch.setattr(semidp.sensitivity, "span_basis", refuse)
+    monkeypatch.setattr(semidp.sensitivity, "_span_basis_cached", refuse)
+    try:
+        code, out, _ = run(capsys, ["sens", "--r", "15", "--c", "15"])
+    finally:
+        semidp.sensitivity._table_space.cache_clear()
+    assert code == 0 and json.loads(out)["span_dim"] == 196
+
+
+@pytest.mark.parametrize("r,c", [(5, 5), (3, 6), (6, 3)])
+def test_knorm_refuses_semi_tables_where_the_box_is_hopeless(capsys, monkeypatch, r, c):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the box sampler took a try")
+
+    monkeypatch.setattr(semidp.sensitivity, "hull_geometry", refuse)
+    monkeypatch.setattr(semidp.mechanisms, "hull_geometry", refuse)
+    cells = ",".join(["1"] * (r * c))
+    code, out, err = run(capsys, ["mech", "--query", cells, "--kind", "knorm", "--eps", "1",
+                                  "--r", str(r), "--c", str(c)])
+    assert code == 1 and out == ""
+    assert err.startswith(f"semidp: error: the hull sampler refuses the {r}x{c} table")

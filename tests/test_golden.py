@@ -45,7 +45,7 @@ GOLDEN = {
         ["experiment", "knorm", "--k", "2", "--eps", "0.5", "--replicates", "30",
          "--seed", "7", "--format", "json"],
         {
-            "knorm": [3.985860148686607, 0.7576706951839098],
+            "knorm": [4.421211918106564, 0.7177515522029202],
             "naive_l1": [30.771190955948224, 3.7586204491604533],
             "naive_l2": [35.51041702641128, 3.5532273355253414],
             "naive_linf": [37.23883565682051, 3.003727838529315],
@@ -66,11 +66,12 @@ GOLDEN = {
          "2", "--c", "3", "--seed", "12"],
         {
             "noise": [
-                0.24389392033675725, 1.9036875595244487, -2.1475814798612056,
-                -0.24389392033675725, -1.9036875595244487, 2.1475814798612056,
+                -3.079967182832138, 2.07545238024019, 1.0045148025919484,
+                3.079967182832138, -2.07545238024019, -1.0045148025919484,
             ],
-            "radius": 3.5899784794707394,
-            "rejections": 1,
+            "radius": 3.829989783913325,
+            "rejections": 0,
+            "sampler": "cone",
         },
     ),
     "mech_l1": (
@@ -189,6 +190,7 @@ def _extract(name: str, payload) -> dict:
         if meta["mechanism"] == "knorm_optimal":
             out["radius"] = float(meta["radius"])
             out["rejections"] = meta["rejections"]
+            out["sampler"] = meta["sampler"]
         return out
     if name.startswith("experiment"):
         return {row["method"]: [row["mean_l2"], row["se"]] for row in payload}
@@ -204,7 +206,7 @@ def test_seeded_output_matches_recorded_values(capsys, name):
     got = _extract(name, json.loads(capsys.readouterr().out))
     assert got.keys() == expected.keys()
     for key, value in expected.items():
-        if key == "rejections":
+        if key in ("rejections", "sampler"):
             assert got[key] == value
         else:
             assert got[key] == pytest.approx(value, rel=1e-12, abs=0.0), key

@@ -98,7 +98,7 @@ def test_meta_keys_on_degenerate_and_full_spaces():
         assert g.meta["span_dim"] == k.meta["span_dim"] == s
         warn = {"warning"} if s == 0 else set()
         assert set(g.meta) == common | {"mu", "delta2"} | warn
-        draws = set() if s == 0 else {"delta_k", "radius", "rejections"}
+        draws = set() if s == 0 else {"delta_k", "radius", "rejections", "sampler"}
         assert set(k.meta) == common | {"epsilon"} | warn | draws
     for out in (gaussian_semi(QUERY, zero, 1.0, RngSeed(5)), knorm_optimal(QUERY, zero, 1.0, RngSeed(5))):
         assert out.noise.tolist() == [0.0] * 4 and np.array_equal(out.value, QUERY)
@@ -219,7 +219,28 @@ def test_knorm_three_by_three_gauge_law():
     assert s == 4
     gauges = np.array([gauge_norm(space, v) for v in dirs]) * radii
     assert st.kstest(gauges, st.gamma(a=s, scale=1.0 / eps).cdf).pvalue > 0.01
-    assert any(r > 0 for r in rejections)  # the box is strictly larger here
+    assert all(r == 0 for r in rejections)  # a cone draw never rejects
+
+
+def test_knorm_samplers_by_space():
+    # tabled semi spaces take the cone draw; dp and untabled semi spaces the box
+    for space, sampler in ((S22, "cone"), (contingency_s_semi(4, 4), "cone"),
+                           (contingency_s_dp(2, 2), "box"), (contingency_s_semi(2, 5), "box")):
+        out = knorm_optimal(np.zeros(space.ambient_dim), space, 1.0, RngSeed(3))
+        assert out.meta["sampler"] == sampler
+        assert (out.meta["rejections"] == 0) if sampler == "cone" else out.meta["rejections"] >= 0
+
+
+@pytest.mark.parametrize("r,c", [(3, 6), (5, 5)])
+def test_knorm_refuses_hopeless_boxes_before_the_first_try(monkeypatch, r, c):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a try was drawn")
+
+    monkeypatch.setattr(NoiseRng, "uniform_open", refuse)
+    monkeypatch.setattr(mechanisms, "hull_geometry", refuse)
+    with pytest.raises(mechanisms.RejectionLimitExceeded, match=f"refuses the {r}x{c} table"):
+        knorm_noise_samples(contingency_s_semi(r, c), 1.0, NoiseRng(RngSeed(1)), 1)
+    assert (r - 1) * (c - 1) > mechanisms.MAX_BOX_SPAN_DIM
 
 
 def test_knorm_output_structure_and_determinism():

@@ -34,6 +34,33 @@ def test_uniform_open_strictly_interior():
     assert abs(u.mean() - 0.5) < 0.005
 
 
+def test_uniform_open_is_the_centred_top_53_bits_of_each_raw_word():
+    for seed in range(20):
+        key = np.array([seed, 3], dtype=np.uint64)
+        rng, gen = NoiseRng(RngSeed(seed, 3)), np.random.Generator(np.random.Philox(key=key))
+        for size in (None, 1, 7, (3, 5), 1000):
+            got, want = rng.uniform_open(size), (gen.integers(0, 1 << 53, size=size) + 0.5) / 2.0**53
+            assert np.array_equal(got, want) and np.shape(got) == np.shape(want)
+
+
+class _TopWord:
+    """A generator whose every raw word has the top 53-bit integer, 2^53 - 1."""
+
+    def integers(self, low, high, size=None):
+        return np.int64(high - 1) if size is None else np.full(size, high - 1, dtype=np.int64)
+
+    def random(self, size=None):
+        return self.integers(0, 1 << 53, size) / 2.0**53
+
+
+def test_uniform_open_never_returns_one():
+    rng = NoiseRng(RngSeed(1))
+    rng._gen = _TopWord()
+    u = rng.uniform_open(4)
+    assert (u == 1.0 - 2.0**-53).all() and rng.uniform_open() < 1.0
+    assert np.isfinite(rng.normal(size=4)).all() and np.isfinite(rng.laplace(1.0, size=4)).all()
+
+
 def test_normal_distribution():
     x = NoiseRng(RngSeed(2)).normal(size=100_000)
     assert st.kstest(x, st.norm.cdf).pvalue > 0.01

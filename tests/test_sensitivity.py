@@ -1,6 +1,7 @@
 """Sensitivity spaces, span geometry, and hull gauge computations."""
 
 import dataclasses
+import functools
 import importlib.util
 import itertools
 import math
@@ -709,12 +710,23 @@ def _facet_tool():
     return tool
 
 
-def _committed_table(r, c):
+def _committed_table(r, c, suffix=""):
+    """The committed facet table of the r x c hull, or with suffix "_cones" its cone table."""
     with np.load(Path(sensitivity.__file__).parent / FACET_FILE) as tables:
-        assert sorted(tables.files) == sorted(f"{a}x{b}" for a, b in FACET_SHAPES)
-        F = tables[f"{r}x{c}"]
-    assert F.dtype == np.int8 and F.shape[1] == r * c
-    return F.astype(np.int64)
+        assert sorted(tables.files) == sorted(f"{a}x{b}{part}" for a, b in FACET_SHAPES
+                                              for part in ("", "_cones"))
+        table = tables[f"{r}x{c}{suffix}"]
+    if suffix:
+        assert table.dtype == np.uint8 and table.shape[1] == (r - 1) * (c - 1)
+    else:
+        assert table.dtype == np.int8 and table.shape[1] == r * c
+    return table.astype(np.int64)
+
+
+@functools.lru_cache(maxsize=None)
+def _regenerated(r, c):
+    """What ``tools/facet_tables.py`` writes for the r x c hull, and qhull's hull volume."""
+    return _facet_tool().hull_tables(r, c)
 
 
 def test_facet_tables_ship_as_package_data():
@@ -725,8 +737,46 @@ def test_facet_tables_ship_as_package_data():
 
 @pytest.mark.parametrize("r,c", FACET_SHAPES)
 def test_facet_table_is_what_qhull_finds(r, c):
-    regenerated = _facet_tool().facet_table(r, c).astype(np.int64)
-    assert set(map(tuple, _committed_table(r, c).tolist())) == set(map(tuple, regenerated.tolist()))
+    facets, cones, _ = _regenerated(r, c)
+    committed = set(map(tuple, _committed_table(r, c).tolist()))
+    assert committed == set(map(tuple, facets.astype(np.int64).tolist()))
+    assert np.array_equal(_committed_table(r, c, "_cones"), cones.astype(np.int64))
+
+
+def _symmetry_images(a, r, c):
+    """Each image of the table a under a row permutation, a column permutation,
+    transposition when r == c, and negation, one by one."""
+    for rows in itertools.permutations(range(r)):
+        for cols in itertools.permutations(range(c)):
+            image = a[np.ix_(rows, cols)]
+            for turned in ((image, image.T) if r == c else (image,)):
+                yield turned
+                yield -turned
+
+
+@pytest.mark.parametrize("r,c", FACET_SHAPES)
+def test_cone_representatives_reproduce_the_facet_table(r, c):
+    F, T = _committed_table(r, c), _committed_table(r, c, "_cones")
+    V = contingency_s_semi(r, c).array
+    on = F @ V.T == 2
+    reps = [int(np.flatnonzero(on[:, simplex].all(axis=1))[0]) for simplex in T]
+    sizes, seen = {}, set()
+    for rep in dict.fromkeys(reps):
+        orbit = set()
+        for image in _symmetry_images(F[rep].reshape(r, c), r, c):
+            shifted = image - image[:, :1] - image[:1, :] + image[0, 0]
+            orbit.add(tuple(shifted.reshape(-1).tolist()))
+        assert not orbit & seen
+        seen |= orbit
+        sizes[rep] = len(orbit)
+    assert seen == set(map(tuple, F.tolist()))
+    # orbit size times cone volume sums to qhull's volume; the picks follow it
+    coords = V.astype(float) @ span_basis(contingency_s_semi(r, c)).vectors.T
+    volumes = np.array([sizes[rep] * abs(np.linalg.det(coords[simplex])) / math.factorial(len(simplex))
+                        for rep, simplex in zip(reps, T)])
+    assert volumes.sum() == pytest.approx(_regenerated(r, c)[2], rel=1e-9)
+    cones = sensitivity._cone_table(r, c)
+    assert np.diff(cones.cdf, prepend=0.0) == pytest.approx(volumes / volumes.sum(), rel=1e-9)
 
 
 @pytest.mark.parametrize("r,c", FACET_SHAPES)
@@ -784,6 +834,63 @@ def test_load_refuses_a_table_that_is_not_the_facets(corrupt, tmp_path, monkeypa
         sensitivity._facet_table.cache_clear()
 
 
+def _off_facet(T):
+    """The cone table with one vertex of its first simplex moved off that simplex's facet."""
+    F, V = _committed_table(3, 3), contingency_s_semi(3, 3).array
+    facet = np.flatnonzero((F @ V[T[0]].T == 2).all(axis=1))[0]
+    T = T.copy()
+    T[0, 0] = np.flatnonzero(F[facet] @ V.T < 2)[0]
+    return T
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda T: T[:, :-1],  # too few vertices a simplex
+    lambda T: T[1:],  # the first representative's only simplex, and so its orbit, is gone
+    _off_facet,
+    lambda T: np.vstack([T, np.r_[T[0, :1], T[0, :-1]]]),  # a repeated vertex: a lower face
+])
+def test_load_refuses_a_cone_table_that_is_not_the_hull(corrupt, tmp_path, monkeypatch):
+    path = tmp_path / "facets.npz"
+    np.savez(path, **{"3x3": _committed_table(3, 3).astype(np.int8),
+                      "3x3_cones": corrupt(_committed_table(3, 3, "_cones")).astype(np.uint8)})
+    monkeypatch.setattr(sensitivity, "FACET_FILE", str(path))
+    sensitivity._facet_table.cache_clear()
+    sensitivity._cone_table.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="3x3"):
+            sensitivity._cone_table(3, 3)
+    finally:
+        sensitivity._facet_table.cache_clear()
+        sensitivity._cone_table.cache_clear()
+
+
+def _exact_det(M):
+    """Determinant by Gaussian elimination in fractions."""
+    M = [[Fraction(int(x)) for x in row] for row in M]
+    det = Fraction(1)
+    for i in range(len(M)):
+        pivot = next((k for k in range(i, len(M)) if M[k][i] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != i:
+            M[i], M[pivot], det = M[pivot], M[i], -det
+        det *= M[i][i]
+        for k in range(i + 1, len(M)):
+            factor = M[k][i] / M[i][i]
+            M[k] = [x - factor * y for x, y in zip(M[k], M[i])]
+    return int(det)
+
+
+def test_gram_determinants_are_exact():
+    rng = np.random.default_rng(7)
+    for s in range(1, 10):
+        W = rng.integers(-1, 2, size=(60, s, 16))
+        W[:10, -1] = W[:10, 0] + W[:10, -2 % s] if s > 1 else 0  # dependent rows
+        got = sensitivity._gram_determinants(W)
+        assert got.tolist() == [_exact_det(w @ w.T) for w in W]
+        assert not got[:10].any() and (got[10:] >= 0).all()
+
+
 @pytest.fixture
 def lp_only(monkeypatch):
     """Hull geometry built without facet tables, so every gauge is an LP."""
@@ -801,17 +908,28 @@ def _knorm_draws(space, seed, size):
 SAMPLER_CASES = [(2, 3, 40), (2, 4, 40), (3, 3, 40), (3, 4, 8), (4, 4, 1)]
 
 
-def test_sampler_draws_equal_the_lp_only_path(request):
+def test_sampler_draws_equal_the_lp_only_path(request, monkeypatch):
+    # a tabled draw reads the cone table alone: with the facets gone and every
+    # span basis, hull geometry, gauge and LP refused, it draws the same bytes
     seeds = (3, 11, 12)
     facet = {(r, c, seed): _knorm_draws(contingency_s_semi(r, c), seed, size)
              for r, c, size in SAMPLER_CASES for seed in seeds}
     assert hull_geometry(contingency_s_semi(4, 4)).facets is not None
     request.getfixturevalue("lp_only")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tabled draw read the span or the gauge")
+
+    for owner, name in ((mechanisms, "hull_geometry"), (sensitivity, "hull_geometry"),
+                        (sensitivity, "span_basis"), (sensitivity, "_span_basis_cached"),
+                        (sensitivity.HullGeometry, "gauge"), (sensitivity, "solve_lp")):
+        monkeypatch.setattr(owner, name, refuse)
     for r, c, size in SAMPLER_CASES:
         for seed in seeds:
             lp = _knorm_draws(contingency_s_semi(r, c), seed, size)
             for got, want in zip(facet[r, c, seed], lp):
                 assert np.array_equal(got, want)
+            assert not lp[2].any()
 
 
 def _vertices(space):
@@ -850,8 +968,7 @@ def test_tabled_hulls_never_reach_the_lp(monkeypatch):
             assert gauge_norm(space, v) == pytest.approx(1.0, abs=1e-12)
     gauges = _count_calls(monkeypatch, "gauge", owner=sensitivity.HullGeometry)
     _, _, rejections = _knorm_draws(contingency_s_semi(3, 3), 4049, 300)
-    assert rejections.sum() > 100
-    assert len(gauges) == 300 + rejections.sum()  # every try is one gauge call
+    assert rejections.sum() == 0 and gauges == []  # a cone draw takes no try and no gauge
     assert lp_calls == []
     # untabled hulls keep the LP: a single-move space, a semi space past the
     # tables, and a brute-force space with vectors no table has
@@ -866,7 +983,7 @@ def test_tabled_hulls_never_reach_the_lp(monkeypatch):
 
 
 def test_sampler_looks_up_the_geometry_once_and_stays_in_span_coordinates(monkeypatch):
-    space = contingency_s_semi(3, 3)
+    space = contingency_s_semi(2, 5)  # untabled, so the box sampler draws it
     lookups = []
 
     def lookup(looked_up):

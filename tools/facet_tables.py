@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Write the facet tables of the one-way-margin table hulls.
+"""Write the facet and cone tables of the one-way-margin table hulls.
 
 For every 2 <= r, c <= 4 the convex hull of ``contingency_s_semi(r, c)`` is
 fixed by (r, c). qhull finds its facets in span coordinates; each facet
@@ -10,6 +10,16 @@ column are zero, which makes 2a integral. qhull splits facets that are not
 simplices, so the integer rows are deduplicated before they are written:
 one int8 array of rows 2a per key "RxC" in ``src/semidp/facets.npz``.
 
+qhull's split of each facet into (s - 1)-simplices is a triangulation of
+it, so the cones conv(0, T) over those simplices T make up the hull. The
+facets fall into orbits under the table symmetries (row and column
+permutations, transposition when r == c, and negation); the first facet
+of each orbit, in table order, is its representative. Its simplices of
+positive volume are written as rows of s vertex indices into
+``contingency_s_semi(r, c).array``, sorted, one uint8 array per key
+"RxC_cones". Orbit sizes times the representatives' cone volumes must sum
+to qhull's hull volume.
+
 Usage, from the repository root (needs scipy):
 
     python3 tools/facet_tables.py
@@ -17,6 +27,7 @@ Usage, from the repository root (needs scipy):
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 
@@ -26,37 +37,76 @@ from scipy.spatial import ConvexHull
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from semidp.sensitivity import FACET_FILE, FACET_SIZES, contingency_s_semi, span_basis  # noqa: E402
+from semidp.sensitivity import (  # noqa: E402
+    FACET_FILE,
+    FACET_SIZES,
+    _facet_images,
+    _gram_determinants,
+    _table_symmetries,
+    contingency_s_semi,
+    span_basis,
+)
 
 #: Largest distance of a computed 2a entry from its integer.
 INTEGRAL_TOL = 1e-9
 
+#: Largest relative distance of the cone volumes' sum from qhull's hull volume.
+VOLUME_TOL = 1e-9
 
-def facet_table(r: int, c: int) -> np.ndarray:
-    """The distinct rows 2a, sorted, of the facets of hull(contingency_s_semi(r, c))."""
+
+def hull_tables(r: int, c: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """(facet table, cone table, hull volume in span coordinates) of
+    hull(contingency_s_semi(r, c)): the distinct rows 2a of its facets,
+    sorted, and the representative simplices, as described above."""
     space = contingency_s_semi(r, c)
     basis = span_basis(space).vectors
     coords = space.array.astype(float) @ basis.T
     if basis.shape[0] == 1:  # qhull needs two dimensions; this hull is a segment
-        normals = 1.0 / np.array([[coords.max()], [coords.min()]])
+        ends = np.array([coords.argmax(), coords.argmin()])
+        simplices, normals, volume = ends[:, None], 1.0 / coords[ends], float(np.ptp(coords))
     else:
-        eq = ConvexHull(coords).equations  # n.y + b <= 0 on the hull, with b < 0
-        normals = eq[:, :-1] / -eq[:, -1:]
+        hull = ConvexHull(coords)  # one simplex and equation n.y + b <= 0, b < 0, per row
+        simplices, volume = hull.simplices, hull.volume
+        normals = hull.equations[:, :-1] / -hull.equations[:, -1:]
     a = (normals @ basis).reshape(-1, r, c)
     a = a - a[:, :, :1] - a[:, :1, :] + a[:, :1, :1]
     two_a = 2.0 * a.reshape(len(a), r * c)
-    table = np.rint(two_a)
-    if np.abs(two_a - table).max() > INTEGRAL_TOL:
+    rows = np.rint(two_a)
+    if np.abs(two_a - rows).max() > INTEGRAL_TOL:
         raise RuntimeError(f"{r}x{c}: a facet normal is not half-integral")
-    return np.unique(table.astype(np.int8), axis=0)
+    table, facet_of = np.unique(rows.astype(np.int8), axis=0, return_inverse=True)
+    facet_of = facet_of.reshape(-1)
+
+    symmetries = _table_symmetries(r, c)
+    orbit = np.full(len(table), -1)
+    cones, total = [], 0.0
+    for i in range(len(table)):
+        if orbit[i] >= 0:
+            continue
+        images = _facet_images(table[i].astype(np.int64), r, c, symmetries)
+        members = np.flatnonzero((table[:, None, :] == images[None, :, :]).all(axis=2).any(axis=1))
+        if len(members) != len(images) or (orbit[members] >= 0).any():
+            raise RuntimeError(f"{r}x{c}: the orbit of facet {i} is not a set of table rows")
+        orbit[members] = i
+        rep = np.sort(simplices[facet_of == i], axis=1)
+        dets = _gram_determinants(space.array[rep])
+        rep = rep[dets > 0]
+        cones.append(rep[np.lexsort(rep.T[::-1])])
+        total += len(images) * np.sqrt(dets[dets > 0]).sum() / math.factorial(basis.shape[0])
+    if abs(total - volume) > VOLUME_TOL * volume:
+        raise RuntimeError(f"{r}x{c}: the cones' volume {total} is not the hull's {volume}")
+    return table, np.concatenate(cones).astype(np.uint8), volume
 
 
 def main() -> int:
-    tables = {f"{r}x{c}": facet_table(r, c) for r in FACET_SIZES for c in FACET_SIZES}
+    tables = {}
+    for r in FACET_SIZES:
+        for c in FACET_SIZES:
+            facets, cones, _ = hull_tables(r, c)
+            tables[f"{r}x{c}"], tables[f"{r}x{c}_cones"] = facets, cones
+            print(f"{r}x{c}: {len(facets)} facets, {len(cones)} representative simplices")
     out = ROOT / "src" / "semidp" / FACET_FILE
     np.savez_compressed(out, **tables)
-    for key, table in tables.items():
-        print(f"{key}: {len(table)} facets")
     print(f"wrote {out.relative_to(ROOT)}")
     return 0
 
