@@ -538,9 +538,9 @@ def hull_cones(space: SensitivitySpace) -> HullCones | None:
 def _cone_table(r: int, c: int) -> HullCones:
     """The committed cone table of hull(contingency_s_semi(r, c)), read once.
 
-    Checked in integers against the facet table: each simplex has s
-    vertices on exactly one facet, and the orbits of those facets are
-    disjoint and make up the whole table. Each simplex is weighted by its
+    Checked in integers against the facet table: the simplices are
+    distinct, each has s vertices on exactly one facet, and the orbits of
+    those facets are disjoint and make up the whole table. Each simplex is weighted by its
     orbit's size times s! times its cone's volume, the square root of the
     Gram determinant of its vertices, which must be positive.
     """
@@ -549,6 +549,8 @@ def _cone_table(r: int, c: int) -> HullCones:
     F, V = _facet_table(r, c), _table_space("semi", r, c).array
     if T.ndim != 2 or T.shape[1] != (r - 1) * (c - 1) or not (T < len(V)).all():
         raise RuntimeError(f"{FACET_FILE}: the {r}x{c} cone table is not rows of s vertex indices")
+    if len(_unique_rows(np.sort(T, axis=1))[0]) != len(T):
+        raise RuntimeError(f"{FACET_FILE}: the {r}x{c} cone table repeats a simplex")
     holds = (F @ V.T == 2)[:, T].all(axis=2)  # [facet, simplex]: every vertex on the facet
     if (holds.sum(axis=0) != 1).any():
         raise RuntimeError(f"{FACET_FILE}: a {r}x{c} simplex is not on exactly one facet")

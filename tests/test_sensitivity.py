@@ -848,6 +848,7 @@ def _off_facet(T):
     lambda T: T[1:],  # the first representative's only simplex, and so its orbit, is gone
     _off_facet,
     lambda T: np.vstack([T, np.r_[T[0, :1], T[0, :-1]]]),  # a repeated vertex: a lower face
+    lambda T: np.vstack([T, T[1:2, ::-1]]),  # a simplex twice
 ])
 def test_load_refuses_a_cone_table_that_is_not_the_hull(corrupt, tmp_path, monkeypatch):
     path = tmp_path / "facets.npz"
