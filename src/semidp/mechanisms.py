@@ -1,14 +1,14 @@
 """Additive noise mechanisms calibrated on sensitivity spaces.
 
 Four samplers: a projected Gaussian that confines noise to the span of the
-sensitivity space; an optimal hull-calibrated mechanism, exact and without
-rejection on the tabled one-way-margin tables (s + 1 exponentials on a cone
-simplex picked by volume, mapped by a random table symmetry) and driven
-elsewhere by rejection sampling over the hull's bounding box in span
-coordinates (each try is one ``HullGeometry.gauge`` call, a gauge LP); the
-classic l1/l2/linf mechanisms; and naive group-privacy baselines for the
-table query. All draws are keyed by (seed, stream) and are
-bit-reproducible.
+sensitivity space (by double centring on a one-way-margin table); an
+optimal hull-calibrated mechanism, exact and without rejection on the
+tabled one-way-margin tables (s + 1 exponentials on a cone simplex picked
+by volume, mapped by a random table symmetry) and driven elsewhere by
+rejection sampling over the hull's bounding box in span coordinates (each
+try is one ``HullGeometry.gauge`` call, a gauge LP); the classic
+l1/l2/linf mechanisms; and naive group-privacy baselines for the table
+query. All draws are keyed by (seed, stream) and are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .sensitivity import (
     HULL_TOL,
     HullCones,
     SensitivitySpace,
+    _double_centring,
     _table_shape,
     hull_cones,
     hull_geometry,
@@ -85,35 +87,32 @@ def _as_vector(query_value, dim: int | None = None) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def _gaussian_constants(space: SensitivitySpace) -> tuple[int, float, np.ndarray]:
-    """Span dimension, Delta_2 and span projector of a space, computed once per space.
+def _gaussian_constants(space: SensitivitySpace) -> tuple[int, float, Callable[[np.ndarray], np.ndarray]]:
+    """Span dimension, Delta_2 and span projection of a space, computed once per space.
 
-    The span of the r x c one-way-margin space is every table with zero row
-    and column sums, so its projector is the double centring
-    (I_r - J_r / r) kron (I_c - J_c / c), of rank (r - 1)(c - 1); any other
-    space takes its projector from ``span_basis``.
+    On the r x c one-way-margin space all three are closed-form, none read
+    from its vectors: s = (r - 1)(c - 1), Delta_2 = 2 (four entries +-1 a
+    move), and ``_double_centring``. Any other space projects by ``span_basis``.
     """
     shape = _table_shape(space)
-    if shape is None:
-        basis = span_basis(space)
-        s, P = basis.s, projection_matrix(basis, space.ambient_dim)
-    else:
+    if shape is not None:
         r, c = shape
-        s, P = (r - 1) * (c - 1), np.kron(np.eye(r) - 1.0 / r, np.eye(c) - 1.0 / c)
-    P.setflags(write=False)
-    return s, lp_sensitivity(space, 2), P
+        return (r - 1) * (c - 1), 2.0, partial(_double_centring, r=r, c=c)
+    basis = span_basis(space)
+    P = projection_matrix(basis, space.ambient_dim)
+    return basis.s, lp_sensitivity(space, 2), lambda z: z @ P
 
 
 def gaussian_noise_samples(
     space: SensitivitySpace, mu: float, rng: NoiseRng, size: int
 ) -> np.ndarray:
     """Bulk projected-Gaussian noise draws, one row per sample."""
-    s, delta2, P = _gaussian_constants(space)
+    s, delta2, project = _gaussian_constants(space)
     d = space.ambient_dim
     if s == 0:
         return np.zeros((size, d))
     z = np.asarray(rng.normal(scale=delta2 / mu, size=(size, d)))
-    return z @ P
+    return project(z)
 
 
 def gaussian_semi(query_value, space: SensitivitySpace, mu: float, seed: RngSeed) -> MechanismOutput:

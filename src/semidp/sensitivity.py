@@ -3,20 +3,16 @@
 A sensitivity space collects phi(X) - phi(X') over all dataset pairs the
 adjacency relation protects. Its span tells a mechanism which directions
 need noise at all; its convex hull is the unit ball of the gauge norm used
-by the optimal hull-calibrated mechanism. The hull is held once per space in
-span coordinates (``hull_geometry``).
+by the optimal hull-calibrated mechanism.
 
-One gauge, ``HullGeometry.gauge``, reads the hull, on span coordinates y;
-``gauge_norm`` and ``hull_membership`` validate and project a point, then
-call it, and the box sampler calls it on its tries directly. For the
-tables ``contingency_s_semi(r, c)`` with 2 <= r, c <= 4 the hull's facets
+The hulls of the tables ``contingency_s_semi(r, c)`` with 2 <= r, c <= 4
 ship precomputed (``facets.npz``, from ``tools/facet_tables.py``) and are
-held as (f, s) facet normals in span coordinates, so the gauge is the
-largest entry of their product with y. Every other space takes the LP: the
-support function of the polar body, solved by the one-phase simplex in
-``simplex`` and stopped once it passes a bound. The same tables ship one
-triangulated facet per symmetry orbit (``hull_cones``), from which the hull
-sampler draws with no gauge, span basis or rejection.
+held once per shape in cells (``hull_cones``): the integer facet table F,
+and one triangulated facet per symmetry orbit for the hull sampler. The
+gauge of a point there is max(F x) / 2 at its projection x by double
+centring, with no span basis. Every other hull is held in span coordinates
+(``hull_geometry``), and its gauge is the LP: the support function of the
+polar body, solved by the one-phase simplex in ``simplex``.
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from typing import Callable, Sequence
@@ -349,36 +345,38 @@ def projection_matrix(basis: OrthonormalBasis, d: int) -> np.ndarray:
     return basis.vectors.T @ basis.vectors
 
 
+def _double_centring(x: np.ndarray, r: int, c: int) -> np.ndarray:
+    """Project the r x c tables along x's last axis (cells row-major) onto
+    the span of ``contingency_s_semi(r, c)``, the tables whose rows and
+    columns sum to zero: subtract the row means, then the column means.
+    An integer table in the span comes back exactly."""
+    t = x.reshape(-1, r, c)
+    t = t - t.sum(axis=2, keepdims=True) / c
+    return (t - t.sum(axis=1, keepdims=True) / r).reshape(x.shape)
+
+
 @dataclass(frozen=True)
 class HullGeometry:
-    """The hull of a space in span coordinates.
-
-    ``coords`` holds each vector's coordinates in the span basis, one row
-    per vector, and ``box`` the half-widths of the axis-aligned box that
-    bounds them. ``facets`` holds the facet normals of a shipped facet table
-    (see ``_table_facets``) in span coordinates, one row a B' per facet
-    a.x <= 1, shape (f, s); else None.
-    """
+    """The hull of an untabled space in span coordinates, for the LP gauge
+    and the box sampler: ``coords`` holds each vector's coordinates in the
+    span basis, one row per vector, and ``box`` the half-widths of the
+    axis-aligned box that bounds them."""
 
     basis: OrthonormalBasis
     coords: np.ndarray  # (m, s)
     box: np.ndarray  # (s,)
-    facets: np.ndarray | None  # (f, s)
 
     @property
     def s(self) -> int:
         return self.basis.s
 
     def gauge(self, y: np.ndarray, stop_above: float = math.inf) -> float:
-        """Gauge of the span point with coordinates y: max(facets y) when the
-        hull has its (f, s) facets, else the LP, the only reader of
-        ``stop_above``: with C the vertex coordinates, the support function
-        of the polar body, max y'z subject to Cz <= 1, with z = z+ - z- split
-        into non-negative parts, stopped once its value passes ``stop_above``
-        (its value is then known only to lie above that bound).
+        """Gauge of the span point with coordinates y by the LP: with C the
+        vertex coordinates, the support function of the polar body, max y'z
+        subject to Cz <= 1, with z = z+ - z- split into non-negative parts,
+        stopped once its value passes ``stop_above`` (its value is then known
+        only to lie above that bound).
         """
-        if self.facets is not None:
-            return float((self.facets @ y).max())
         C = self.coords
         return solve_lp(
             np.hstack([C, -C]), np.ones(C.shape[0]), np.concatenate([y, -y]), stop_above=stop_above
@@ -391,12 +389,9 @@ def hull_geometry(space: SensitivitySpace) -> HullGeometry:
     basis = span_basis(space)
     coords = space.array.astype(float) @ basis.vectors.T
     box = np.abs(coords).max(axis=0)
-    F = _table_facets(space)
-    facets = None if F is None else F @ basis.vectors.T / 2.0
-    for array in (coords, box, facets):
-        if array is not None:
-            array.setflags(write=False)
-    return HullGeometry(basis=basis, coords=coords, box=box, facets=facets)
+    coords.setflags(write=False)
+    box.setflags(write=False)
+    return HullGeometry(basis=basis, coords=coords, box=box)
 
 
 def _table_shape(space: SensitivitySpace) -> tuple[int, int] | None:
@@ -422,36 +417,6 @@ def _table_shape(space: SensitivitySpace) -> tuple[int, int] | None:
             if table is space or (hash(table) == hash(space) and np.array_equal(table.array, space.array)):
                 return r, c
     return None
-
-
-def _table_facets(space: SensitivitySpace) -> np.ndarray | None:
-    """The facet table of a space whose vectors are those of a tabled
-    ``contingency_s_semi(r, c)``, whatever its provenance; else None."""
-    shape = _tabled_shape(space)
-    return None if shape is None else _facet_table(*shape)
-
-
-def _tabled_shape(space: SensitivitySpace) -> tuple[int, int] | None:
-    """(r, c) when the space's vectors are those of ``contingency_s_semi(r, c)``
-    with r and c in ``FACET_SIZES``; else None."""
-    shape = _table_shape(space)
-    return shape if shape is not None and all(n in FACET_SIZES for n in shape) else None
-
-
-@lru_cache(maxsize=len(FACET_SIZES) ** 2)
-def _facet_table(r: int, c: int) -> np.ndarray:
-    """The committed table F of hull(contingency_s_semi(r, c)), read once, in int64.
-
-    Each row 2a must reach exactly 2 over the vertices, checked in integers:
-    a.x <= 1 holds on the hull (valid) and with equality at a vertex.
-    """
-    with resources.files(__package__).joinpath(FACET_FILE).open("rb") as fh, np.load(fh) as tables:
-        F = tables[f"{r}x{c}"].astype(np.int64)
-    V = _table_space("semi", r, c).array
-    if F.shape[1] != V.shape[1] or not ((F @ V.T).max(axis=1) == 2).all():
-        raise RuntimeError(f"{FACET_FILE}: the {r}x{c} table is not the facets of its hull")
-    F.setflags(write=False)
-    return F
 
 
 def _table_symmetries(r: int, c: int) -> np.ndarray:
@@ -504,11 +469,13 @@ def _gram_determinants(W: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HullCones:
-    """The hull of a tabled space as the union of the cones conv(0, T) over
-    a triangulation of its facets, held as one triangulated representative
-    facet per orbit of the table symmetries (``_table_symmetries``, with and
-    without negation).
+    """The hull of the tabled space ``contingency_s_semi(r, c)``, in cells.
 
+    ``facets`` is its facet table F (integers, in float64), one row 2a per
+    facet a.x <= 1, so a span point x has gauge max(F x) / 2. The hull is
+    also the union of the cones conv(0, T) over a triangulation of its
+    facets, held as one triangulated representative facet per orbit of the
+    table symmetries (``_table_symmetries``, with and without negation):
     ``simplices`` holds the (n, s) vertex indices of the representatives'
     simplices T into the space's vectors, ``vertices`` those vectors in
     float64, ``cdf`` the cumulative probability of picking each simplex
@@ -517,6 +484,9 @@ class HullCones:
     symmetry k // 2, negated when k is odd: (2 g, m).
     """
 
+    r: int
+    c: int
+    facets: np.ndarray  # (f, d)
     vertices: np.ndarray  # (m, d)
     simplices: np.ndarray  # (n, s)
     cdf: np.ndarray  # (n,)
@@ -528,38 +498,69 @@ class HullCones:
 
 
 def hull_cones(space: SensitivitySpace) -> HullCones | None:
-    """The cone table of a space whose vectors are those of a tabled
+    """The tabled hull of a space whose vectors are those of a tabled
     ``contingency_s_semi(r, c)``, whatever its provenance; else None."""
-    shape = _tabled_shape(space)
-    return None if shape is None else _cone_table(*shape)
+    shape = _table_shape(space)
+    tabled = shape is not None and shape[0] in FACET_SIZES and shape[1] in FACET_SIZES
+    return _hull_table(*shape) if tabled else None
 
 
 @lru_cache(maxsize=len(FACET_SIZES) ** 2)
-def _cone_table(r: int, c: int) -> HullCones:
-    """The committed cone table of hull(contingency_s_semi(r, c)), read once.
-
-    Checked in integers against the facet table: the simplices are
-    distinct, each has s vertices on exactly one facet, and the orbits of
-    those facets are disjoint and make up the whole table. Each simplex is weighted by its
-    orbit's size times s! times its cone's volume, the square root of the
-    Gram determinant of its vertices, which must be positive.
-    """
+def _hull_table(r: int, c: int) -> HullCones:
+    """The committed hull of contingency_s_semi(r, c), read in one open, once."""
     with resources.files(__package__).joinpath(FACET_FILE).open("rb") as fh, np.load(fh) as tables:
-        T = tables[f"{r}x{c}_cones"].astype(np.intp)
-    F, V = _facet_table(r, c), _table_space("semi", r, c).array
-    if T.ndim != 2 or T.shape[1] != (r - 1) * (c - 1) or not (T < len(V)).all():
+        F, T = tables[f"{r}x{c}"], tables[f"{r}x{c}_cones"]
+    return _hull_from_tables(r, c, F, T)
+
+
+def _hull_from_tables(r: int, c: int, F: np.ndarray, T: np.ndarray) -> HullCones:
+    """The hull of contingency_s_semi(r, c) from its facet table F and cone
+    table T, or ``RuntimeError`` naming the shape, checked in integers.
+
+    Each row 2a of F must reach exactly 2 over the vertices (a.x <= 1 holds
+    on the hull, with equality at a vertex). The simplices are distinct,
+    each has s vertices on exactly one facet, those facets' orbits are
+    disjoint and make up F, and each representative's simplices cover it: a
+    ridge (s - 1 of a simplex's vertices) bounds one simplex when it lies on
+    a second facet, on the facet's boundary, and two otherwise. Each simplex
+    is weighted by its orbit's size times s! times its cone's volume, the
+    square root of its vertices' Gram determinant, which must be positive.
+    """
+    F, T = np.asarray(F, dtype=np.int64), np.asarray(T, dtype=np.intp)
+    V = _table_space("semi", r, c).array
+    if F.shape[1] != V.shape[1] or not ((values := F @ V.T).max(axis=1) == 2).all():
+        raise RuntimeError(f"{FACET_FILE}: the {r}x{c} table is not the facets of its hull")
+    s = (r - 1) * (c - 1)
+    if T.ndim != 2 or not len(T) or T.shape[1] != s or not (T < len(V)).all():
         raise RuntimeError(f"{FACET_FILE}: the {r}x{c} cone table is not rows of s vertex indices")
-    if len(_unique_rows(np.sort(T, axis=1))[0]) != len(T):
+    T_sorted = np.sort(T, axis=1)
+    if len(_unique_rows(T_sorted)[0]) != len(T):
         raise RuntimeError(f"{FACET_FILE}: the {r}x{c} cone table repeats a simplex")
-    holds = (F @ V.T == 2)[:, T].all(axis=2)  # [facet, simplex]: every vertex on the facet
+    on = values == 2  # [facet, vertex]
+    holds = on[:, T].all(axis=2)  # [facet, simplex]: every vertex on the facet
     if (holds.sum(axis=0) != 1).any():
         raise RuntimeError(f"{FACET_FILE}: a {r}x{c} simplex is not on exactly one facet")
     symmetries = _table_symmetries(r, c)
-    reps, rep_of = np.unique(holds.argmax(axis=0), return_inverse=True)
+    facet = holds.argmax(axis=0)
+    reps, rep_of = np.unique(facet, return_inverse=True)
     orbits = [_facet_images(F[i], r, c, symmetries) for i in reps]
     covered = np.concatenate(orbits)
     if len(covered) != len(F) or not np.array_equal(_unique_rows(covered)[0], _unique_rows(F)[0]):
         raise RuntimeError(f"{FACET_FILE}: the {r}x{c} orbits are not the facet table")
+    # ridge k of a simplex drops its vertex k; the facets through a ridge,
+    # bar its own, are those through all its vertices, 8 facets a byte
+    keep = np.arange(s - 1)
+    ridges = T_sorted[:, keep + (keep >= np.arange(s)[:, None])].reshape(len(T) * s, s - 1)
+    owner = np.repeat(facet, s)
+    bits = np.packbits(on.T, axis=1)  # [vertex, byte]
+    through = np.full((len(ridges), bits.shape[1]), 0xFF, dtype=np.uint8)
+    for k in range(s - 1):
+        through &= bits[ridges[:, k]]
+    through[np.arange(len(owner)), owner // 8] &= ~(np.uint8(0x80) >> (owner % 8).astype(np.uint8))
+    # a ridge is its facet and its vertices' base-m code, exact in int64 (73^8 on 4x4)
+    _, ridge_of = _unique_rows(np.column_stack([owner, ridges @ len(V) ** keep]))
+    if (np.bincount(ridge_of)[ridge_of] != np.where(through.any(axis=1), 1, 2)).any():
+        raise RuntimeError(f"{FACET_FILE}: the {r}x{c} simplices do not cover their facets")
     dets = _gram_determinants(V[T])
     if (dets <= 0).any():
         raise RuntimeError(f"{FACET_FILE}: a {r}x{c} simplex is degenerate")
@@ -576,42 +577,39 @@ def _cone_table(r: int, c: int) -> HullCones:
         raise RuntimeError(f"the {r}x{c} symmetries do not map the semi space onto itself")
     # the space is negation-closed and sorted: row i negated is row m - 1 - i
     moves = np.stack([moves, len(V) - 1 - moves], axis=1).reshape(-1, len(V))
-    vertices = V.astype(float)
-    for array in (vertices, T, cdf, moves):
+    facets, vertices = F.astype(float), V.astype(float)
+    for array in (facets, vertices, T, cdf, moves):
         array.setflags(write=False)
-    return HullCones(vertices=vertices, simplices=T, cdf=cdf, moves=moves)
+    return HullCones(r=r, c=c, facets=facets, vertices=vertices, simplices=T, cdf=cdf, moves=moves)
 
 
-def _span_coords(space: SensitivitySpace, v) -> tuple[HullGeometry, np.ndarray | None]:
-    """(geometry, span coordinates y) of v; y is None when v lies off the span."""
+def _gauge(space: SensitivitySpace, v, stop_above: float) -> float:
+    """Gauge of v over hull(space), inf off the span: max(F x) / 2 at the
+    centred x on a tabled hull, else the LP, stopped above ``stop_above``."""
     v = np.asarray(v, dtype=float)
     if v.shape != (space.ambient_dim,):
         raise ValueError("v must match the ambient dimension")
     if not np.isfinite(v).all():
         raise ValueError("v must be finite")
-    geom = hull_geometry(space)
-    y = geom.basis.vectors @ v
-    residual = v - y @ geom.basis.vectors
+    hull = hull_cones(space)
+    if hull is None:
+        geom = hull_geometry(space)
+        y = geom.basis.vectors @ v
+        x = y @ geom.basis.vectors
+    else:
+        x = _double_centring(v, hull.r, hull.c)
+    residual = v - x
     if math.sqrt(residual @ residual) > HULL_TOL * max(1.0, math.sqrt(v @ v)):
-        return geom, None
-    return geom, y
-
-
-def _gauge_lp(space: SensitivitySpace, v, stop_above: float) -> float:
-    """Gauge of v over hull(space) by the LP alone, or a value above
-    ``stop_above``; inf outside the span."""
-    geom, y = _span_coords(space, v)
-    return math.inf if y is None else replace(geom, facets=None).gauge(y, stop_above)
+        return math.inf
+    return geom.gauge(y, stop_above) if hull is None else float((hull.facets @ x).max()) / 2.0
 
 
 def hull_membership(space: SensitivitySpace, v) -> bool:
     """True when v lies in the convex hull of the space's vectors, that is,
-    when its gauge is at most 1 + ``HULL_TOL`` (``HullGeometry.gauge``
-    stopped at that bound).
+    when its gauge is at most 1 + ``HULL_TOL``.
     """
-    geom, y = _span_coords(space, v)
     bound = 1.0 + HULL_TOL
-    return y is not None and geom.gauge(y, bound) <= bound
+    return _gauge(space, v, bound) <= bound
 
 
 def gauge_norm(space: SensitivitySpace, v) -> float:
@@ -622,8 +620,7 @@ def gauge_norm(space: SensitivitySpace, v) -> float:
     Returns inf when v lies outside the span (no finite scaling of the hull
     can reach it).
     """
-    geom, y = _span_coords(space, v)
-    return math.inf if y is None else geom.gauge(y)
+    return _gauge(space, v, math.inf)
 
 
 def sensitivity_space_to_csv(space: SensitivitySpace) -> str:

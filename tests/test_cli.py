@@ -363,8 +363,8 @@ def test_weak_privacy_curves_build_and_test(capsys, spec):
 def test_cli_import_leaves_slow_scipy_subpackages_unloaded():
     """Neither ``import semidp`` nor ``import semidp.cli`` loads any part of
     scipy, and the CLI import leaves the facet tables unread. A 3x3 knorm
-    draw reads the 3x3 facet and cone tables, a 4x4 ``gauge_norm`` the 4x4
-    facet table, and neither loads scipy."""
+    draw reads the 3x3 hull's facet and cone tables in one open, a 4x4
+    ``gauge_norm`` the 4x4 hull's in one more, and neither loads scipy."""
     code = ("import contextlib, io, sys\n"
             "opened = []\n"
             "sys.addaudithook(lambda event, args: opened.append(args[0])\n"
@@ -376,14 +376,14 @@ def test_cli_import_leaves_slow_scipy_subpackages_unloaded():
             "    code = semidp.cli.cli_dispatch(['mech', '--query', '1,2,3,4,5,6,7,8,9', '--kind', 'knorm',\n"
             "                                    '--eps', '0.5', '--r', '3', '--c', '3', '--seed', '1'])\n"
             "print(scipy_modules(), code, len(opened))\n"
-            "from semidp.sensitivity import contingency_s_semi, gauge_norm, hull_geometry\n"
+            "from semidp.sensitivity import contingency_s_semi, gauge_norm, hull_cones\n"
             "space = contingency_s_semi(4, 4)\n"
             "gauge = gauge_norm(space, space.array[-1])\n"
-            "print(scipy_modules(), hull_geometry(space).facets is not None, len(opened), round(gauge, 9))")
+            "print(scipy_modules(), hull_cones(space) is not None, len(opened), gauge)")
     env = {**os.environ, "PYTHONPATH": str(Path(semidp.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out == "[]\n[] 0\n[] 0 2\n[] True 3 1.0\n"
+    assert out == "[]\n[] 0\n[] 0 1\n[] True 2 1.0\n"
 
 
 def _parse_as_one_parser(argv):

@@ -110,15 +110,20 @@ def test_gaussian_semi_rejects_bad_mu():
 
 
 def test_table_projector_is_the_double_centring_of_the_span_basis():
+    rng = np.random.default_rng(2)
     for r in range(2, 7):
         for c in range(2, 7):
             space = contingency_s_semi(r, c)
-            s, delta2, P = mechanisms._gaussian_constants(space)
+            s, delta2, project = mechanisms._gaussian_constants(space)
             basis = span_basis(space)
-            assert s == basis.s == (r - 1) * (c - 1) and delta2 == 2.0
-            assert np.abs(P - projection_matrix(basis, r * c)).max() < 1e-12
-            assert np.abs(P - P.T).max() < 1e-12 and np.abs(P @ P - P).max() < 1e-12
-            assert not P.flags.writeable
+            assert s == basis.s == (r - 1) * (c - 1) and delta2 == sensitivity.lp_sensitivity(space, 2) == 2.0
+            P = projection_matrix(basis, r * c)
+            z, w = rng.normal(size=(2, 30, r * c))
+            assert np.abs(project(z) - z @ P).max() < 1e-12
+            assert np.abs(sensitivity._double_centring(z[0], r, c) - P @ z[0]).max() < 1e-12
+            # symmetric and idempotent
+            assert np.abs((project(z) * w).sum(axis=1) - (z * project(w)).sum(axis=1)).max() < 1e-12
+            assert np.abs(project(project(z)) - project(z)).max() < 1e-12
 
 
 def test_table_projector_draws_match_the_basis_path(monkeypatch):

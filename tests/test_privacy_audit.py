@@ -44,7 +44,7 @@ ROTATION = np.array([1, -1, 0, 0, 1, -1, -1, 0, 1])
 
 def _gauges(r, c, points):
     """Hull gauges of span points, one per row, from the committed facet table."""
-    return (sensitivity._facet_table(r, c) @ points.T).max(axis=0) / 2.0
+    return (sensitivity._hull_table(r, c).facets @ points.T).max(axis=0) / 2.0
 
 
 @pytest.mark.parametrize("r,c", LAW_SHAPES)

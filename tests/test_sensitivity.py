@@ -38,6 +38,7 @@ from semidp.sensitivity import (
     contingency_s_dp,
     contingency_s_semi,
     gauge_norm,
+    hull_cones,
     hull_geometry,
     hull_membership,
     lp_sensitivity,
@@ -743,6 +744,14 @@ def test_facet_table_is_what_qhull_finds(r, c):
     assert np.array_equal(_committed_table(r, c, "_cones"), cones.astype(np.int64))
 
 
+def test_the_tool_checks_its_tables_as_the_loader_does(monkeypatch):
+    tool, checked = _facet_tool(), []
+    monkeypatch.setattr(tool, "_hull_from_tables", lambda *args: checked.append(args))
+    facets, cones, _ = tool.hull_tables(2, 3)
+    ((r, c, F, T),) = checked
+    assert (r, c) == (2, 3) and F is facets and T is cones
+
+
 def _symmetry_images(a, r, c):
     """Each image of the table a under a row permutation, a column permutation,
     transposition when r == c, and negation, one by one."""
@@ -775,7 +784,8 @@ def test_cone_representatives_reproduce_the_facet_table(r, c):
     volumes = np.array([sizes[rep] * abs(np.linalg.det(coords[simplex])) / math.factorial(len(simplex))
                         for rep, simplex in zip(reps, T)])
     assert volumes.sum() == pytest.approx(_regenerated(r, c)[2], rel=1e-9)
-    cones = sensitivity._cone_table(r, c)
+    cones = sensitivity._hull_table(r, c)
+    assert np.array_equal(cones.facets, F) and not cones.facets.flags.writeable
     assert np.diff(cones.cdf, prepend=0.0) == pytest.approx(volumes / volumes.sum(), rel=1e-9)
 
 
@@ -795,43 +805,55 @@ def test_facet_table_rows_are_valid_and_tight_facets(r, c):
 @pytest.mark.parametrize("r,c", FACET_SHAPES)
 def test_facet_gauge_agrees_with_the_lp(r, c):
     space = contingency_s_semi(r, c)
-    assert hull_geometry(space).facets is not None
-    basis = span_basis(space).vectors
+    assert hull_cones(space) is not None
+    geom = hull_geometry(space)  # the LP's geometry, built here only as the oracle
+    basis = geom.basis.vectors
     rng = np.random.default_rng(100 * r + c)
     points = rng.normal(size=(2000, len(basis))) @ basis * rng.uniform(0.0, 2.0, size=(2000, 1))
     for v in points:
-        lp = sensitivity._gauge_lp(space, v, math.inf)
-        assert gauge_norm(space, v) == pytest.approx(lp, rel=1e-12, abs=0.0)
+        assert gauge_norm(space, v) == pytest.approx(geom.gauge(basis @ v), rel=1e-12, abs=0.0)
+
+
+#: A three-record rotation of a 3x3 table: +1 on the diagonal, -1 beside it.
+ROTATION = (1, -1, 0, 0, 1, -1, -1, 0, 1)
+
+
+@pytest.mark.parametrize("r,c", FACET_SHAPES)
+def test_integer_moves_have_exact_gauges(r, c):
+    # an integer table in the span centres to itself exactly, so the facet
+    # table's integer products give the gauge with no rounding
+    space = contingency_s_semi(r, c)
+    for v in space.array:
+        assert gauge_norm(space, v) == (1.0 if v.any() else 0.0)
+        assert gauge_norm(space, 3 * v) == (3.0 if v.any() else 0.0)
+    if (r, c) == (3, 3):
+        assert gauge_norm(space, ROTATION) == 2.0
 
 
 def test_facets_attach_by_vectors_whatever_the_provenance():
     semi = contingency_s_semi(3, 3)
     renamed = SensitivitySpace(semi.array[::-1], "brute_force(radius=2, subset)")
-    assert renamed != semi and np.array_equal(hull_geometry(renamed).facets, hull_geometry(semi).facets)
-    assert hull_geometry(contingency_s_dp(2, 3)).facets is None
-    assert hull_geometry(contingency_s_semi(2, 5)).facets is None
+    assert renamed != semi and hull_cones(renamed) is hull_cones(semi) is not None
+    assert hull_cones(contingency_s_dp(2, 3)) is None
+    assert hull_cones(contingency_s_semi(2, 5)) is None
 
 
-@pytest.mark.parametrize("r,c", FACET_SHAPES)
-def test_span_facets_reach_one_on_the_vertices(r, c):
-    geom = hull_geometry(contingency_s_semi(r, c))
-    assert geom.facets.shape == (len(_committed_table(r, c)), geom.s) and not geom.facets.flags.writeable
-    values = geom.facets @ geom.coords.T
-    assert np.abs(values.max(axis=1) - 1.0).max() <= 1e-12
-    assert values.max() <= 1.0 + 1e-12
+def _load_3x3(facets, cones, tmp_path, monkeypatch):
+    """``_hull_table(3, 3)`` read from a file that holds these 3x3 tables."""
+    path = tmp_path / "facets.npz"
+    np.savez(path, **{"3x3": facets.astype(np.int8), "3x3_cones": cones.astype(np.uint8)})
+    monkeypatch.setattr(sensitivity, "FACET_FILE", str(path))
+    sensitivity._hull_table.cache_clear()
+    try:
+        return sensitivity._hull_table(3, 3)
+    finally:
+        sensitivity._hull_table.cache_clear()
 
 
 @pytest.mark.parametrize("corrupt", [lambda F: F[:, :-1], lambda F: np.vstack([F, F[:1] // 2])])
 def test_load_refuses_a_table_that_is_not_the_facets(corrupt, tmp_path, monkeypatch):
-    path = tmp_path / "facets.npz"
-    np.savez(path, **{"3x3": corrupt(_committed_table(3, 3)).astype(np.int8)})
-    monkeypatch.setattr(sensitivity, "FACET_FILE", str(path))
-    sensitivity._facet_table.cache_clear()
-    try:
-        with pytest.raises(RuntimeError, match="3x3"):
-            sensitivity._facet_table(3, 3)
-    finally:
-        sensitivity._facet_table.cache_clear()
+    with pytest.raises(RuntimeError, match="3x3 table is not the facets"):
+        _load_3x3(corrupt(_committed_table(3, 3)), _committed_table(3, 3, "_cones"), tmp_path, monkeypatch)
 
 
 def _off_facet(T):
@@ -843,26 +865,24 @@ def _off_facet(T):
     return T
 
 
+def _drop_from_a_shared_facet(T):
+    """The cone table less the first simplex of a representative facet that has several."""
+    F, V = _committed_table(3, 3), contingency_s_semi(3, 3).array
+    facets = [int(np.flatnonzero((F @ V[simplex].T == 2).all(axis=1))[0]) for simplex in T]
+    return np.delete(T, next(i for i, f in enumerate(facets) if facets.count(f) > 1), axis=0)
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda T: T[:, :-1],  # too few vertices a simplex
     lambda T: T[1:],  # the first representative's only simplex, and so its orbit, is gone
     _off_facet,
     lambda T: np.vstack([T, np.r_[T[0, :1], T[0, :-1]]]),  # a repeated vertex: a lower face
     lambda T: np.vstack([T, T[1:2, ::-1]]),  # a simplex twice
+    _drop_from_a_shared_facet,  # one simplex of a multi-simplex representative dropped
 ])
 def test_load_refuses_a_cone_table_that_is_not_the_hull(corrupt, tmp_path, monkeypatch):
-    path = tmp_path / "facets.npz"
-    np.savez(path, **{"3x3": _committed_table(3, 3).astype(np.int8),
-                      "3x3_cones": corrupt(_committed_table(3, 3, "_cones")).astype(np.uint8)})
-    monkeypatch.setattr(sensitivity, "FACET_FILE", str(path))
-    sensitivity._facet_table.cache_clear()
-    sensitivity._cone_table.cache_clear()
-    try:
-        with pytest.raises(RuntimeError, match="3x3"):
-            sensitivity._cone_table(3, 3)
-    finally:
-        sensitivity._facet_table.cache_clear()
-        sensitivity._cone_table.cache_clear()
+    with pytest.raises(RuntimeError, match="3x3"):
+        _load_3x3(_committed_table(3, 3), corrupt(_committed_table(3, 3, "_cones")), tmp_path, monkeypatch)
 
 
 def _exact_det(M):
@@ -894,11 +914,8 @@ def test_gram_determinants_are_exact():
 
 @pytest.fixture
 def lp_only(monkeypatch):
-    """Hull geometry built without facet tables, so every gauge is an LP."""
-    hull_geometry.cache_clear()
-    monkeypatch.setattr(sensitivity, "_table_facets", lambda space: None)
-    yield
-    hull_geometry.cache_clear()
+    """Tabled hulls hidden from the gauge, so every gauge is an LP."""
+    monkeypatch.setattr(sensitivity, "hull_cones", lambda space: None)
 
 
 def _knorm_draws(space, seed, size):
@@ -910,13 +927,14 @@ SAMPLER_CASES = [(2, 3, 40), (2, 4, 40), (3, 3, 40), (3, 4, 8), (4, 4, 1)]
 
 
 def test_sampler_draws_equal_the_lp_only_path(request, monkeypatch):
-    # a tabled draw reads the cone table alone: with the facets gone and every
-    # span basis, hull geometry, gauge and LP refused, it draws the same bytes
+    # a tabled draw reads the cone table alone: with the gauge's tables hidden
+    # and every span basis, hull geometry, gauge and LP refused, it draws the
+    # same bytes
     seeds = (3, 11, 12)
     facet = {(r, c, seed): _knorm_draws(contingency_s_semi(r, c), seed, size)
              for r, c, size in SAMPLER_CASES for seed in seeds}
-    assert hull_geometry(contingency_s_semi(4, 4)).facets is not None
     request.getfixturevalue("lp_only")
+    assert sensitivity.hull_cones(contingency_s_semi(4, 4)) is None
 
     def refuse(*args, **kwargs):
         raise AssertionError("a tabled draw read the span or the gauge")
@@ -940,10 +958,11 @@ def _vertices(space):
 @pytest.mark.parametrize("r,c", FACET_SHAPES)
 def test_tries_near_a_vertex_decide_as_the_lp_does(r, c):
     space = contingency_s_semi(r, c)
+    geom, bound = hull_geometry(space), 1.0 + HULL_TOL
     for v in _vertices(space)[:6]:
         for scale, inside in ((1.0 - 1e-7, True), (1.0, True), (1.0 + 1e-7, False)):
             assert hull_membership(space, scale * v) == inside
-            assert (sensitivity._gauge_lp(space, scale * v, 1.0 + HULL_TOL) <= 1.0 + HULL_TOL) == inside
+            assert (geom.gauge(geom.basis.vectors @ (scale * v), bound) <= bound) == inside
 
 
 def _count_calls(monkeypatch, name, owner=sensitivity):
@@ -977,10 +996,33 @@ def test_tabled_hulls_never_reach_the_lp(monkeypatch):
     rotations = brute_force_sensitivity_space(space, conforming_set(space, TABLE_INV, t),
                                               cell_count_query(space), 3)
     for untabled in (contingency_s_dp(2, 3), contingency_s_semi(2, 5), rotations):
-        assert hull_geometry(untabled).facets is None
+        assert hull_cones(untabled) is None
         calls = len(lp_calls)
         assert hull_membership(untabled, _vertices(untabled)[0])
         assert len(lp_calls) > calls
+
+
+def test_tabled_paths_read_no_span_coordinates(monkeypatch):
+    # tabled hulls are read in cells: gauges, membership, draws and the
+    # Gaussian run with every span basis, hull geometry and LP refused
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tabled path read span coordinates")
+
+    mechanisms._gaussian_constants.cache_clear()
+    for owner, name in ((sensitivity, "span_basis"), (sensitivity, "_span_basis_cached"),
+                        (sensitivity, "hull_geometry"), (sensitivity, "solve_lp"),
+                        (mechanisms, "span_basis"), (mechanisms, "hull_geometry"),
+                        (semidp.simplex, "solve_lp")):
+        monkeypatch.setattr(owner, name, refuse)
+    for r, c in FACET_SHAPES:
+        space = contingency_s_semi(r, c)
+        v = space.array[-1] / 2.0
+        assert gauge_norm(space, v) == 0.5 and hull_membership(space, v)
+        assert gauge_norm(space, np.r_[1.0, np.zeros(r * c - 1)]) == math.inf
+        knorm_noise_samples(space, 1.0, NoiseRng(RngSeed(r, c)), 3)
+        mechanisms.gaussian_semi(np.zeros(r * c), space, 1.0, RngSeed(r, c))
+    out = mechanisms.gaussian_semi(np.zeros(100), contingency_s_semi(10, 10), 1.0, RngSeed(10))
+    assert out.meta["span_dim"] == 81 and out.meta["delta2"] == 2.0
 
 
 def test_sampler_looks_up_the_geometry_once_and_stays_in_span_coordinates(monkeypatch):
@@ -997,7 +1039,7 @@ def test_sampler_looks_up_the_geometry_once_and_stays_in_span_coordinates(monkey
     monkeypatch.setattr(mechanisms, "hull_geometry", lookup)
     monkeypatch.setattr(sensitivity, "hull_geometry", lookup)
     monkeypatch.setattr(sensitivity, "hull_membership", ambient_round_trip)
-    monkeypatch.setattr(sensitivity, "_span_coords", ambient_round_trip)
+    monkeypatch.setattr(sensitivity, "_gauge", ambient_round_trip)
     _, _, rejections = _knorm_draws(space, 4049, 50)
     assert rejections.sum() > 0
     assert lookups == [space]
@@ -1006,7 +1048,7 @@ def test_sampler_looks_up_the_geometry_once_and_stays_in_span_coordinates(monkey
 @pytest.mark.parametrize("r,c", [(2, 2), (3, 3), (4, 4)])
 def test_facet_path_refuses_bad_points(r, c):
     space = contingency_s_semi(r, c)
-    assert hull_geometry(space).facets is not None
+    assert hull_cones(space) is not None
     d = r * c
     for bad in (np.full(d, math.nan), np.r_[math.inf, np.zeros(d - 1)], np.zeros(d + 1), np.zeros((1, d))):
         with pytest.raises(ValueError):

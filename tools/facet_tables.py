@@ -18,7 +18,9 @@ of each orbit, in table order, is its representative. Its simplices of
 positive volume are written as rows of s vertex indices into
 ``contingency_s_semi(r, c).array``, sorted, one uint8 array per key
 "RxC_cones". Orbit sizes times the representatives' cone volumes must sum
-to qhull's hull volume.
+to qhull's hull volume, and both tables must pass the checks the package
+runs when it loads them (``semidp.sensitivity._hull_from_tables``), so no
+table is written that the package would refuse.
 
 Usage, from the repository root (needs scipy):
 
@@ -42,6 +44,7 @@ from semidp.sensitivity import (  # noqa: E402
     FACET_SIZES,
     _facet_images,
     _gram_determinants,
+    _hull_from_tables,
     _table_symmetries,
     contingency_s_semi,
     span_basis,
@@ -57,7 +60,8 @@ VOLUME_TOL = 1e-9
 def hull_tables(r: int, c: int) -> tuple[np.ndarray, np.ndarray, float]:
     """(facet table, cone table, hull volume in span coordinates) of
     hull(contingency_s_semi(r, c)): the distinct rows 2a of its facets,
-    sorted, and the representative simplices, as described above."""
+    sorted, and the representative simplices, as described above, checked
+    as the package checks them at load."""
     space = contingency_s_semi(r, c)
     basis = span_basis(space).vectors
     coords = space.array.astype(float) @ basis.T
@@ -95,7 +99,9 @@ def hull_tables(r: int, c: int) -> tuple[np.ndarray, np.ndarray, float]:
         total += len(images) * np.sqrt(dets[dets > 0]).sum() / math.factorial(basis.shape[0])
     if abs(total - volume) > VOLUME_TOL * volume:
         raise RuntimeError(f"{r}x{c}: the cones' volume {total} is not the hull's {volume}")
-    return table, np.concatenate(cones).astype(np.uint8), volume
+    cones = np.concatenate(cones).astype(np.uint8)
+    _hull_from_tables(r, c, table, cones)
+    return table, cones, volume
 
 
 def main() -> int:
