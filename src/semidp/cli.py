@@ -193,10 +193,12 @@ def _run_mech(args: argparse.Namespace) -> None:
     query = np.array([float(v) for v in args.query.split(",")])
     seed = _seed_from(args)
     if args.kind in ("gaussian", "knorm"):
-        r = int(round(math.sqrt(len(query)))) if args.r is None else args.r
-        if r < 2 or (args.c is not None and args.c < 2):
+        r, c = args.r, args.c
+        if r is None:  # from --c when it is given, else the nearest square
+            r = len(query) // c if c else int(round(math.sqrt(len(query))))
+        if r < 2 or (c is not None and c < 2):
             raise ValueError("r and c must both be >= 2")
-        c = len(query) // r if args.c is None else args.c
+        c = len(query) // r if c is None else c
         if r * c != len(query):
             raise ValueError("query length must equal r*c for table mechanisms")
         space = contingency_s_semi(r, c)
@@ -262,18 +264,18 @@ def _run_test(args: argparse.Namespace) -> None:
 
 
 def _run_experiment(args: argparse.Namespace) -> None:
-    overrides = {}
+    values = {"k": args.k, "model": args.model, "mu": args.mu, "eps": args.eps, "replicates": args.replicates}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             overrides = json.load(fh)
-    cfg = harness.ExperimentConfig(
-        k=overrides.get("k", args.k),
-        model=overrides.get("model", args.model),
-        mu=overrides.get("mu", args.mu),
-        eps=overrides.get("eps", args.eps),
-        replicates=overrides.get("replicates", args.replicates),
-        seed=_seed_from(args),
-    )
+        if not isinstance(overrides, dict):
+            raise ValueError(f"--config must hold a JSON object, not a {type(overrides).__name__}")
+        unread = sorted(set(overrides) - set(values))
+        if unread:
+            raise ValueError(f"--config does not read {', '.join(map(repr, unread))}; "
+                             f"it reads {', '.join(values)}")
+        values.update(overrides)
+    cfg = harness.ExperimentConfig(**values, seed=_seed_from(args))
     if args.which == "gaussian":
         rows = harness.run_gaussian_experiment(cfg)
     else:

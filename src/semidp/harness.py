@@ -11,11 +11,12 @@ radius to 2.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataspace import semi_adjacent_bound
+from .dataspace import _check_integer, semi_adjacent_bound
 from .mechanisms import NaiveGroupMechanism, gaussian_noise_samples, knorm_noise_samples
 from .rng import NoiseRng, RngSeed
 from .sensitivity import contingency_s_semi
@@ -48,16 +49,14 @@ class ExperimentConfig:
     seed: RngSeed = RngSeed(0)
 
     def __post_init__(self) -> None:
-        if self.k < 2:
-            raise ValueError(f"k must be >= 2, got {self.k}")
+        object.__setattr__(self, "k", _check_integer(self.k, "k", 2))
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
-        if self.replicates < 1:
-            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
+        object.__setattr__(self, "replicates", _check_integer(self.replicates, "replicates", 1))
         for name in ("mu", "eps"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            if value is not None and not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def _row(cfg: ExperimentConfig, method: str, param: float, costs: np.ndarray) -> dict:

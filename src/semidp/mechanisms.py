@@ -2,11 +2,11 @@
 
 Four samplers: a projected Gaussian that confines noise to the span of the
 sensitivity space (by double centring on a one-way-margin table); an
-optimal hull-calibrated mechanism, exact and without rejection on the
-tabled one-way-margin tables (s + 1 exponentials on a cone simplex picked
-by volume, mapped by a random table symmetry) and driven elsewhere by
-rejection sampling over the hull's bounding box in span coordinates (each
-try is one ``HullGeometry.gauge`` call, a gauge LP); the classic
+optimal hull-calibrated mechanism, exact and without rejection (s + 1
+exponentials on a cone simplex picked by volume: from the cone tables on
+the tabled one-way-margin tables, mapped by a random table symmetry, and
+in closed form on the root polytope of the single-move spaces and the
+2 x c and r x 2 tables), which refuses every other hull; the classic
 l1/l2/linf mechanisms; and naive group-privacy baselines for the table
 query. All draws are keyed by (seed, stream) and are bit-reproducible.
 """
@@ -24,27 +24,18 @@ import numpy as np
 from .dataspace import _check_integer
 from .rng import NoiseRng, RngSeed
 from .sensitivity import (
-    HULL_TOL,
+    TABLE_SHAPES,
     HullCones,
+    RootHull,
     SensitivitySpace,
     _double_centring,
     _table_shape,
     hull_cones,
-    hull_geometry,
     lp_sensitivity,
     projection_matrix,
+    root_hull,
     span_basis,
 )
-
-#: Give up after this many consecutive rejected direction draws.
-MAX_CONSECUTIVE_REJECTIONS = 10**6
-
-#: Largest span dimension (r - 1)(c - 1) of an untabled semi table the box
-#: sampler takes on; larger ones are refused before the first try. Box tries
-#: a draw (seed 11, eps = 0.5, one LP of 0.1-0.3 ms a try on a 2-vCPU host):
-#: 4.8 on 2x5 (s = 4), 141 on 2x8 (s = 7) and 1,245 on 3x5 (s = 8, 0.15 s a
-#: draw), but 40,728 on 3x6 (s = 10, 7.4 s a draw).
-MAX_BOX_SPAN_DIM = 8
 
 #: Cone draws form their directions this many at a time.
 _CONE_BLOCK = 4096
@@ -56,10 +47,6 @@ TABLE_SINGLE_MOVE_SENSITIVITY = {1: 2.0, 2: math.sqrt(2.0), math.inf: 1.0}
 KIND_NORM = {"gaussian": 2, "l1": 1, "l2": 2, "linf": math.inf}
 
 _DEGENERATE_WARNING = "degenerate sensitivity space; query is constant, no noise added"
-
-
-class RejectionLimitExceeded(RuntimeError):
-    """Raised when the box sampler keeps missing the hull."""
 
 
 @dataclass(frozen=True)
@@ -146,85 +133,76 @@ def knorm_noise_samples(
 
     Returns (noise, radii, directions, rejection counts): noise[i] equals
     radii[i] * directions[i], each radius a Gamma(s + 1, epsilon) variate and
-    each direction uniform in K, independent of it. On a tabled space
-    (``hull_cones``) a draw takes s + 3 uniforms and no rejection: s + 1
-    exponentials E_0..E_s, one to pick a simplex T = (v_1..v_s) of a
-    representative facet (with probability its orbit's size times its
-    cone's volume) and one for a uniform table symmetry g, with or without
-    negation. Their sum S is Gamma(s + 1) and independent of the Dirichlet
-    weights E / S, so the radius is S / epsilon and the direction is g applied
-    to sum_i (E_i / S) v_i, uniform in the cone conv(0, g T); its gauge is
-    exactly sum_{i >= 1} E_i / S. The draw is formed in ambient cells, with no
-    span basis, box or gauge, and every rejection count is 0.
+    each direction uniform in K, independent of it. Every draw is exact. K is
+    the union of cones conv(0, T) over simplices T = (v_1..v_s) of its
+    facets; a draw picks one with probability its volume's share and takes
+    s + 1 exponentials E_0..E_s, whose sum S is Gamma(s + 1) and independent
+    of the Dirichlet weights E / S. The radius is S / epsilon and the direction
+    sum_i (E_i / S) v_i, of gauge sum_{i >= 1} E_i / S. No span basis or
+    gauge is read, and every rejection count is 0.
 
-    Any other space takes the box: each direction is drawn by rejection from
-    the bounding box of K in span coordinates and each radius is an
-    independent Gamma(s + 1, epsilon) variate. The geometry is looked up once
-    a call, and a try y stays in span coordinates: it is accepted when its
-    gauge is at most 1 + ``HULL_TOL`` (as in ``hull_membership``), and only
-    then mapped to y B. Semi spaces whose box is hopeless
-    (``MAX_BOX_SPAN_DIM``) are refused before the first try.
+    On a tabled space (``hull_cones``) a draw takes s + 3 uniforms: the
+    exponentials, one to pick a simplex of a representative facet (weighted
+    by its orbit's size times its cone's volume) and one for a uniform table
+    symmetry, with or without negation, that moves it. On a root polytope of
+    n = s + 1 cells (``root_hull``) it takes 3 s + 1: the exponentials, and
+    2 s to pick s of 2 s slots. The facet x(A) = 1 of a k-subset A of the
+    cells is a product of simplices, triangulated by the monotone lattice
+    paths through the k x (n - k) grid of pairs (a, b), A and then B in cell
+    order, each path's vertices e_a - e_b a spanning tree. The picked slots
+    among the first n give A, and those among the last s - 1 the path's
+    steps to the next b, so k comes with probability C(n, k) C(n - 2, k - 1)
+    / C(2 n - 2, n - 1) and A and the path uniformly. Any other space is
+    refused by name before a uniform is drawn.
     """
-    cones = hull_cones(space)
-    if cones is not None:
-        return _cone_draws(cones, epsilon, rng, size)
-    _refuse_hopeless_box(space)
-    geom = hull_geometry(space)
-    s, d = geom.s, space.ambient_dim
-    if s == 0:
+    hull = _exact_hull(space)
+    if hull is None:
         raise ValueError("sensitivity space has empty span; nothing to randomize")
-    radii = np.atleast_1d(np.asarray(rng.gamma(s + 1.0, epsilon, size=(size,))))
-    directions = np.empty((size, d))
-    rejections: list[int] = []
-    bound = 1.0 + HULL_TOL
-    for i in range(size):
-        misses = 0
-        while True:
-            y = np.asarray(rng.uniform(-1.0, 1.0, size=s)) * geom.box
-            if geom.gauge(y, bound) <= bound:
-                directions[i] = y @ geom.basis.vectors
-                break
-            misses += 1
-            if misses >= MAX_CONSECUTIVE_REJECTIONS:
-                raise RejectionLimitExceeded(
-                    f"{misses} consecutive box draws missed the hull"
-                )
-        rejections.append(misses)
-    noise = radii[:, None] * directions
-    return noise, radii, directions, rejections
-
-
-def _refuse_hopeless_box(space: SensitivitySpace) -> None:
-    """``RejectionLimitExceeded`` for a semi table space whose span dimension
-    passes ``MAX_BOX_SPAN_DIM``, before any geometry is built."""
-    shape = _table_shape(space)
-    if shape is not None and (shape[0] - 1) * (shape[1] - 1) > MAX_BOX_SPAN_DIM:
-        raise RejectionLimitExceeded(
-            f"the hull sampler refuses the {shape[0]}x{shape[1]} table: its span dimension "
-            f"{(shape[0] - 1) * (shape[1] - 1)} exceeds MAX_BOX_SPAN_DIM = {MAX_BOX_SPAN_DIM}, "
-            f"past which box rejection is hopeless"
-        )
-
-
-def _cone_draws(
-    cones: HullCones, epsilon: float, rng: NoiseRng, size: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
-    """``knorm_noise_samples`` on a tabled space: one block of (size, s + 3)
-    uniforms, row i holding draw i's s + 1 exponentials (as -log u), its
-    simplex pick and its symmetry, which moves the simplex's vertices."""
-    s = cones.s
-    u = np.asarray(rng.uniform_open((size, s + 3)))
+    s, tabled = hull.s, isinstance(hull, HullCones)
+    u = np.asarray(rng.uniform_open((size, s + 3 if tabled else 3 * s + 1)))
     E = -np.log(u[:, : s + 1])
     total = E.sum(axis=1)
     weights = E[:, 1:] / total[:, None]
-    picked = cones.simplices[np.searchsorted(cones.cdf, u[:, s + 1], side="right")]
-    moved = cones.moves[(u[:, s + 2] * len(cones.moves)).astype(np.intp)[:, None], picked]
-    directions = np.empty((size, cones.vertices.shape[1]))
-    for start in range(0, size, _CONE_BLOCK):  # (block, s, d) gathered vertices at a time
-        rows = slice(start, start + _CONE_BLOCK)
-        np.matmul(weights[rows, None, :], cones.vertices[moved[rows]], out=directions[rows, None, :])
+    directions = (_cone_directions if tabled else _root_directions)(hull, weights, u[:, s + 1:])
     radii = total / epsilon
     return radii[:, None] * directions, radii, directions, [0] * size
+
+
+def _exact_hull(space: SensitivitySpace) -> HullCones | RootHull | None:
+    """The hull a draw reads, the tabled one before the root polytope; None
+    for a zero space, and ``ValueError`` naming any other space."""
+    hull = hull_cones(space) or root_hull(space)
+    if hull is None and space.array.any():
+        tables = ", ".join(f"{r}x{c}" for r, c in TABLE_SHAPES if 2 not in (r, c))
+        raise ValueError(f"the hull sampler refuses {space.provenance}: it draws exactly only on "
+                         f"single-move spaces and the semi tables 2 x c, r x 2, {tables}")
+    return hull
+
+
+def _cone_directions(cones: HullCones, weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Directions on a tabled hull: row i's simplex picked by u[i, 0] and
+    moved by the symmetry u[i, 1] picks, then weighted."""
+    picked = cones.simplices[np.searchsorted(cones.cdf, u[:, 0], side="right")]
+    moved = cones.moves[(u[:, 1] * len(cones.moves)).astype(np.intp)[:, None], picked]
+    directions = np.empty((len(u), cones.vertices.shape[1]))
+    for start in range(0, len(u), _CONE_BLOCK):  # (block, s, d) gathered vertices at a time
+        rows = slice(start, start + _CONE_BLOCK)
+        np.matmul(weights[rows, None, :], cones.vertices[moved[rows]], out=directions[rows, None, :])
+    return directions
+
+
+def _root_directions(root: RootHull, weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Directions on a root polytope: row i picks the slots of its s smallest
+    uniforms; the path's vertex j, e_a - e_b at the j-th pair (a, b) it
+    visits, takes weight j."""
+    size, n = len(u), root.s + 1
+    slots = np.argsort(np.argsort(u, axis=1), axis=1) < n - 1
+    order = np.argsort(~slots[:, :n], axis=1, kind="stable")  # A, then B
+    b = np.cumsum(slots, axis=1)[:, n - 1:]  # k plus the path's steps to the next b so far
+    a = np.arange(n - 1) + b[:, :1] - b
+    ends = np.arange(size)[:, None] * n + np.take_along_axis(order, np.concatenate([a, b], axis=1), 1)
+    x = np.bincount(ends.ravel(), np.concatenate([weights, -weights], axis=1).ravel(), size * n)
+    return x.reshape(size, n)[:, root.cell] * root.sign
 
 
 def knorm_optimal(query_value, space: SensitivitySpace, epsilon: float, seed: RngSeed) -> MechanismOutput:
@@ -239,17 +217,14 @@ def knorm_optimal(query_value, space: SensitivitySpace, epsilon: float, seed: Rn
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     query = _as_vector(query_value, space.ambient_dim)
     rng = NoiseRng(seed)
-    cones = hull_cones(space)
-    if cones is None:
-        _refuse_hopeless_box(space)
-    s = hull_geometry(space).s if cones is None else cones.s
+    hull = _exact_hull(space)
+    s = 0 if hull is None else hull.s
     meta = {"mechanism": "knorm_optimal", "epsilon": epsilon, "span_dim": s, "rng": rng.meta()}
     if s == 0:
         meta["warning"] = _DEGENERATE_WARNING
         return MechanismOutput(value=query, noise=np.zeros_like(query), meta=meta)
     noise, radii, _, rejections = knorm_noise_samples(space, epsilon, rng, 1)
-    meta.update(delta_k=1.0, radius=repr(float(radii[0])), rejections=rejections[0],
-                sampler="box" if cones is None else "cone")
+    meta.update(delta_k=1.0, radius=repr(float(radii[0])), rejections=rejections[0], sampler="cone")
     return MechanismOutput(value=query + noise[0], noise=noise[0], meta=meta)
 
 
@@ -273,8 +248,8 @@ def lp_noise_samples(
 
 def lp_mechanism(query_value, delta: float, epsilon: float, p, seed: RngSeed) -> MechanismOutput:
     """Additive l_p-calibrated noise: iid Laplace for p=1, a gamma radius on
-    the unit sphere for p=2, and a gamma radius times a uniform box point
-    for p=inf.
+    the unit sphere for p=2, and a gamma radius times a uniform point of the
+    cube [-1, 1]^d for p=inf.
     """
     if not (0 < delta < math.inf and 0 < epsilon < math.inf):
         raise ValueError("delta and epsilon must be positive and finite")

@@ -5,14 +5,15 @@ adjacency relation protects. Its span tells a mechanism which directions
 need noise at all; its convex hull is the unit ball of the gauge norm used
 by the optimal hull-calibrated mechanism.
 
-The hulls of the tables ``contingency_s_semi(r, c)`` with 2 <= r, c <= 4
-ship precomputed (``facets.npz``, from ``tools/facet_tables.py``) and are
-held once per shape in cells (``hull_cones``): the integer facet table F,
-and one triangulated facet per symmetry orbit for the hull sampler. The
-gauge of a point there is max(F x) / 2 at its projection x by double
-centring, with no span basis. Every other hull is held in span coordinates
-(``hull_geometry``), and its gauge is the LP: the support function of the
-polar body, solved by the one-phase simplex in ``simplex``.
+The hulls of the tables ``contingency_s_semi(r, c)`` for (r, c) in
+``TABLE_SHAPES`` ship precomputed (``facets.npz``, from
+``tools/facet_tables.py``) and are held once per shape in cells
+(``hull_cones``): the integer facet table F, whose max(F x) / 2 is the gauge
+at the double-centred x, and one triangulated facet per symmetry orbit for
+the hull sampler. The hull sampler draws the root polytope conv{e_a - e_b}
+of the single-move spaces and 2 x c tables in closed form (``root_hull``).
+Every untabled hull's gauge is the LP in span coordinates
+(``hull_geometry``), solved by the one-phase simplex in ``simplex``.
 """
 
 from __future__ import annotations
@@ -52,11 +53,11 @@ HULL_TOL = 1e-9
 TABLE_SPACE_CAP = 5_000_000
 
 #: Package data file of the facet tables: one int8 array per key "RxC", each
-#: row twice a facet normal of hull(contingency_s_semi(r, c)), for r and c in
-#: FACET_SIZES; and its cone table, one uint8 array per key "RxC_cones", each
+#: row twice a facet normal of hull(contingency_s_semi(r, c)), for (r, c) in
+#: TABLE_SHAPES; and its cone table, one uint8 array per key "RxC_cones", each
 #: row the s vertex indices of a simplex of a representative facet.
 FACET_FILE = "facets.npz"
-FACET_SIZES = range(2, 5)
+TABLE_SHAPES = tuple((r, c) for r in range(2, 5) for c in range(2, 5)) + ((3, 5), (5, 3))
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,18 +358,12 @@ def _double_centring(x: np.ndarray, r: int, c: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HullGeometry:
-    """The hull of an untabled space in span coordinates, for the LP gauge
-    and the box sampler: ``coords`` holds each vector's coordinates in the
-    span basis, one row per vector, and ``box`` the half-widths of the
-    axis-aligned box that bounds them."""
+    """The hull of an untabled space in span coordinates, the LP gauge's
+    oracle: ``coords`` holds each vector's coordinates in the span basis,
+    one row per vector."""
 
     basis: OrthonormalBasis
     coords: np.ndarray  # (m, s)
-    box: np.ndarray  # (s,)
-
-    @property
-    def s(self) -> int:
-        return self.basis.s
 
     def gauge(self, y: np.ndarray, stop_above: float = math.inf) -> float:
         """Gauge of the span point with coordinates y by the LP: with C the
@@ -388,10 +383,8 @@ def hull_geometry(space: SensitivitySpace) -> HullGeometry:
     """The space's hull in span coordinates, computed once per space."""
     basis = span_basis(space)
     coords = space.array.astype(float) @ basis.vectors.T
-    box = np.abs(coords).max(axis=0)
     coords.setflags(write=False)
-    box.setflags(write=False)
-    return HullGeometry(basis=basis, coords=coords, box=box)
+    return HullGeometry(basis=basis, coords=coords)
 
 
 def _table_shape(space: SensitivitySpace) -> tuple[int, int] | None:
@@ -501,11 +494,10 @@ def hull_cones(space: SensitivitySpace) -> HullCones | None:
     """The tabled hull of a space whose vectors are those of a tabled
     ``contingency_s_semi(r, c)``, whatever its provenance; else None."""
     shape = _table_shape(space)
-    tabled = shape is not None and shape[0] in FACET_SIZES and shape[1] in FACET_SIZES
-    return _hull_table(*shape) if tabled else None
+    return _hull_table(*shape) if shape in TABLE_SHAPES else None
 
 
-@lru_cache(maxsize=len(FACET_SIZES) ** 2)
+@lru_cache(maxsize=len(TABLE_SHAPES))
 def _hull_table(r: int, c: int) -> HullCones:
     """The committed hull of contingency_s_semi(r, c), read in one open, once."""
     with resources.files(__package__).joinpath(FACET_FILE).open("rb") as fh, np.load(fh) as tables:
@@ -581,6 +573,37 @@ def _hull_from_tables(r: int, c: int, F: np.ndarray, T: np.ndarray) -> HullCones
     for array in (facets, vertices, T, cdf, moves):
         array.setflags(write=False)
     return HullCones(r=r, c=c, facets=facets, vertices=vertices, simplices=T, cdf=cdf, moves=moves)
+
+
+@dataclass(frozen=True, eq=False)
+class RootHull:
+    """The root polytope conv{e_a - e_b : a != b} of n cells as a hull: a
+    move x = e_a - e_b is the space's vector with ``sign[j] * x[cell[j]]`` at
+    cell j, x itself on a single-move space and x on one row (column) of a
+    2 x c (r x 2) table, negated on the other. Its span has s = n - 1."""
+
+    cell: np.ndarray  # (d,) indices into the n cells
+    sign: np.ndarray  # (d,) 1.0 or -1.0
+    s: int
+
+
+@lru_cache(maxsize=128)
+def root_hull(space: SensitivitySpace) -> RootHull | None:
+    """The root polytope of a space with the vectors of a 2 x c or r x 2
+    ``contingency_s_semi`` or of a single-move space, whatever its
+    provenance; else None. The d (d - 1) + 1 distinct rows of a single-move
+    space on d >= 2 cells are its moves e_a - e_b and zero: rows of sum 0,
+    l1 norm at most 2 and entries -1, 0, 1."""
+    shape = _table_shape(space)
+    if shape is not None and 2 in shape:
+        rows, cols = np.indices(shape).reshape(2, -1)
+        cell, mirrored = (cols, rows) if shape[0] == 2 else (rows, cols)
+        return RootHull(cell, 1.0 - 2.0 * mirrored, max(shape) - 1)
+    (m, d), entries = space.array.shape, np.abs(space.array)
+    if (d > 1 and m == d * (d - 1) + 1 and entries.max() <= 1 and entries.sum(axis=1).max() <= 2
+            and not space.array.sum(axis=1).any()):
+        return RootHull(np.arange(d), np.ones(d), d - 1)
+    return None
 
 
 def _gauge(space: SensitivitySpace, v, stop_above: float) -> float:

@@ -443,13 +443,54 @@ def test_sens_reads_its_span_dimension_in_closed_form(capsys, monkeypatch):
 
 @pytest.mark.parametrize("r,c", [(5, 5), (3, 6), (6, 3)])
 def test_knorm_refuses_semi_tables_where_the_box_is_hopeless(capsys, monkeypatch, r, c):
+    # tables with neither a cone table nor the root polytope's hull are
+    # refused by name, before a uniform is drawn or a geometry built
     def refuse(*args, **kwargs):
-        raise AssertionError("the box sampler took a try")
+        raise AssertionError("a uniform was drawn or a geometry built")
 
     monkeypatch.setattr(semidp.sensitivity, "hull_geometry", refuse)
-    monkeypatch.setattr(semidp.mechanisms, "hull_geometry", refuse)
+    monkeypatch.setattr(semidp.rng.NoiseRng, "uniform_open", refuse)
     cells = ",".join(["1"] * (r * c))
     code, out, err = run(capsys, ["mech", "--query", cells, "--kind", "knorm", "--eps", "1",
                                   "--r", str(r), "--c", str(c)])
     assert code == 1 and out == ""
-    assert err.startswith(f"semidp: error: the hull sampler refuses the {r}x{c} table")
+    assert err.startswith(f"semidp: error: the hull sampler refuses contingency_margins({r}x{c}): ")
+
+
+def test_knorm_draws_exactly_on_every_table_it_takes(capsys):
+    shapes = [(r, c) for r in range(2, 5) for c in range(2, 5)] + [(3, 5), (5, 3)]
+    shapes += [(2, c) for c in range(5, 31)] + [(r, 2) for r in range(5, 31)]
+    for r, c in shapes:
+        cells = ",".join(["1"] * (r * c))
+        code, out, _ = run(capsys, ["mech", "--query", cells, "--kind", "knorm", "--eps", "1",
+                                    "--r", str(r), "--c", str(c)])
+        assert code == 0, (r, c)
+        meta = json.loads(out)["meta"]
+        assert meta["rejections"] == 0 and meta["span_dim"] == (r - 1) * (c - 1)
+
+
+def test_table_mechanisms_take_the_row_count_from_the_column_count(capsys):
+    cells = ",".join(map(str, range(10)))
+    for kind, flag in (("knorm", "--eps"), ("gaussian", "--mu")):
+        code, out, err = run(capsys, ["mech", "--query", cells, "--kind", kind, flag, "1", "--c", "5"])
+        assert (code, err) == (0, "")
+        noise = [float(x) for x in json.loads(out)["noise"]]
+        assert json.loads(out)["meta"]["span_dim"] == 4
+        assert max(abs(a + b) for a, b in zip(noise[:5], noise[5:])) < 1e-12  # column sums stay
+
+
+@pytest.mark.parametrize("config, message", [
+    ([1, 2], "--config must hold a JSON object, not a list"),
+    ({"k": 2.5}, "k must be an integer, got 2.5"),
+    ({"k": 1}, "k must be >= 2, got 1"),
+    ({"replicates": 2.5}, "replicates must be an integer, got 2.5"),
+    ({"replicates": 0}, "replicates must be >= 1, got 0"),
+    ({"kk": 3}, "--config does not read 'kk'; it reads k, model, mu, eps, replicates"),
+    ({"mu": "1"}, "mu must be a finite number, got '1'"),
+])
+def test_experiment_config_errors_exit_1(tmp_path, capsys, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, ["experiment", "gaussian", "--mu", "1", "--replicates", "3",
+                                  "--config", str(path)])
+    assert (code, out, err) == (1, "", f"semidp: error: {message}\n")

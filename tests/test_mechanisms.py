@@ -1,12 +1,14 @@
 """Noise mechanisms: distributional laws, span confinement, determinism."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.stats as st
 
 from semidp import mechanisms, sensitivity
+from semidp.dataspace import DataspaceSpec, JointMargins, OneWayMargins, conforming_set
 from semidp.mechanisms import (
     NaiveGroupMechanism,
     gaussian_noise_samples,
@@ -19,10 +21,11 @@ from semidp.mechanisms import (
 from semidp.rng import NoiseRng, RngSeed
 from semidp.sensitivity import (
     SensitivitySpace,
+    brute_force_sensitivity_space,
+    cell_count_query,
     contingency_s_dp,
     contingency_s_semi,
     gauge_norm,
-    hull_geometry,
     projection_matrix,
     span_basis,
 )
@@ -167,13 +170,6 @@ def test_table_spaces_and_projector_need_no_sort_and_no_span_basis(monkeypatch):
     assert out.meta["span_dim"] == 81
 
 
-def test_knorm_geometry_box_contains_vertices():
-    for space in (S22, contingency_s_semi(3, 3)):
-        geom = hull_geometry(space)
-        coords = space.array @ geom.basis.vectors.T
-        assert np.all(np.abs(coords) <= geom.box + 1e-12)
-
-
 def test_knorm_noise_stays_in_span_and_hull():
     eps = 0.8
     noise, radii, dirs, rejections = knorm_noise_samples(
@@ -183,7 +179,7 @@ def test_knorm_noise_stays_in_span_and_hull():
     assert np.max(np.abs(noise - noise @ P)) < 1e-9
     gauges = np.array([gauge_norm(S22, v) for v in dirs])
     assert gauges.max() <= 1.0 + 1e-9
-    assert all(r == 0 for r in rejections)  # s = 1: the box equals the hull
+    assert all(r == 0 for r in rejections)  # every draw is exact
 
 
 def test_knorm_segment_direction_uniform():
@@ -228,24 +224,55 @@ def test_knorm_three_by_three_gauge_law():
 
 
 def test_knorm_samplers_by_space():
-    # tabled semi spaces take the cone draw; dp and untabled semi spaces the box
-    for space, sampler in ((S22, "cone"), (contingency_s_semi(4, 4), "cone"),
-                           (contingency_s_dp(2, 2), "box"), (contingency_s_semi(2, 5), "box")):
+    # tabled semi spaces draw from their cone tables; dp, 2 x c and r x 2
+    # spaces from the root polytope: every draw is exact
+    for space in (S22, contingency_s_semi(4, 4), contingency_s_semi(3, 5), contingency_s_dp(2, 2),
+                  contingency_s_dp(1, 5), contingency_s_semi(2, 5), contingency_s_semi(9, 2)):
         out = knorm_optimal(np.zeros(space.ambient_dim), space, 1.0, RngSeed(3))
-        assert out.meta["sampler"] == sampler
-        assert (out.meta["rejections"] == 0) if sampler == "cone" else out.meta["rejections"] >= 0
+        assert out.meta["sampler"] == "cone" and out.meta["rejections"] == 0
+        assert out.meta["span_dim"] == span_basis(space).s
 
 
-@pytest.mark.parametrize("r,c", [(3, 6), (5, 5)])
+def test_knorm_draws_on_every_single_move_space_up_to_sixteen_cells():
+    for r in range(1, 17):
+        for c in range(1, 16 // r + 1):
+            out = knorm_optimal(np.zeros(r * c), contingency_s_dp(r, c), 0.5, RngSeed(r, c))
+            assert out.meta["span_dim"] == r * c - 1
+            if r * c == 1:  # one cell: no move, no noise
+                assert "warning" in out.meta and out.noise.tolist() == [0.0]
+            else:
+                assert out.meta["rejections"] == 0 and abs(out.noise.sum()) < 1e-12 and out.noise.any()
+
+
+def _brute_force_space(levels, spec, t, radius):
+    data = DataspaceSpec(n=3, levels=levels)
+    return brute_force_sensitivity_space(data, conforming_set(data, spec, t), cell_count_query(data), radius)
+
+
+#: Spaces with hulls that have no exact draw: the 3x3 semi moves with the
+#: three-record rotations (radius 3 at all margins 1), and the radius-2 set
+#: of three records of three binary features with one joint two-way margin.
+UNDRAWN_SPACES = {
+    "rotations": lambda: _brute_force_space((3, 3), OneWayMargins((0, 1)), ((1, 1, 1), (1, 1, 1)), 3),
+    "joint": lambda: _brute_force_space((2, 2, 2), JointMargins(((0, 1),)), ((1, 1, 1, 0),), 2),
+}
+
+
+@pytest.mark.parametrize("r,c", [(3, 6), (5, 5), (4, 5), (6, 3), ("rotations", None), ("joint", None)])
 def test_knorm_refuses_hopeless_boxes_before_the_first_try(monkeypatch, r, c):
+    # a hull with neither a cone table nor the root polytope's form is
+    # refused by name, before any uniform is drawn or geometry built
     def refuse(*args, **kwargs):
-        raise AssertionError("a try was drawn")
+        raise AssertionError("a uniform was drawn or a geometry built")
 
+    space = UNDRAWN_SPACES[r]() if c is None else contingency_s_semi(r, c)
     monkeypatch.setattr(NoiseRng, "uniform_open", refuse)
-    monkeypatch.setattr(mechanisms, "hull_geometry", refuse)
-    with pytest.raises(mechanisms.RejectionLimitExceeded, match=f"refuses the {r}x{c} table"):
-        knorm_noise_samples(contingency_s_semi(r, c), 1.0, NoiseRng(RngSeed(1)), 1)
-    assert (r - 1) * (c - 1) > mechanisms.MAX_BOX_SPAN_DIM
+    monkeypatch.setattr(sensitivity, "hull_geometry", refuse)
+    refusal = f"^the hull sampler refuses {re.escape(space.provenance)}: it draws exactly only on"
+    with pytest.raises(ValueError, match=refusal):
+        knorm_noise_samples(space, 1.0, NoiseRng(RngSeed(1)), 1)
+    with pytest.raises(ValueError, match=refusal):
+        knorm_optimal(np.zeros(space.ambient_dim), space, 1.0, RngSeed(1))
 
 
 def test_knorm_output_structure_and_determinism():

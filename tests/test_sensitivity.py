@@ -29,7 +29,7 @@ from semidp.mechanisms import knorm_noise_samples
 from semidp.rng import NoiseRng, RngSeed
 from semidp.sensitivity import (
     FACET_FILE,
-    FACET_SIZES,
+    TABLE_SHAPES,
     HULL_TOL,
     RANK_TOL,
     SensitivitySpace,
@@ -700,9 +700,6 @@ def test_gauge_matches_scipy_min_weight():
             assert gauge_norm(space, v) == pytest.approx(1.0 - 1e-7 if inside else 1.0 + 1e-7, abs=1e-12)
 
 
-FACET_SHAPES = [(r, c) for r in FACET_SIZES for c in FACET_SIZES]
-
-
 def _facet_tool():
     path = Path(__file__).resolve().parents[1] / "tools" / "facet_tables.py"
     module_spec = importlib.util.spec_from_file_location("facet_tables", path)
@@ -714,7 +711,7 @@ def _facet_tool():
 def _committed_table(r, c, suffix=""):
     """The committed facet table of the r x c hull, or with suffix "_cones" its cone table."""
     with np.load(Path(sensitivity.__file__).parent / FACET_FILE) as tables:
-        assert sorted(tables.files) == sorted(f"{a}x{b}{part}" for a, b in FACET_SHAPES
+        assert sorted(tables.files) == sorted(f"{a}x{b}{part}" for a, b in TABLE_SHAPES
                                               for part in ("", "_cones"))
         table = tables[f"{r}x{c}{suffix}"]
     if suffix:
@@ -736,7 +733,7 @@ def test_facet_tables_ship_as_package_data():
     assert FACET_FILE in pyproject["tool"]["setuptools"]["package-data"]["semidp"]
 
 
-@pytest.mark.parametrize("r,c", FACET_SHAPES)
+@pytest.mark.parametrize("r,c", TABLE_SHAPES)
 def test_facet_table_is_what_qhull_finds(r, c):
     facets, cones, _ = _regenerated(r, c)
     committed = set(map(tuple, _committed_table(r, c).tolist()))
@@ -763,7 +760,7 @@ def _symmetry_images(a, r, c):
                 yield -turned
 
 
-@pytest.mark.parametrize("r,c", FACET_SHAPES)
+@pytest.mark.parametrize("r,c", TABLE_SHAPES)
 def test_cone_representatives_reproduce_the_facet_table(r, c):
     F, T = _committed_table(r, c), _committed_table(r, c, "_cones")
     V = contingency_s_semi(r, c).array
@@ -789,7 +786,7 @@ def test_cone_representatives_reproduce_the_facet_table(r, c):
     assert np.diff(cones.cdf, prepend=0.0) == pytest.approx(volumes / volumes.sum(), rel=1e-9)
 
 
-@pytest.mark.parametrize("r,c", FACET_SHAPES)
+@pytest.mark.parametrize("r,c", TABLE_SHAPES)
 def test_facet_table_rows_are_valid_and_tight_facets(r, c):
     F, V = _committed_table(r, c), contingency_s_semi(r, c).array
     s = span_basis(contingency_s_semi(r, c)).s
@@ -802,7 +799,7 @@ def test_facet_table_rows_are_valid_and_tight_facets(r, c):
         assert np.linalg.matrix_rank(on_facet[1:] - on_facet[0]) == s - 1
 
 
-@pytest.mark.parametrize("r,c", FACET_SHAPES)
+@pytest.mark.parametrize("r,c", TABLE_SHAPES)
 def test_facet_gauge_agrees_with_the_lp(r, c):
     space = contingency_s_semi(r, c)
     assert hull_cones(space) is not None
@@ -818,7 +815,7 @@ def test_facet_gauge_agrees_with_the_lp(r, c):
 ROTATION = (1, -1, 0, 0, 1, -1, -1, 0, 1)
 
 
-@pytest.mark.parametrize("r,c", FACET_SHAPES)
+@pytest.mark.parametrize("r,c", TABLE_SHAPES)
 def test_integer_moves_have_exact_gauges(r, c):
     # an integer table in the span centres to itself exactly, so the facet
     # table's integer products give the gauge with no rounding
@@ -836,6 +833,29 @@ def test_facets_attach_by_vectors_whatever_the_provenance():
     assert renamed != semi and hull_cones(renamed) is hull_cones(semi) is not None
     assert hull_cones(contingency_s_dp(2, 3)) is None
     assert hull_cones(contingency_s_semi(2, 5)) is None
+
+
+@pytest.mark.parametrize("kind,r,c", [("dp", 1, 2), ("dp", 2, 3), ("dp", 4, 4), ("semi", 2, 2),
+                                      ("semi", 2, 7), ("semi", 5, 2)])
+def test_root_hull_is_the_root_polytope_of_the_space(kind, r, c):
+    space = BUILDERS[kind](r, c)
+    root = sensitivity.root_hull(space)
+    n = root.s + 1
+    assert n == (r * c if kind == "dp" else max(r, c)) and root.s == span_basis(space).s
+    moves = np.eye(n, dtype=np.int64)[:, None, :] - np.eye(n, dtype=np.int64)[None, :, :]
+    embedded = moves.reshape(-1, n)[:, root.cell] * root.sign.astype(np.int64)
+    assert set(map(tuple, embedded.tolist())) == set(map(tuple, space.array.tolist()))
+    renamed = sensitivity.root_hull(SensitivitySpace(space.array[::-1], "renamed"))
+    assert np.array_equal(renamed.cell, root.cell) and np.array_equal(renamed.sign, root.sign)
+
+
+def test_root_hull_refuses_other_spaces():
+    dp = contingency_s_dp(2, 3).array
+    others = [contingency_s_semi(3, 3), contingency_s_semi(3, 5), SensitivitySpace(dp[1:-1], "fewer moves"),
+              SensitivitySpace(np.vstack([dp[:1] * 2, dp[1:-1], -dp[:1] * 2]), "a doubled move"),
+              SensitivitySpace(np.zeros((1, 4), dtype=int), "zero"), contingency_s_dp(1, 1)]
+    for space in others:
+        assert sensitivity.root_hull(space) is None
 
 
 def _load_3x3(facets, cones, tmp_path, monkeypatch):
@@ -939,9 +959,9 @@ def test_sampler_draws_equal_the_lp_only_path(request, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a tabled draw read the span or the gauge")
 
-    for owner, name in ((mechanisms, "hull_geometry"), (sensitivity, "hull_geometry"),
-                        (sensitivity, "span_basis"), (sensitivity, "_span_basis_cached"),
-                        (sensitivity.HullGeometry, "gauge"), (sensitivity, "solve_lp")):
+    for owner, name in ((sensitivity, "hull_geometry"), (sensitivity, "span_basis"),
+                        (sensitivity, "_span_basis_cached"), (sensitivity.HullGeometry, "gauge"),
+                        (sensitivity, "solve_lp")):
         monkeypatch.setattr(owner, name, refuse)
     for r, c, size in SAMPLER_CASES:
         for seed in seeds:
@@ -955,7 +975,7 @@ def _vertices(space):
     return [v.astype(float) for v in space.array if v.any()]
 
 
-@pytest.mark.parametrize("r,c", FACET_SHAPES)
+@pytest.mark.parametrize("r,c", TABLE_SHAPES)
 def test_tries_near_a_vertex_decide_as_the_lp_does(r, c):
     space = contingency_s_semi(r, c)
     geom, bound = hull_geometry(space), 1.0 + HULL_TOL
@@ -980,7 +1000,7 @@ def _count_calls(monkeypatch, name, owner=sensitivity):
 
 def test_tabled_hulls_never_reach_the_lp(monkeypatch):
     lp_calls = _count_calls(monkeypatch, "solve_lp")
-    for r, c in FACET_SHAPES:
+    for r, c in TABLE_SHAPES:
         space = contingency_s_semi(r, c)
         for v in _vertices(space):
             for scale, inside in ((0.5, True), (1.0 + HULL_TOL / 2, True), (1.0 + 2 * HULL_TOL, False)):
@@ -1004,17 +1024,17 @@ def test_tabled_hulls_never_reach_the_lp(monkeypatch):
 
 def test_tabled_paths_read_no_span_coordinates(monkeypatch):
     # tabled hulls are read in cells: gauges, membership, draws and the
-    # Gaussian run with every span basis, hull geometry and LP refused
+    # Gaussian run with every span basis, hull geometry and LP refused; so do
+    # draws on the root polytope
     def refuse(*args, **kwargs):
         raise AssertionError("a tabled path read span coordinates")
 
     mechanisms._gaussian_constants.cache_clear()
     for owner, name in ((sensitivity, "span_basis"), (sensitivity, "_span_basis_cached"),
                         (sensitivity, "hull_geometry"), (sensitivity, "solve_lp"),
-                        (mechanisms, "span_basis"), (mechanisms, "hull_geometry"),
-                        (semidp.simplex, "solve_lp")):
+                        (mechanisms, "span_basis"), (semidp.simplex, "solve_lp")):
         monkeypatch.setattr(owner, name, refuse)
-    for r, c in FACET_SHAPES:
+    for r, c in TABLE_SHAPES:
         space = contingency_s_semi(r, c)
         v = space.array[-1] / 2.0
         assert gauge_norm(space, v) == 0.5 and hull_membership(space, v)
@@ -1023,26 +1043,9 @@ def test_tabled_paths_read_no_span_coordinates(monkeypatch):
         mechanisms.gaussian_semi(np.zeros(r * c), space, 1.0, RngSeed(r, c))
     out = mechanisms.gaussian_semi(np.zeros(100), contingency_s_semi(10, 10), 1.0, RngSeed(10))
     assert out.meta["span_dim"] == 81 and out.meta["delta2"] == 2.0
-
-
-def test_sampler_looks_up_the_geometry_once_and_stays_in_span_coordinates(monkeypatch):
-    space = contingency_s_semi(2, 5)  # untabled, so the box sampler draws it
-    lookups = []
-
-    def lookup(looked_up):
-        lookups.append(looked_up)
-        return hull_geometry(looked_up)
-
-    def ambient_round_trip(*args, **kwargs):
-        raise AssertionError("a try left span coordinates")
-
-    monkeypatch.setattr(mechanisms, "hull_geometry", lookup)
-    monkeypatch.setattr(sensitivity, "hull_geometry", lookup)
-    monkeypatch.setattr(sensitivity, "hull_membership", ambient_round_trip)
-    monkeypatch.setattr(sensitivity, "_gauge", ambient_round_trip)
-    _, _, rejections = _knorm_draws(space, 4049, 50)
-    assert rejections.sum() > 0
-    assert lookups == [space]
+    for space in (contingency_s_dp(3, 4), contingency_s_semi(2, 9), contingency_s_semi(6, 2)):
+        assert hull_cones(space) is None
+        knorm_noise_samples(space, 1.0, NoiseRng(RngSeed(7)), 3)
 
 
 @pytest.mark.parametrize("r,c", [(2, 2), (3, 3), (4, 4)])

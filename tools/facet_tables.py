@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Write the facet and cone tables of the one-way-margin table hulls.
 
-For every 2 <= r, c <= 4 the convex hull of ``contingency_s_semi(r, c)`` is
-fixed by (r, c). qhull finds its facets in span coordinates; each facet
+For every shape (r, c) in ``semidp.sensitivity.TABLE_SHAPES`` (2 <= r, c <= 4,
+and 3x5 and 5x3) the convex hull of ``contingency_s_semi(r, c)`` is fixed by
+(r, c). qhull finds its facets in span coordinates; each facet
 a.x <= 1 is mapped back to the r x c cells, where a is fixed only up to
 row and column constants (the span holds the tables whose rows and columns
 sum to zero). The constants are chosen so that a's first row and first
@@ -41,7 +42,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from semidp.sensitivity import (  # noqa: E402
     FACET_FILE,
-    FACET_SIZES,
+    TABLE_SHAPES,
     _facet_images,
     _gram_determinants,
     _hull_from_tables,
@@ -106,11 +107,10 @@ def hull_tables(r: int, c: int) -> tuple[np.ndarray, np.ndarray, float]:
 
 def main() -> int:
     tables = {}
-    for r in FACET_SIZES:
-        for c in FACET_SIZES:
-            facets, cones, _ = hull_tables(r, c)
-            tables[f"{r}x{c}"], tables[f"{r}x{c}_cones"] = facets, cones
-            print(f"{r}x{c}: {len(facets)} facets, {len(cones)} representative simplices")
+    for r, c in TABLE_SHAPES:
+        facets, cones, _ = hull_tables(r, c)
+        tables[f"{r}x{c}"], tables[f"{r}x{c}_cones"] = facets, cones
+        print(f"{r}x{c}: {len(facets)} facets, {len(cones)} representative simplices")
     out = ROOT / "src" / "semidp" / FACET_FILE
     np.savez_compressed(out, **tables)
     print(f"wrote {out.relative_to(ROOT)}")
