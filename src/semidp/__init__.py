@@ -36,6 +36,7 @@ from .mechanisms import (
     lp_mechanism,
 )
 from .rng import NoiseRng, RngSeed
+from . import simplex  # noqa: F401  imported for the benchmark tracer, which wraps simplex.solve_lp
 from .sensitivity import (
     SensitivitySpace,
     brute_force_sensitivity_space,

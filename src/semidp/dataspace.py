@@ -56,10 +56,11 @@ class DataspaceSpec:
     levels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if not self.levels or any(l < 1 for l in self.levels):
+        _check_integer(self.n, "n", 1)
+        if not self.levels:
             raise ValueError("levels must be a non-empty tuple of positive ints")
+        for level in self.levels:
+            _check_integer(level, "levels", 1)
 
     @property
     def p(self) -> int:
@@ -191,8 +192,8 @@ def _conforming_cached(
     for vec, size in zip(t, sizes):
         if len(vec) != size:
             raise ValueError("invariant count vector length does not match group size")
-        if any(c < 0 for c in vec):
-            raise ValueError("invariant counts must be non-negative")
+        for count in vec:
+            _check_integer(count, "invariant counts", 0)
     records = list(itertools.product(*[range(1, l + 1) for l in space.levels]))
     codes = np.zeros((1, 0), dtype=np.min_scalar_type(len(records) - 1))
     if any(sum(vec) != space.n for vec in t):

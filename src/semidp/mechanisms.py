@@ -24,16 +24,14 @@ import numpy as np
 from .dataspace import _check_integer
 from .rng import NoiseRng, RngSeed
 from .sensitivity import (
-    TABLE_SHAPES,
     HullCones,
     RootHull,
     SensitivitySpace,
     _double_centring,
+    _exact_hull,
     _table_shape,
-    hull_cones,
     lp_sensitivity,
     projection_matrix,
-    root_hull,
     span_basis,
 )
 
@@ -166,17 +164,6 @@ def knorm_noise_samples(
     directions = (_cone_directions if tabled else _root_directions)(hull, weights, u[:, s + 1:])
     radii = total / epsilon
     return radii[:, None] * directions, radii, directions, [0] * size
-
-
-def _exact_hull(space: SensitivitySpace) -> HullCones | RootHull | None:
-    """The hull a draw reads, the tabled one before the root polytope; None
-    for a zero space, and ``ValueError`` naming any other space."""
-    hull = hull_cones(space) or root_hull(space)
-    if hull is None and space.array.any():
-        tables = ", ".join(f"{r}x{c}" for r, c in TABLE_SHAPES if 2 not in (r, c))
-        raise ValueError(f"the hull sampler refuses {space.provenance}: it draws exactly only on "
-                         f"single-move spaces and the semi tables 2 x c, r x 2, {tables}")
-    return hull
 
 
 def _cone_directions(cones: HullCones, weights: np.ndarray, u: np.ndarray) -> np.ndarray:

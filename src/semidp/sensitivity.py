@@ -10,10 +10,10 @@ The hulls of the tables ``contingency_s_semi(r, c)`` for (r, c) in
 ``tools/facet_tables.py``) and are held once per shape in cells
 (``hull_cones``): the integer facet table F, whose max(F x) / 2 is the gauge
 at the double-centred x, and one triangulated facet per symmetry orbit for
-the hull sampler. The hull sampler draws the root polytope conv{e_a - e_b}
-of the single-move spaces and 2 x c tables in closed form (``root_hull``).
-Every untabled hull's gauge is the LP in span coordinates
-(``hull_geometry``), solved by the one-phase simplex in ``simplex``.
+the hull sampler. The root polytope conv{e_a - e_b} of the single-move
+spaces and 2 x c tables is held in closed form (``root_hull``). The gauge and
+the hull sampler read the same hull (``_exact_hull``), and every other
+nonzero space is refused by name.
 """
 
 from __future__ import annotations
@@ -29,18 +29,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dataspace import DataspaceSpec, Dataset, _check_integer, _hamming_blocks, _record_codes
-from .simplex import solve_lp
 
-#: Gram-Schmidt drops residuals below RANK_TOL times the largest vector norm.
+#: The span basis drops singular directions below RANK_TOL times the largest.
 RANK_TOL = 1e-10
-
-#: Span pivoting treats residual norms within this relative distance of the
-#: largest as tied, and takes the first of them in row order.
-PIVOT_TIE = 1e-9
-
-#: Downdated residual norms are recomputed once all fall below RECHECK_TOL
-#: times the largest vector norm.
-RECHECK_TOL = 1e-6
 
 #: Hull tolerance: membership accepts gauges up to 1 + HULL_TOL, and a point
 #: whose residual off the span exceeds HULL_TOL * max(1, |v|) has gauge inf.
@@ -68,15 +59,23 @@ class SensitivitySpace:
     are distinct and negating them reverses them when the set is
     negation-closed. Rows that already strictly increase (as the table
     spaces are built) are checked in one pass and kept; any others are
-    sorted. Equality compares provenance too; the hash, the same in every
-    process, leaves it out.
+    sorted. An array of a non-integer dtype is checked first, and an entry
+    that is not an integer in int64 is refused by value. Equality compares
+    provenance too; the hash, the same in every process, leaves it out.
     """
 
     array: np.ndarray
     provenance: str
 
     def __post_init__(self) -> None:
-        arr = np.array(self.array, dtype=np.int64, order="C")
+        arr = np.asarray(self.array)
+        if not np.issubdtype(arr.dtype, np.integer):
+            values = arr.astype(float)
+            bad = ~(np.isfinite(values) & (values == np.round(values)) & (np.abs(values) < 2.0**63))
+            if bad.any():
+                first = float(values[bad][0])
+                raise ValueError(f"sensitivity vectors must hold int64 integers, got {first!r}")
+        arr = np.array(arr, dtype=np.int64, order="C")
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("sensitivity space must be a non-empty (m, d) array of vectors")
         if not _rows_increase(arr):
@@ -280,23 +279,9 @@ class OrthonormalBasis:
 
 
 def span_basis(space: SensitivitySpace) -> OrthonormalBasis:
-    """Orthonormal span basis by Gram-Schmidt with largest-residual pivoting.
-
-    Each step takes the row with the largest residual norm off the basis so
-    far; among rows within a relative ``PIVOT_TIE`` of the largest (ties
-    that are exact in exact arithmetic) it takes the first in row order, so
-    every host picks the same row. Squared residual norms are not
-    recomputed each step but downdated, as LAPACK's pivoted QR does: one
-    product ``A @ u`` per new basis vector u, subtracted squared. Only the
-    picked row's residual is formed, by two classical Gram-Schmidt sweeps,
-    then normalized and sign-normalized so its first nonzero entry is
-    positive. A row and its negation have equal residuals, so only the
-    first row of each pair takes part. Downdated norms lose their digits
-    near zero, so once the largest falls below ``RECHECK_TOL`` times the
-    largest input norm, the true residual norms are recomputed in one
-    product; the basis is complete only when every true residual is at most
-    ``RANK_TOL`` times the largest input norm, and otherwise pivoting
-    resumes from them.
+    """Orthonormal span basis: the right singular vectors of the space's
+    rows whose singular values exceed ``RANK_TOL`` times the largest, each
+    sign-normalized so its first nonzero entry is positive.
     """
     # the cache lives on its own name, so a wrapper installed over ``span_basis``
     # (as the benchmark tracer does) leaves it reachable for ``cache_clear``
@@ -307,34 +292,11 @@ def span_basis(space: SensitivitySpace) -> OrthonormalBasis:
 def _span_basis_cached(space: SensitivitySpace) -> OrthonormalBasis:
     arr = space.array
     # the sorted rows of a negation-closed space end with the first half
-    # negated in reverse, so the first half (with the zero row, if any) spans
-    # the space, and each of its rows comes before its negation
-    A = arr[: (len(arr) + 1) // 2].astype(float)
-    m, d = A.shape
-    rem = np.einsum("ij,ij->i", A, A)  # squared residual norms
-    top = rem.max()
-    floor, recheck = top * RANK_TOL**2, top * RECHECK_TOL**2
-    basis = np.empty((min(m, d), d))
-    coef = np.empty((len(basis), m))  # coef[k] = A @ basis[k]
-    k = 0
-    while k < len(basis):
-        if top <= recheck:
-            R = A - coef[:k].T @ basis[:k]
-            rem = np.einsum("ij,ij->i", R, R)
-            top = rem.max()
-            if top <= floor:
-                break
-        a = A[int(np.argmax(rem >= top * (1.0 - PIVOT_TIE)))]
-        B = basis[:k]
-        r = a - (B @ a) @ B
-        r -= (B @ r) @ B
-        u = r / math.sqrt(r @ r)
-        basis[k] = -u if u[np.argmax(np.abs(u) > 1e-12)] < 0 else u
-        np.dot(A, basis[k], out=coef[k])
-        rem -= coef[k] ** 2
-        top = rem.max()
-        k += 1
-    vectors = basis[:k].copy()
+    # negated in reverse, so the first half (with the zero row, if any) spans it
+    _, sv, vt = np.linalg.svd(arr[: (len(arr) + 1) // 2].astype(float), full_matrices=False)
+    vectors = vt[: int((sv > RANK_TOL * sv.max()).sum())]
+    first = np.take_along_axis(vectors, np.argmax(np.abs(vectors) > 1e-12, axis=1)[:, None], 1)
+    vectors = np.where(first < 0, -vectors, vectors)
     vectors.setflags(write=False)
     return OrthonormalBasis(vectors=vectors)
 
@@ -354,37 +316,6 @@ def _double_centring(x: np.ndarray, r: int, c: int) -> np.ndarray:
     t = x.reshape(-1, r, c)
     t = t - t.sum(axis=2, keepdims=True) / c
     return (t - t.sum(axis=1, keepdims=True) / r).reshape(x.shape)
-
-
-@dataclass(frozen=True)
-class HullGeometry:
-    """The hull of an untabled space in span coordinates, the LP gauge's
-    oracle: ``coords`` holds each vector's coordinates in the span basis,
-    one row per vector."""
-
-    basis: OrthonormalBasis
-    coords: np.ndarray  # (m, s)
-
-    def gauge(self, y: np.ndarray, stop_above: float = math.inf) -> float:
-        """Gauge of the span point with coordinates y by the LP: with C the
-        vertex coordinates, the support function of the polar body, max y'z
-        subject to Cz <= 1, with z = z+ - z- split into non-negative parts,
-        stopped once its value passes ``stop_above`` (its value is then known
-        only to lie above that bound).
-        """
-        C = self.coords
-        return solve_lp(
-            np.hstack([C, -C]), np.ones(C.shape[0]), np.concatenate([y, -y]), stop_above=stop_above
-        )
-
-
-@lru_cache(maxsize=128)
-def hull_geometry(space: SensitivitySpace) -> HullGeometry:
-    """The space's hull in span coordinates, computed once per space."""
-    basis = span_basis(space)
-    coords = space.array.astype(float) @ basis.vectors.T
-    coords.setflags(write=False)
-    return HullGeometry(basis=basis, coords=coords)
 
 
 def _table_shape(space: SensitivitySpace) -> tuple[int, int] | None:
@@ -606,44 +537,57 @@ def root_hull(space: SensitivitySpace) -> RootHull | None:
     return None
 
 
-def _gauge(space: SensitivitySpace, v, stop_above: float) -> float:
+def _exact_hull(space: SensitivitySpace) -> HullCones | RootHull | None:
+    """The hull that draws and gauges read, the tabled one before the root
+    polytope; None for a zero space, and ``ValueError`` naming any other space."""
+    hull = hull_cones(space) or root_hull(space)
+    if hull is None and space.array.any():
+        tables = ", ".join(f"{r}x{c}" for r, c in TABLE_SHAPES if 2 not in (r, c))
+        raise ValueError(f"the hull sampler refuses {space.provenance}: it draws exactly only on "
+                         f"single-move spaces and the semi tables 2 x c, r x 2, {tables}")
+    return hull
+
+
+def _gauge(space: SensitivitySpace, v) -> float:
     """Gauge of v over hull(space), inf off the span: max(F x) / 2 at the
-    centred x on a tabled hull, else the LP, stopped above ``stop_above``."""
+    double-centred x on a tabled hull, ||y||_1 / 2 at the root polytope's
+    projected point y."""
     v = np.asarray(v, dtype=float)
     if v.shape != (space.ambient_dim,):
         raise ValueError("v must match the ambient dimension")
     if not np.isfinite(v).all():
         raise ValueError("v must be finite")
-    hull = hull_cones(space)
+    hull = _exact_hull(space)
     if hull is None:
-        geom = hull_geometry(space)
-        y = geom.basis.vectors @ v
-        x = y @ geom.basis.vectors
-    else:
+        x, gauge = np.zeros_like(v), 0.0
+    elif isinstance(hull, HullCones):
         x = _double_centring(v, hull.r, hull.c)
+        gauge = float((hull.facets @ x).max()) / 2.0
+    else:
+        # each of the n cells appears d / n times, so y averages its copies
+        n = hull.s + 1
+        y = np.bincount(hull.cell, hull.sign * v, n) * (n / len(v))
+        y -= y.mean()
+        x, gauge = y[hull.cell] * hull.sign, float(np.abs(y).sum()) / 2.0
     residual = v - x
-    if math.sqrt(residual @ residual) > HULL_TOL * max(1.0, math.sqrt(v @ v)):
-        return math.inf
-    return geom.gauge(y, stop_above) if hull is None else float((hull.facets @ x).max()) / 2.0
+    return math.inf if math.sqrt(residual @ residual) > HULL_TOL * max(1.0, math.sqrt(v @ v)) else gauge
 
 
 def hull_membership(space: SensitivitySpace, v) -> bool:
     """True when v lies in the convex hull of the space's vectors, that is,
     when its gauge is at most 1 + ``HULL_TOL``.
     """
-    bound = 1.0 + HULL_TOL
-    return _gauge(space, v, bound) <= bound
+    return _gauge(space, v) <= 1.0 + HULL_TOL
 
 
 def gauge_norm(space: SensitivitySpace, v) -> float:
     """Gauge of v with unit ball hull(space): the least t >= 0 with v in
-    t * hull(space). From the facet table when the space has one, else by
-    the LP.
+    t * hull(space), from the facet table or the root polytope's closed form.
 
     Returns inf when v lies outside the span (no finite scaling of the hull
-    can reach it).
+    can reach it), and ``ValueError`` on a space the hull sampler refuses.
     """
-    return _gauge(space, v, math.inf)
+    return _gauge(space, v)
 
 
 def sensitivity_space_to_csv(space: SensitivitySpace) -> str:

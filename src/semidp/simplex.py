@@ -1,13 +1,12 @@
-"""Small dense one-phase simplex solver for the hull gauge LP.
+"""Small dense one-phase simplex solver, the tests' oracle for the hull gauge.
 
 Solves max c'x subject to Ax <= b, x >= 0 with b >= 0. With b >= 0 the
 slack basis is feasible, so one phase of tableau pivots under Bland's
-anti-cycling rule solves the problem. The solver stops early once the
-objective passes a given bound, which is all a hull-membership test needs.
-The problems solved in this package (the gauge of a point over the hull of
-a sensitivity space, in span coordinates) have a few dozen variables and at
-most a few hundred rows, so a robust dense implementation is preferred over
-generality or speed.
+anti-cycling rule solves the problem. The solver can stop early once the
+objective passes a given bound. No module of the package calls it: the
+gauge reads its hulls in closed form, and the tests compare that gauge with
+this LP in span coordinates (a few dozen variables, a few hundred rows).
+The package imports it only so that ``benchmarks/spans.py`` finds it loaded.
 """
 
 from __future__ import annotations

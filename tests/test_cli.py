@@ -448,7 +448,7 @@ def test_knorm_refuses_semi_tables_where_the_box_is_hopeless(capsys, monkeypatch
     def refuse(*args, **kwargs):
         raise AssertionError("a uniform was drawn or a geometry built")
 
-    monkeypatch.setattr(semidp.sensitivity, "hull_geometry", refuse)
+    monkeypatch.setattr(semidp.sensitivity, "_span_basis_cached", refuse)
     monkeypatch.setattr(semidp.rng.NoiseRng, "uniform_open", refuse)
     cells = ",".join(["1"] * (r * c))
     code, out, err = run(capsys, ["mech", "--query", cells, "--kind", "knorm", "--eps", "1",

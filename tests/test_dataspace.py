@@ -186,6 +186,25 @@ def test_conforming_set_returns_a_fresh_list():
             conforming_set(CUBE, CUBE_INV, ((1, 1, 1),))
 
 
+@pytest.mark.parametrize("n,levels,message", [
+    (2.5, (2, 2), "^n must be an integer, got 2.5$"),
+    (2, (2.5, 2), "^levels must be an integer, got 2.5$"),
+    (2, (2, 0), "^levels must be >= 1, got 0$"),
+])
+def test_dataspace_sizes_must_be_integers(n, levels, message):
+    with pytest.raises(ValueError, match=message):
+        DataspaceSpec(n=n, levels=levels)
+
+
+def test_invariant_counts_must_be_integers():
+    space = DataspaceSpec(n=2, levels=(2,))
+    with pytest.raises(ValueError, match=r"^invariant counts must be an integer, got 1\.5$"):
+        conforming_set(space, OneWayMargins((0,)), ((1.5, 0.5),))
+    with pytest.raises(ValueError, match="^invariant counts must be >= 0, got -1$"):
+        conforming_set(space, OneWayMargins((0,)), ((3, -1),))
+    assert conforming_set(space, OneWayMargins((0,)), ((1, 1),)) == [((1,), (2,)), ((2,), (1,))]
+
+
 def test_conforming_set_members_reproduce_invariant():
     space = DataspaceSpec(n=4, levels=(2, 3))
     inv = OneWayMargins((0, 1))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
-from semidp import mechanisms, sensitivity
+from semidp import mechanisms, sensitivity, simplex
 from semidp.dataspace import DataspaceSpec, JointMargins, OneWayMargins, conforming_set
 from semidp.mechanisms import (
     NaiveGroupMechanism,
@@ -26,6 +26,7 @@ from semidp.sensitivity import (
     contingency_s_dp,
     contingency_s_semi,
     gauge_norm,
+    hull_membership,
     projection_matrix,
     span_basis,
 )
@@ -261,18 +262,23 @@ UNDRAWN_SPACES = {
 @pytest.mark.parametrize("r,c", [(3, 6), (5, 5), (4, 5), (6, 3), ("rotations", None), ("joint", None)])
 def test_knorm_refuses_hopeless_boxes_before_the_first_try(monkeypatch, r, c):
     # a hull with neither a cone table nor the root polytope's form is
-    # refused by name, before any uniform is drawn or geometry built
+    # refused by name, by draws and gauges alike, before any uniform is drawn,
+    # span basis built or LP solved
     def refuse(*args, **kwargs):
         raise AssertionError("a uniform was drawn or a geometry built")
 
     space = UNDRAWN_SPACES[r]() if c is None else contingency_s_semi(r, c)
     monkeypatch.setattr(NoiseRng, "uniform_open", refuse)
-    monkeypatch.setattr(sensitivity, "hull_geometry", refuse)
+    monkeypatch.setattr(sensitivity, "_span_basis_cached", refuse)
+    monkeypatch.setattr(simplex, "solve_lp", refuse)
     refusal = f"^the hull sampler refuses {re.escape(space.provenance)}: it draws exactly only on"
     with pytest.raises(ValueError, match=refusal):
         knorm_noise_samples(space, 1.0, NoiseRng(RngSeed(1)), 1)
     with pytest.raises(ValueError, match=refusal):
         knorm_optimal(np.zeros(space.ambient_dim), space, 1.0, RngSeed(1))
+    for gauge in (gauge_norm, hull_membership):
+        with pytest.raises(ValueError, match=refusal):
+            gauge(space, space.array[-1])
 
 
 def test_knorm_output_structure_and_determinism():

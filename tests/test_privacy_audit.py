@@ -15,15 +15,22 @@ depends on the simplex weights and the Dirichlet weights, and is KS-tested.
 
 The tabled semi tables take their gauges from the committed facet tables.
 The root polytope's (single-move spaces, 2 x c and r x 2 tables) come from
-a closed form, checked here against the LP: ||x||_1 / 2 at x less its mean
-on a single-move space, and ||x||_1 / 4 at the double-centred table on a
-2 x c or r x 2 table, whose moves hold each e_a - e_b twice.
+a closed form, checked here, with ``gauge_norm``, against the LP:
+||x||_1 / 2 at x less its mean on a single-move space, and ||x||_1 / 4 at
+the double-centred table on a 2 x c or r x 2 table, whose moves hold each
+e_a - e_b twice.
 
 The privacy loss of the pair (q, q + D) at noise y is
 L(y) = eps (||y||_K - ||y - D||_K). Under the density, E[exp L] = 1 exactly,
 and |L| <= eps ||D||_K by the triangle inequality. A wrong simplex weight,
 orbit size or symmetry gives a density that is not a function of the gauge
 alone, which moves E[exp L] off 1 even where the radial laws hold.
+
+The projected Gaussian releases q + y, y ~ N(0, sigma^2 P), sigma =
+Delta_2 / mu and P the projector onto the span. Its privacy loss at a move
+D in the span is L(y) = (<y, D> - ||D||^2 / 2) / sigma^2, exactly
+N(-m^2 / 2, m^2) with m = mu ||D||_2 / Delta_2: mu-GDP at every adjacent
+move, and m = mu sqrt(6) / 2 at the 3x3 rotation.
 
 Seeds, sample sizes and thresholds were fixed before the tests were first
 run: each KS test needs p > 0.001; the audit allows 4 standard errors; the
@@ -37,10 +44,12 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
+from test_sensitivity import lp_gauge
+
 from semidp import sensitivity
-from semidp.mechanisms import knorm_noise_samples
+from semidp.mechanisms import gaussian_noise_samples, knorm_noise_samples
 from semidp.rng import NoiseRng, RngSeed
-from semidp.sensitivity import contingency_s_dp, contingency_s_semi, gauge_norm, hull_geometry
+from semidp.sensitivity import contingency_s_dp, contingency_s_semi, gauge_norm, lp_sensitivity
 
 LAW_SHAPES = [(2, 3), (3, 3), (3, 4), (4, 4)]
 LAW_SEED, LAW_N, LAW_EPS, LAW_P = 20261019, 20_000, 0.7, 0.001
@@ -59,6 +68,9 @@ ORACLE_SEED, ORACLE_N, ORACLE_TOL = 20261021, 200, 1e-9
 
 #: A three-record rotation of a 3x3 table: +1 on the diagonal, -1 beside it.
 ROTATION = np.array([1, -1, 0, 0, 1, -1, -1, 0, 1])
+
+#: The projected Gaussian's mu; its audit draws take streams GAUSS_STREAM + i of AUDIT_SEED.
+GAUSS_MU, GAUSS_STREAM = 1.0, 20
 
 
 def _gauges(r, c, points):
@@ -125,12 +137,13 @@ def test_root_and_three_by_five_draws_follow_the_hull_laws(kind, r, c):
 @pytest.mark.parametrize("kind,r,c", [shape for shape in EXACT_SHAPES if shape[0] == "dp" or 2 in shape[1:]])
 def test_root_gauge_closed_form_is_the_lp_gauge(kind, r, c):
     space = BUILDERS[kind](r, c)
-    geom = hull_geometry(space)  # the LP's geometry, built here only as the oracle
-    basis = geom.basis.vectors
+    basis = sensitivity.span_basis(space).vectors
     rng = np.random.default_rng(ORACLE_SEED + EXACT_SHAPES.index((kind, r, c)))
     points = rng.normal(size=(ORACLE_N, len(basis))) @ basis * rng.uniform(0.0, 2.0, size=(ORACLE_N, 1))
-    lp = np.array([geom.gauge(basis @ v) for v in points])
-    assert np.abs(_exact_gauges(kind, r, c, points) - lp).max() <= ORACLE_TOL * max(1.0, lp.max())
+    lp = np.array([lp_gauge(space, v) for v in points])
+    tol = ORACLE_TOL * max(1.0, lp.max())
+    assert np.abs(np.array([gauge_norm(space, v) for v in points]) - lp).max() <= tol
+    assert np.abs(_exact_gauges(kind, r, c, points) - lp).max() <= tol
 
 
 def _check_privacy_loss(loss, bound):
@@ -169,3 +182,24 @@ def test_root_and_three_by_five_privacy_loss_has_mean_one_and_stays_bounded(kind
     noise = knorm_noise_samples(space, AUDIT_EPS, NoiseRng(seed), AUDIT_N)[0]
     gauges = partial(_exact_gauges, kind, r, c)
     _check_privacy_loss(AUDIT_EPS * (gauges(noise) - gauges(noise - delta)), bound)
+
+
+@pytest.mark.parametrize("stream,r,c,move", [
+    (GAUSS_STREAM, 2, 3, None),
+    (GAUSS_STREAM + 1, 3, 3, None),
+    (GAUSS_STREAM + 2, 4, 4, None),
+    (GAUSS_STREAM + 3, 3, 3, ROTATION),
+])
+def test_gaussian_privacy_loss_is_the_gdp_law(stream, r, c, move):
+    space = contingency_s_semi(r, c)
+    delta = (space.array[-1] if move is None else move).astype(float)  # an adjacent move, or the rotation
+    delta2 = lp_sensitivity(space, 2)
+    sigma, m = delta2 / GAUSS_MU, GAUSS_MU * math.sqrt(delta @ delta) / delta2
+    assert m == pytest.approx(GAUSS_MU if move is None else GAUSS_MU * math.sqrt(6.0) / 2.0, rel=1e-12)
+    noise = gaussian_noise_samples(space, GAUSS_MU, NoiseRng(RngSeed(AUDIT_SEED, stream)), AUDIT_N)
+    loss = (noise @ delta - delta @ delta / 2.0) / sigma**2
+    p_loss = st.kstest(loss, st.norm(loc=-m * m / 2.0, scale=m).cdf).pvalue
+    assert p_loss > LAW_P, p_loss
+    ratio = np.exp(loss)
+    se = ratio.std(ddof=1) / math.sqrt(len(loss))
+    assert abs(ratio.mean() - 1.0) <= AUDIT_Z * se, (ratio.mean(), se)

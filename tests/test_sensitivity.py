@@ -27,6 +27,7 @@ from semidp.dataspace import (
 )
 from semidp.mechanisms import knorm_noise_samples
 from semidp.rng import NoiseRng, RngSeed
+from semidp.simplex import solve_lp
 from semidp.sensitivity import (
     FACET_FILE,
     TABLE_SHAPES,
@@ -39,7 +40,6 @@ from semidp.sensitivity import (
     contingency_s_semi,
     gauge_norm,
     hull_cones,
-    hull_geometry,
     hull_membership,
     lp_sensitivity,
     projection_matrix,
@@ -253,6 +253,26 @@ def test_rows_that_increase_are_kept_and_others_sorted():
 def test_duplicate_rows_are_refused_in_any_order(rows):
     with pytest.raises(ValueError, match="deduplicated"):
         SensitivitySpace(rows, "bad")
+
+
+@pytest.mark.parametrize("rows,bad", [
+    (((1.7, -1.7), (0, 0), (-1.7, 1.7)), "1.7"),  # once truncated to +-1, understating l2 as 1.414
+    (((0.5, 0.0), (0.0, 0.0), (-0.5, 0.0)), "0.5"),  # once truncated to zeros: "deduplicated"
+    (((math.nan, 0.0), (0.0, 0.0)), "nan"),
+    (((math.inf, 0.0), (-math.inf, 0.0)), "inf"),
+    (((1e19, 0.0), (-1e19, 0.0)), "1e+19"),  # integral, but past int64
+])
+def test_non_integer_entries_are_refused_by_value(rows, bad):
+    message = f"^sensitivity vectors must hold int64 integers, got -?{re.escape(bad)}$"
+    with pytest.raises(ValueError, match=message):
+        SensitivitySpace(rows, "fractional")
+
+
+def test_integral_floats_and_integer_dtypes_are_accepted():
+    floats = SensitivitySpace(((2.0, -1.0), (0.0, 0.0), (-2.0, 1.0)), "floats")
+    assert floats.array.dtype == np.int64 and floats.vectors == ((-2, 1), (0, 0), (2, -1))
+    small = SensitivitySpace(np.array([[1, 0], [0, 0], [-1, 0]], dtype=np.int8), "int8")
+    assert small.array.dtype == np.int64 and lp_sensitivity(small, 2) == 1.0
 
 
 def test_sorted_rows_are_copied_not_aliased():
@@ -485,11 +505,13 @@ BUILDERS = {"semi": contingency_s_semi, "dp": contingency_s_dp}
 
 @pytest.mark.parametrize("kind,r,c", HULL_SAMPLER_SHAPES)
 def test_span_basis_matches_pivoted_mgs_on_hull_sampler_shapes(kind, r, c):
+    # the basis is the SVD's, so its rank and projector, not its vectors, are
+    # compared with an oracle that takes no SVD
     space = BUILDERS[kind](r, c)
     want = _pivoted_mgs(space)
     got = span_basis(space).vectors
     assert got.shape == want.shape
-    assert np.abs(got - want).max(initial=0.0) <= 1e-12
+    assert np.abs(got.T @ got - want.T @ want).max(initial=0.0) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -505,6 +527,7 @@ def test_span_basis_rank_and_projector_match_svd(kind, r, c):
     basis = span_basis(space).vectors
     assert basis.shape == (rank, r * c)
     assert np.abs(basis @ basis.T - np.eye(rank)).max(initial=0.0) <= 1e-12
+    assert (basis[np.arange(rank), np.argmax(np.abs(basis) > 1e-12, axis=1)] > 0).all()
     assert np.abs(basis.T @ basis - vt[:rank].T @ vt[:rank]).max() <= 1e-12
 
 
@@ -533,13 +556,14 @@ def _exact_pivoted_gs(space):
 
 @pytest.mark.parametrize("r,c", [(3, 6), (6, 3), (3, 10), (4, 7), (5, 8), (6, 6), (8, 4), (7, 7)])
 def test_span_basis_breaks_exact_ties_by_row_order(r, c):
-    # on these shapes rounding noise, not the residuals, decides the
-    # largest among exactly tied rows unless near-ties count as ties
+    # these shapes hold rows whose residuals tie exactly, so a pivoted basis
+    # depends on how the ties are broken; the span does not: the projector
+    # must be the exact one
     space = contingency_s_semi(r, c)
     want = _exact_pivoted_gs(space)
     got = span_basis(space).vectors
     assert got.shape == want.shape
-    assert np.abs(got - want).max() <= 1e-12
+    assert np.abs(got.T @ got - want.T @ want).max() <= 1e-12
 
 
 @pytest.mark.parametrize("N", [10**5, 10**6, 10**7, 10**8])
@@ -700,6 +724,16 @@ def test_gauge_matches_scipy_min_weight():
             assert gauge_norm(space, v) == pytest.approx(1.0 - 1e-7 if inside else 1.0 + 1e-7, abs=1e-12)
 
 
+def lp_gauge(space, v):
+    """Oracle: the gauge of v by the LP over the hull in span coordinates,
+    B the span basis and C the vertices' coordinates: the support function
+    of the polar body, max (B v).z subject to C z <= 1, z = z+ - z-."""
+    B = span_basis(space).vectors
+    C = space.array.astype(float) @ B.T
+    y = B @ np.asarray(v, dtype=float)
+    return solve_lp(np.hstack([C, -C]), np.ones(len(C)), np.concatenate([y, -y]))
+
+
 def _facet_tool():
     path = Path(__file__).resolve().parents[1] / "tools" / "facet_tables.py"
     module_spec = importlib.util.spec_from_file_location("facet_tables", path)
@@ -803,12 +837,11 @@ def test_facet_table_rows_are_valid_and_tight_facets(r, c):
 def test_facet_gauge_agrees_with_the_lp(r, c):
     space = contingency_s_semi(r, c)
     assert hull_cones(space) is not None
-    geom = hull_geometry(space)  # the LP's geometry, built here only as the oracle
-    basis = geom.basis.vectors
+    basis = span_basis(space).vectors
     rng = np.random.default_rng(100 * r + c)
     points = rng.normal(size=(2000, len(basis))) @ basis * rng.uniform(0.0, 2.0, size=(2000, 1))
     for v in points:
-        assert gauge_norm(space, v) == pytest.approx(geom.gauge(basis @ v), rel=1e-12, abs=0.0)
+        assert gauge_norm(space, v) == pytest.approx(lp_gauge(space, v), rel=1e-12, abs=0.0)
 
 
 #: A three-record rotation of a 3x3 table: +1 on the diagonal, -1 beside it.
@@ -825,6 +858,23 @@ def test_integer_moves_have_exact_gauges(r, c):
         assert gauge_norm(space, 3 * v) == (3.0 if v.any() else 0.0)
     if (r, c) == (3, 3):
         assert gauge_norm(space, ROTATION) == 2.0
+
+
+ROOT_SHAPES = ([("dp", r, c) for r in range(1, 5) for c in range(1, 5) if r * c > 1]
+               + [("semi", 2, c) for c in range(2, 12)] + [("semi", r, 2) for r in range(3, 12)])
+
+
+@pytest.mark.parametrize("kind,r,c", ROOT_SHAPES)
+def test_root_integer_moves_have_exact_gauges(kind, r, c):
+    # an integer move projects to itself exactly, by the closed form or, on
+    # 2x2..2x4, 3x2 and 4x2, by the facet table, so its gauge is exact
+    space = BUILDERS[kind](r, c)
+    assert sensitivity.root_hull(space) is not None
+    for v in space.array:
+        assert gauge_norm(space, v) == (1.0 if v.any() else 0.0)
+        assert gauge_norm(space, 3 * v) == (3.0 if v.any() else 0.0)
+        assert hull_membership(space, v)
+        assert hull_membership(space, 1.5 * v) == (not v.any())
 
 
 def test_facets_attach_by_vectors_whatever_the_provenance():
@@ -932,12 +982,6 @@ def test_gram_determinants_are_exact():
         assert not got[:10].any() and (got[10:] >= 0).all()
 
 
-@pytest.fixture
-def lp_only(monkeypatch):
-    """Tabled hulls hidden from the gauge, so every gauge is an LP."""
-    monkeypatch.setattr(sensitivity, "hull_cones", lambda space: None)
-
-
 def _knorm_draws(space, seed, size):
     _, radii, directions, rejections = knorm_noise_samples(space, 0.5, NoiseRng(RngSeed(seed)), size)
     return radii, directions, np.array(rejections)
@@ -946,22 +990,18 @@ def _knorm_draws(space, seed, size):
 SAMPLER_CASES = [(2, 3, 40), (2, 4, 40), (3, 3, 40), (3, 4, 8), (4, 4, 1)]
 
 
-def test_sampler_draws_equal_the_lp_only_path(request, monkeypatch):
-    # a tabled draw reads the cone table alone: with the gauge's tables hidden
-    # and every span basis, hull geometry, gauge and LP refused, it draws the
-    # same bytes
+def test_sampler_draws_equal_the_lp_only_path(monkeypatch):
+    # a tabled draw reads the cone table alone: with every span basis, gauge
+    # and LP refused, it draws the same bytes
     seeds = (3, 11, 12)
     facet = {(r, c, seed): _knorm_draws(contingency_s_semi(r, c), seed, size)
              for r, c, size in SAMPLER_CASES for seed in seeds}
-    request.getfixturevalue("lp_only")
-    assert sensitivity.hull_cones(contingency_s_semi(4, 4)) is None
 
     def refuse(*args, **kwargs):
         raise AssertionError("a tabled draw read the span or the gauge")
 
-    for owner, name in ((sensitivity, "hull_geometry"), (sensitivity, "span_basis"),
-                        (sensitivity, "_span_basis_cached"), (sensitivity.HullGeometry, "gauge"),
-                        (sensitivity, "solve_lp")):
+    for owner, name in ((sensitivity, "span_basis"), (sensitivity, "_span_basis_cached"),
+                        (sensitivity, "_gauge"), (semidp.simplex, "solve_lp")):
         monkeypatch.setattr(owner, name, refuse)
     for r, c, size in SAMPLER_CASES:
         for seed in seeds:
@@ -978,11 +1018,10 @@ def _vertices(space):
 @pytest.mark.parametrize("r,c", TABLE_SHAPES)
 def test_tries_near_a_vertex_decide_as_the_lp_does(r, c):
     space = contingency_s_semi(r, c)
-    geom, bound = hull_geometry(space), 1.0 + HULL_TOL
     for v in _vertices(space)[:6]:
         for scale, inside in ((1.0 - 1e-7, True), (1.0, True), (1.0 + 1e-7, False)):
             assert hull_membership(space, scale * v) == inside
-            assert (geom.gauge(geom.basis.vectors @ (scale * v), bound) <= bound) == inside
+            assert (lp_gauge(space, scale * v) <= 1.0 + HULL_TOL) == inside
 
 
 def _count_calls(monkeypatch, name, owner=sensitivity):
@@ -999,39 +1038,40 @@ def _count_calls(monkeypatch, name, owner=sensitivity):
 
 
 def test_tabled_hulls_never_reach_the_lp(monkeypatch):
-    lp_calls = _count_calls(monkeypatch, "solve_lp")
+    lp_calls = _count_calls(monkeypatch, "solve_lp", owner=semidp.simplex)
     for r, c in TABLE_SHAPES:
         space = contingency_s_semi(r, c)
         for v in _vertices(space):
             for scale, inside in ((0.5, True), (1.0 + HULL_TOL / 2, True), (1.0 + 2 * HULL_TOL, False)):
                 assert hull_membership(space, scale * v) == inside
             assert gauge_norm(space, v) == pytest.approx(1.0, abs=1e-12)
-    gauges = _count_calls(monkeypatch, "gauge", owner=sensitivity.HullGeometry)
+    gauges = _count_calls(monkeypatch, "_gauge")
     _, _, rejections = _knorm_draws(contingency_s_semi(3, 3), 4049, 300)
     assert rejections.sum() == 0 and gauges == []  # a cone draw takes no try and no gauge
+    # untabled root hulls gauge in closed form too: a single-move space and a
+    # semi space past the tables
+    for untabled in (contingency_s_dp(2, 3), contingency_s_semi(2, 5)):
+        assert hull_cones(untabled) is None
+        assert hull_membership(untabled, _vertices(untabled)[0])
+        assert gauge_norm(untabled, _vertices(untabled)[0]) == 1.0
     assert lp_calls == []
-    # untabled hulls keep the LP: a single-move space, a semi space past the
-    # tables, and a brute-force space with vectors no table has
+    # a brute-force space with vectors no table has, and no root polytope, is refused
     space, t = DataspaceSpec(n=3, levels=(3, 3)), ((1, 1, 1), (1, 1, 1))
     rotations = brute_force_sensitivity_space(space, conforming_set(space, TABLE_INV, t),
                                               cell_count_query(space), 3)
-    for untabled in (contingency_s_dp(2, 3), contingency_s_semi(2, 5), rotations):
-        assert hull_cones(untabled) is None
-        calls = len(lp_calls)
-        assert hull_membership(untabled, _vertices(untabled)[0])
-        assert len(lp_calls) > calls
+    with pytest.raises(ValueError, match=r"^the hull sampler refuses brute_force\(radius=3, subset\)"):
+        hull_membership(rotations, _vertices(rotations)[0])
 
 
 def test_tabled_paths_read_no_span_coordinates(monkeypatch):
     # tabled hulls are read in cells: gauges, membership, draws and the
-    # Gaussian run with every span basis, hull geometry and LP refused; so do
-    # draws on the root polytope
+    # Gaussian run with every span basis and LP refused; so do gauges,
+    # membership and draws on the root polytope
     def refuse(*args, **kwargs):
         raise AssertionError("a tabled path read span coordinates")
 
     mechanisms._gaussian_constants.cache_clear()
     for owner, name in ((sensitivity, "span_basis"), (sensitivity, "_span_basis_cached"),
-                        (sensitivity, "hull_geometry"), (sensitivity, "solve_lp"),
                         (mechanisms, "span_basis"), (semidp.simplex, "solve_lp")):
         monkeypatch.setattr(owner, name, refuse)
     for r, c in TABLE_SHAPES:
@@ -1045,6 +1085,9 @@ def test_tabled_paths_read_no_span_coordinates(monkeypatch):
     assert out.meta["span_dim"] == 81 and out.meta["delta2"] == 2.0
     for space in (contingency_s_dp(3, 4), contingency_s_semi(2, 9), contingency_s_semi(6, 2)):
         assert hull_cones(space) is None
+        v = space.array[-1] / 2.0
+        assert gauge_norm(space, v) == 0.5 and hull_membership(space, v)
+        assert gauge_norm(space, np.r_[1.0, np.zeros(space.ambient_dim - 1)]) == math.inf
         knorm_noise_samples(space, 1.0, NoiseRng(RngSeed(7)), 3)
 
 

@@ -3,10 +3,12 @@
 
 For every shape (r, c) in ``semidp.sensitivity.TABLE_SHAPES`` (2 <= r, c <= 4,
 and 3x5 and 5x3) the convex hull of ``contingency_s_semi(r, c)`` is fixed by
-(r, c). qhull finds its facets in span coordinates; each facet
-a.x <= 1 is mapped back to the r x c cells, where a is fixed only up to
-row and column constants (the span holds the tables whose rows and columns
-sum to zero). The constants are chosen so that a's first row and first
+(r, c). The span holds the tables whose rows and columns sum to zero, and
+such a table is fixed by its top-left (r - 1) x (c - 1) block, so qhull
+runs on the blocks of the vertices, exact integer coordinates with no span
+basis. A facet n.B <= 1 of the blocks is the facet a.x <= 1 of the tables
+with a = n placed in the block and zero elsewhere; a is fixed only up to
+row and column constants, which are chosen so that a's first row and first
 column are zero, which makes 2a integral. qhull splits facets that are not
 simplices, so the integer rows are deduplicated before they are written:
 one int8 array of rows 2a per key "RxC" in ``src/semidp/facets.npz``.
@@ -19,9 +21,11 @@ of each orbit, in table order, is its representative. Its simplices of
 positive volume are written as rows of s vertex indices into
 ``contingency_s_semi(r, c).array``, sorted, one uint8 array per key
 "RxC_cones". Orbit sizes times the representatives' cone volumes must sum
-to qhull's hull volume, and both tables must pass the checks the package
-runs when it loads them (``semidp.sensitivity._hull_from_tables``), so no
-table is written that the package would refuse.
+to qhull's hull volume scaled from the blocks to the tables, that is times
+sqrt(det(M M')) = sqrt(r^(c - 1) c^(r - 1)), M the map from a block to its
+table; and both tables must pass the checks the package runs when it loads
+them (``semidp.sensitivity._hull_from_tables``), so no table is written
+that the package would refuse.
 
 Usage, from the repository root (needs scipy):
 
@@ -48,7 +52,6 @@ from semidp.sensitivity import (  # noqa: E402
     _hull_from_tables,
     _table_symmetries,
     contingency_s_semi,
-    span_basis,
 )
 
 #: Largest distance of a computed 2a entry from its integer.
@@ -64,16 +67,20 @@ def hull_tables(r: int, c: int) -> tuple[np.ndarray, np.ndarray, float]:
     sorted, and the representative simplices, as described above, checked
     as the package checks them at load."""
     space = contingency_s_semi(r, c)
-    basis = span_basis(space).vectors
-    coords = space.array.astype(float) @ basis.T
-    if basis.shape[0] == 1:  # qhull needs two dimensions; this hull is a segment
+    s = (r - 1) * (c - 1)
+    coords = space.array.reshape(-1, r, c)[:, :-1, :-1].reshape(-1, s).astype(float)
+    if s == 1:  # qhull needs two dimensions; this hull is a segment
         ends = np.array([coords.argmax(), coords.argmin()])
         simplices, normals, volume = ends[:, None], 1.0 / coords[ends], float(np.ptp(coords))
     else:
         hull = ConvexHull(coords)  # one simplex and equation n.y + b <= 0, b < 0, per row
         simplices, volume = hull.simplices, hull.volume
         normals = hull.equations[:, :-1] / -hull.equations[:, -1:]
-    a = (normals @ basis).reshape(-1, r, c)
+    # M M' is the Kronecker product of I + J of order r - 1 (determinant r)
+    # and of order c - 1 (determinant c)
+    volume *= math.sqrt(r ** (c - 1) * c ** (r - 1))
+    a = np.zeros((len(normals), r, c))
+    a[:, :-1, :-1] = normals.reshape(-1, r - 1, c - 1)
     a = a - a[:, :, :1] - a[:, :1, :] + a[:, :1, :1]
     two_a = 2.0 * a.reshape(len(a), r * c)
     rows = np.rint(two_a)
@@ -97,7 +104,7 @@ def hull_tables(r: int, c: int) -> tuple[np.ndarray, np.ndarray, float]:
         dets = _gram_determinants(space.array[rep])
         rep = rep[dets > 0]
         cones.append(rep[np.lexsort(rep.T[::-1])])
-        total += len(images) * np.sqrt(dets[dets > 0]).sum() / math.factorial(basis.shape[0])
+        total += len(images) * np.sqrt(dets[dets > 0]).sum() / math.factorial(s)
     if abs(total - volume) > VOLUME_TOL * volume:
         raise RuntimeError(f"{r}x{c}: the cones' volume {total} is not the hull's {volume}")
     cones = np.concatenate(cones).astype(np.uint8)
