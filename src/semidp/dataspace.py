@@ -12,9 +12,11 @@ Datasets are immutable tuples, and enumeration order is lexicographic and
 deterministic. The conforming set is enumerated breadth-first in numpy, and
 its record codes are cached with it; a(t), indistinguishable pairs and
 brute-force sensitivity spaces (``sensitivity``) share one blocked
-pairwise-Hamming kernel over such codes, with one-byte distances up to 255
-records. Indistinguishable pairs come back as a read-only set view over the
-sorted distinct datasets and one int64 key per pair, not as pair tuples.
+Hamming kernel over such codes, with one-byte distances up to 255 records.
+a(t) scans only one dataset per class of datasets that agree up to permuting
+their records after the first. Indistinguishable pairs come back as a
+read-only set view over the sorted distinct datasets and one int64 key per
+pair, not as pair tuples.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import bisect
 import itertools
 import math
 import numbers
+import operator
 from collections.abc import Set
 from dataclasses import dataclass
 from functools import lru_cache
@@ -33,7 +36,8 @@ import numpy as np
 #: Ceiling on the raw dataspace size (#cells ** n) for enumeration.
 ENUMERATION_CAP = 10_000_000
 
-#: Ceiling on |S|^2, the dataset pairs a pairwise-distance scan over S visits.
+#: Ceiling on the dataset pairs a distance scan visits: |S|^2 for pairs and
+#: brute-force sensitivity spaces, R * |S| for a(t), which scans R rows.
 PAIR_CAP = 100_000_000
 
 #: Distances computed per block of the pairwise scan (one byte each up to
@@ -223,42 +227,57 @@ def _conforming_cached(
 
 
 def _record_codes(datasets: Sequence[Dataset]) -> np.ndarray:
-    """One row per dataset, each record replaced by a small integer id:
-    records are numbered in order of first appearance."""
+    """One row per dataset, each record replaced by an integer id: the
+    position in the concatenated datasets where that record first appears.
+    The ids only need to tell records apart; ``_hamming_blocks`` narrows them."""
     lengths = set(map(len, datasets))
     if len(lengths) > 1:
         raise ValueError("datasets must have the same number of rows")
-    ids = {r: i for i, r in enumerate(dict.fromkeys(itertools.chain.from_iterable(datasets)))}
-    flat = map(ids.__getitem__, itertools.chain.from_iterable(datasets))
-    return np.fromiter(flat, dtype=np.int32).reshape(len(datasets), max(lengths, default=0))
+    ids: dict[tuple[int, ...], int] = {}
+    flat = map(ids.setdefault, itertools.chain.from_iterable(datasets), itertools.count())
+    return np.fromiter(flat, dtype=np.int64).reshape(len(datasets), max(lengths, default=0))
 
 
-def _hamming_blocks(codes: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """Pairwise Hamming distances between the rows of ``codes``, in row blocks.
+def _check_pairs(rows: int, columns: int) -> None:
+    """Refuse a distance scan of rows x columns dataset pairs above PAIR_CAP."""
+    if rows * columns > PAIR_CAP:
+        raise EnumerationCapExceeded(
+            f"{rows} x {columns} dataset pairs exceed the cap of {PAIR_CAP}"
+        )
 
-    Yields (first, dist) where dist[i, j] is the distance between rows
-    first + i and j; each block holds about BLOCK_PAIRS entries, in the
-    smallest unsigned type that holds the row length (one byte up to 255
-    records). The blocks share one buffer, so each is overwritten by the
-    next. Refuses before computing any distance when |S|^2 exceeds PAIR_CAP.
+
+def _hamming_blocks(
+    codes: np.ndarray, rows: np.ndarray | None = None
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Hamming distances from the rows of ``codes`` listed in ``rows`` (all
+    rows when None) to every row of ``codes``, in blocks of rows.
+
+    Yields (first, dist) where dist[i, j] is the distance between row
+    rows[first + i] (row first + i when ``rows`` is None) and row j; each
+    block holds about BLOCK_PAIRS entries, in the smallest unsigned type that
+    holds the row length (one byte up to 255 records). The codes are compared
+    in the smallest unsigned type that holds their largest id. The blocks
+    share one buffer, so each is overwritten by the next. Refuses before
+    computing any distance when len(rows) * |S| exceeds PAIR_CAP.
     """
     m = len(codes)
-    if m * m > PAIR_CAP:
-        raise EnumerationCapExceeded(f"{m}^2 dataset pairs exceed the cap of {PAIR_CAP}")
+    picked = m if rows is None else len(rows)
+    _check_pairs(picked, m)
     step = max(1, BLOCK_PAIRS // max(1, m))
-    columns = np.ascontiguousarray(codes.T)
+    columns = np.ascontiguousarray(codes.T, dtype=np.min_scalar_type(codes.max(initial=0)))
+    sources = columns if rows is None else columns[:, rows]
     dtype = np.min_scalar_type(codes.shape[1])
 
     def blocks() -> Iterator[tuple[int, np.ndarray]]:
-        buffer = np.empty((min(step, m), m), dtype=dtype)
+        buffer = np.empty((min(step, picked), m), dtype=dtype)
         differ = np.empty(buffer.shape, dtype=bool)
-        for first in range(0, m, step):
-            rows = min(step, m - first)
-            dist, ne = buffer[:rows], differ[:rows]
+        for first in range(0, picked, step):
+            count = min(step, picked - first)
+            dist, ne = buffer[:count], differ[:count]
             dist.fill(0)
-            for column in columns:
-                np.not_equal(column[first:first + rows, None], column, out=ne)
-                np.add(dist, ne, out=dist)
+            for source, column in zip(sources, columns):
+                np.not_equal(source[first:first + count, None], column, out=ne)
+                np.add(dist, ne.view(np.uint8), out=dist)
             yield first, dist
 
     return blocks()
@@ -273,28 +292,28 @@ def semi_adjacent_parameter(space: DataspaceSpec, spec: InvariantSpec, t: Invari
     (X, i, y) of the distance to the nearest such Y. A singleton conforming
     set yields 0: nothing is left to protect. Reads the record codes cached
     with the conforming set.
+
+    Every invariant counts records, so permuting the positions maps the
+    conforming set S onto itself and every position attains the same maximum:
+    only position 0 is reduced. The nearest Y to X then depends only on X's
+    first record and the multiset of its others, so the kernel scans one
+    dataset per such class, the one whose records after the first are sorted
+    (R rows), against all of S; ``PAIR_CAP`` bounds R * |S|.
     """
     codes = _conforming(space, spec, t)[1]
     if not len(codes):
         raise ValueError("conforming set is empty; invariant value is infeasible")
     if len(codes) == 1:
         return 0
-    # per position: datasets sorted by their record there, and where each record's run starts
-    runs = []
-    for column in codes.T:
-        order = np.argsort(column, kind="stable")
-        held = column[order]
-        runs.append((order, np.flatnonzero(np.r_[True, held[1:] != held[:-1]])))
+    rows = np.flatnonzero((codes[:, 2:] >= codes[:, 1:-1]).all(axis=1))
+    # S is in lexicographic order, so position 0 already holds runs of equal records
+    held = codes[:, 0]
+    starts = np.flatnonzero(np.r_[True, held[1:] != held[:-1]])
     worst = 0
-    for _, dist in _hamming_blocks(codes):
-        # to_block[j, i] is the distance from dataset j to dataset first + i; a block
-        # holding every row is the whole symmetric matrix, so it needs no transpose
-        to_block = dist if len(dist) == len(codes) else np.ascontiguousarray(dist.T)
-        for order, starts in runs:
-            # distance from each X in the block to the nearest Y holding each record y
-            # at this position; y = X_i contributes 0 (Y = X), so it needs no exclusion
-            nearest = np.minimum.reduceat(to_block.take(order, axis=0), starts, axis=0)
-            worst = max(worst, int(nearest.max()))
+    for _, dist in _hamming_blocks(codes, rows):
+        # distance from each scanned X to the nearest Y holding each record y at
+        # position 0; y = X_0 contributes 0 (Y = X), so it needs no exclusion
+        worst = max(worst, int(np.minimum.reduceat(dist, starts, axis=1).max()))
     return worst
 
 
@@ -370,19 +389,42 @@ def indistinguishable_pairs(
     once. ``len`` is O(1), membership costs a bisection, iteration builds
     pairs lazily, and ``|``, ``&``, ``-`` with another set return builtin
     sets. The pairs are held as int64 keys into the sorted distinct
-    datasets, 8 bytes a pair, plus one distance block while they are found.
+    datasets, 8 bytes a pair, plus one bit a pair and one block of keys
+    while they are found.
     Raises ``ValueError`` unless the radius is an integer >= 0, and
-    ``EnumerationCapExceeded`` when the distinct datasets number more than
-    the square root of ``PAIR_CAP``.
+    ``EnumerationCapExceeded``, before any dataset is sorted or coded, when
+    the datasets given number more than the square root of ``PAIR_CAP``.
     """
     _check_integer(radius, "radius", 0)
-    items = tuple(sorted(set(datasets)))
+    datasets = list(datasets)
+    _check_pairs(len(datasets), len(datasets))
+    if all(map(operator.lt, datasets, itertools.islice(datasets, 1, None))):
+        items = tuple(datasets)  # already sorted and distinct, as conforming sets are
+    else:
+        items = tuple(sorted(set(datasets)))
     m = len(items)
-    keys = [np.empty(0, dtype=np.int64)]
-    for first, dist in _hamming_blocks(_record_codes(items)):
-        # entry (r, c) of the slice pairs datasets first + r and first + c; distinct
-        # datasets differ somewhere, so the pairs are the entries c > r within the radius
-        r, c = np.divmod(np.flatnonzero(dist[:, first:] <= radius), m - first)
-        upper = c > r
-        keys.append((r[upper] + first) * m + c[upper] + first)
-    return _PairView(items, np.concatenate(keys))
+    codes = _record_codes(items)
+    later = np.arange(m, dtype=np.min_scalar_type(m))
+
+    def hits(first: int, dist: np.ndarray) -> np.ndarray:
+        # entry (r, c) pairs datasets first + r and c; distinct datasets differ
+        # somewhere, so the pairs are the entries c > first + r within the radius
+        hit = dist <= radius
+        hit &= later > later[first:first + len(hit), None]
+        return hit
+
+    # count each block's pairs and keep them as bits (|S|^2 / 8 bytes in all),
+    # then fill one exact-size key array; a single block's flat indices are the keys
+    found = []
+    for first, dist in _hamming_blocks(codes):
+        hit = hits(first, dist)
+        if len(hit) == m:
+            return _PairView(items, np.flatnonzero(hit))
+        found.append((first, hit.size, np.count_nonzero(hit), np.packbits(hit, axis=None)))
+    keys = np.empty(sum(count for _, _, count, _ in found), dtype=np.int64)
+    end = 0
+    for first, size, count, bits in found:
+        hit = np.unpackbits(bits, count=size).view(bool)
+        np.add(np.flatnonzero(hit), first * m, out=keys[end:end + count])
+        end += count
+    return _PairView(items, keys)

@@ -28,7 +28,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dataspace import DataspaceSpec, Dataset, _check_integer, _hamming_blocks, _record_codes
+from .dataspace import (
+    DataspaceSpec,
+    Dataset,
+    _check_integer,
+    _check_pairs,
+    _hamming_blocks,
+    _record_codes,
+)
 
 #: The span basis drops singular directions below RANK_TOL times the largest.
 RANK_TOL = 1e-10
@@ -157,26 +164,32 @@ def brute_force_sensitivity_space(
     Pairs are reduced to pairs of distinct query values before any
     difference is taken. Raises ``ValueError`` unless the radius is an
     integer >= 0; refused with ``EnumerationCapExceeded`` when |subset|^2
-    exceeds ``dataspace.PAIR_CAP``. ``space`` is not read; it
-    stays in the signature for callers that pass arguments positionally.
+    exceeds ``dataspace.PAIR_CAP``, before ``query`` is called. ``space``
+    is not read; it stays in the signature for callers that pass arguments
+    positionally.
     """
     _check_integer(radius, "radius", 0)
     subset = list(subset)
     if not subset:
         raise ValueError("subset must be non-empty")
-    codes = _record_codes(subset)
-    blocks = _hamming_blocks(codes)
+    _check_pairs(len(subset), len(subset))
     unique, vid = _unique_rows(np.array([query(x) for x in subset], dtype=np.int64))
-    # closest[u, v]: least distance between datasets of query values u and v, from
-    # each block's columns minimum-reduced over runs of equal value, then its rows
-    columns = np.argsort(vid, kind="stable")
-    held = vid[columns]
+    # scan the datasets ordered by query value, so each block's columns and rows
+    # fall in runs of equal value: held[k] is the value of the k-th, and value u
+    # runs from starts[u]
+    order = np.argsort(vid, kind="stable")
+    held = vid[order]
     starts = np.flatnonzero(np.r_[True, held[1:] != held[:-1]])
+    codes = _record_codes(list(map(subset.__getitem__, order.tolist())))
     n = codes.shape[1]
+    # closest[u, v]: least distance between datasets of query values u and v
     closest = np.full((len(unique), len(unique)), n, dtype=np.min_scalar_type(n))
-    for first, dist in blocks:
-        near = np.minimum.reduceat(dist.take(columns, axis=1), starts, axis=1)
-        np.minimum.at(closest, vid[first:first + len(dist)], near)
+    for first, dist in _hamming_blocks(codes):
+        near = np.minimum.reduceat(dist, starts, axis=1)
+        low, high = held[first], held[first + len(dist) - 1] + 1
+        cuts = np.maximum(starts[low:high], first) - first
+        np.minimum(closest[low:high], np.minimum.reduceat(near, cuts, axis=0),
+                   out=closest[low:high])
     a, b = np.nonzero(closest <= radius)
     diffs = _unique_rows(unique[a] - unique[b])[0]
     return SensitivitySpace(diffs, f"brute_force(radius={radius}, subset)")

@@ -392,6 +392,76 @@ def test_streamed_a_t_equals_dense_on_acceptance_02_instances(block_size):
     assert count == 114
 
 
+@pytest.mark.parametrize("joint", [False, True], ids=["one_way_p3", "joint"])
+def test_a_t_equals_dense_on_random_sweeps(joint, block_size):
+    # one-way margins over p = 3 features, or joint margins over a random subset
+    # of p = 2..3 features; n = 1 and n = 2 leave every dataset its own
+    # representative, so they check the scan on every row
+    # (the dense oracle holds |S|^2 distances, so sets above 2,000 are drawn again)
+    rng = np.random.default_rng(2025 + joint)
+    for n in [1, 2, 3, 4, 5] * 8:
+        while True:
+            p = int(rng.integers(2, 4)) if joint else 3
+            space = DataspaceSpec(n=n, levels=tuple(int(rng.integers(2, 4)) for _ in range(p)))
+            if space.size() > 250_000:
+                continue
+            if joint:
+                features = [int(f) for f in rng.permutation(p)[: int(rng.integers(1, p + 1))]]
+                cut = int(rng.integers(1, len(features) + 1))
+                inv = JointMargins(
+                    tuple(g for g in (tuple(features[:cut]), tuple(features[cut:])) if g)
+                )
+            else:
+                inv = OneWayMargins((0, 1, 2))
+            x = tuple(tuple(int(rng.integers(1, l + 1)) for l in space.levels) for _ in range(n))
+            t = invariant_eval(inv, x, space)
+            if len(conforming_set(space, inv, t)) <= 2_000:
+                break
+        assert semi_adjacent_parameter(space, inv, t) == _dense_semi_adjacent_parameter(
+            space, inv, t
+        ), (space, inv, t)
+
+
+def _counting_kernel(monkeypatch):
+    """Patch the distance kernel to record (rows scanned, |S|) per call; a call
+    the kernel refuses records nothing."""
+    calls, kernel = [], dataspace._hamming_blocks
+
+    def counting(codes, rows=None):
+        blocks = kernel(codes, rows)
+        calls.append((len(codes) if rows is None else len(rows), len(codes)))
+        return blocks
+
+    monkeypatch.setattr(dataspace, "_hamming_blocks", counting)
+    return calls
+
+
+@pytest.mark.parametrize("levels,n,t,scanned", [
+    ((3, 3), 6, ((2, 2, 2), (2, 2, 2)), (99, 8_100)),
+    ((2, 2), 6, ((2, 4), (3, 3)), (10, 300)),
+])
+def test_a_t_scans_one_dataset_per_class(monkeypatch, levels, n, t, scanned):
+    # one row per first record and multiset of the others, against all of S
+    space, inv = DataspaceSpec(n=n, levels=levels), OneWayMargins((0, 1))
+    calls = _counting_kernel(monkeypatch)
+    assert semi_adjacent_parameter(space, inv, t) == 3
+    assert calls == [scanned]
+
+
+def test_a_t_refuses_above_the_cap_before_computing(monkeypatch):
+    # 99 rows x 8,100 datasets: the cap counts the pairs a(t) scans, not |S|^2
+    space, inv = DataspaceSpec(n=6, levels=(3, 3)), OneWayMargins((0, 1))
+    t = ((2, 2, 2), (2, 2, 2))
+    calls = _counting_kernel(monkeypatch)
+    monkeypatch.setattr(dataspace, "PAIR_CAP", 99 * 8_100 - 1)
+    with pytest.raises(EnumerationCapExceeded, match="^99 x 8100 dataset pairs"):
+        semi_adjacent_parameter(space, inv, t)
+    assert calls == []
+    monkeypatch.setattr(dataspace, "PAIR_CAP", 99 * 8_100)
+    assert semi_adjacent_parameter(space, inv, t) == 3
+    assert calls == [(99, 8_100)]
+
+
 @functools.cache
 def _per_block_brute_force(space, spec, t, radius):
     """Brute force by one np.unique per distance block: the reference.
@@ -541,16 +611,16 @@ def test_ragged_dataset_lists_raise(block_size):
 
 
 def test_pair_cap_refuses_before_allocating():
-    # |S| = 44,100 passes ENUMERATION_CAP (9^7 < 10^7), but a dense |S| x |S|
-    # int32 distance matrix would need 7.8 GB
+    # |S| = 44,100 passes ENUMERATION_CAP (9^7 < 10^7). a(t) scans 129 of its
+    # datasets against all of them and answers; brute force and pairs would
+    # scan all |S|^2 pairs, 1.9 GB at one byte a distance, and refuse
     space = DataspaceSpec(n=7, levels=(3, 3))
     inv = OneWayMargins((0, 1))
     t = ((3, 2, 2), (3, 2, 2))
     before_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     conforming = conforming_set(space, inv, t)
     assert len(conforming) ** 2 > dataspace.PAIR_CAP
-    with pytest.raises(EnumerationCapExceeded):
-        semi_adjacent_parameter(space, inv, t)
+    assert semi_adjacent_parameter(space, inv, t) <= semi_adjacent_bound(2)
     with pytest.raises(EnumerationCapExceeded):
         brute_force_sensitivity_space(space, conforming, cell_count_query(space), 3)
     with pytest.raises(EnumerationCapExceeded):
@@ -558,3 +628,31 @@ def test_pair_cap_refuses_before_allocating():
     growth_mb = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before_kib) / 1024
     assert len(conforming) == 44_100
     assert growth_mb < 200, f"peak RSS grew by {growth_mb:.0f} MB"
+
+
+def test_pair_scans_refuse_before_touching_a_dataset():
+    # brute force and pairs refuse |S| = 44,100 before they query, sort, hash
+    # or code a single dataset
+    space = DataspaceSpec(n=7, levels=(3, 3))
+    conforming = conforming_set(space, OneWayMargins((0, 1)), ((3, 2, 2), (3, 2, 2)))
+    touched = []
+
+    class Watched(tuple):
+        def __hash__(self):
+            touched.append("hash")
+            return tuple.__hash__(self)
+
+        def __lt__(self, other):
+            touched.append("lt")
+            return tuple.__lt__(self, other)
+
+    def query(x):
+        touched.append("query")
+        return cell_count_query(space)(x)
+
+    watched = list(map(Watched, conforming))
+    with pytest.raises(EnumerationCapExceeded):
+        brute_force_sensitivity_space(space, watched, query, 3)
+    with pytest.raises(EnumerationCapExceeded):
+        indistinguishable_pairs(iter(watched), 3)
+    assert touched == []

@@ -5,6 +5,7 @@ import functools
 import importlib.util
 import itertools
 import math
+import operator
 import os
 import re
 import subprocess
@@ -426,18 +427,25 @@ def test_brute_force_does_not_depend_on_block_size(block_pairs, monkeypatch):
     if block_pairs is not None:
         monkeypatch.setattr(dataspace, "BLOCK_PAIRS", block_pairs)
     inv = OneWayMargins((0, 1))
+    cases = []
     for levels, t in [
         ((2, 2), TABLE_T),
         ((2, 3), ((2, 2), (1, 2, 1))),
         ((3, 3), ((2, 1, 1), (1, 2, 1))),
     ]:
         space = DataspaceSpec(n=sum(t[0]), levels=levels)
-        subset = conforming_set(space, inv, t)
-        q = cell_count_query(space)
-        a_t = semi_adjacent_parameter(space, inv, t)
-        for radius in sorted({0, 1, 2, a_t}):
+        radii = {0, 1, 2, semi_adjacent_parameter(space, inv, t)}
+        cases.append((space, conforming_set(space, inv, t), cell_count_query(space), radii))
+    # drawn datasets with repeats and a query that reads the first record: datasets
+    # of one query value sit at different distances, and their run spans blocks
+    rng = np.random.default_rng(7)
+    drawn = [tuple(tuple(int(rng.integers(1, l + 1)) for l in (2, 3)) for _ in range(4))
+             for _ in range(60)]
+    cases.append((DataspaceSpec(n=4, levels=(2, 3)), drawn, operator.itemgetter(0), range(5)))
+    for space, subset, q, radii in cases:
+        for radius in sorted(radii):
             brute = brute_force_sensitivity_space(space, subset, q, radius)
-            assert set(brute.vectors) == _brute_force_oracle(subset, q, radius), (t, radius)
+            assert set(brute.vectors) == _brute_force_oracle(subset, q, radius), (subset[0], radius)
 
 
 def test_group_space_contains_conforming_space():
