@@ -25,7 +25,6 @@ import bisect
 import itertools
 import math
 import numbers
-import operator
 from collections.abc import Set
 from dataclasses import dataclass
 from functools import lru_cache
@@ -398,28 +397,19 @@ def indistinguishable_pairs(
     _check_integer(radius, "radius", 0)
     datasets = list(datasets)
     _check_pairs(len(datasets), len(datasets))
-    if all(map(operator.lt, datasets, itertools.islice(datasets, 1, None))):
-        items = tuple(datasets)  # already sorted and distinct, as conforming sets are
-    else:
-        items = tuple(sorted(set(datasets)))
+    # a dict dedups in input order, so already-sorted input sorts in one pass
+    items = tuple(sorted(dict.fromkeys(datasets)))
     m = len(items)
     codes = _record_codes(items)
     later = np.arange(m, dtype=np.min_scalar_type(m))
-
-    def hits(first: int, dist: np.ndarray) -> np.ndarray:
+    # count each block's pairs and keep them as bits (|S|^2 / 8 bytes in all),
+    # then fill one exact-size key array, so the kernel runs once
+    found = []
+    for first, dist in _hamming_blocks(codes):
         # entry (r, c) pairs datasets first + r and c; distinct datasets differ
         # somewhere, so the pairs are the entries c > first + r within the radius
         hit = dist <= radius
         hit &= later > later[first:first + len(hit), None]
-        return hit
-
-    # count each block's pairs and keep them as bits (|S|^2 / 8 bytes in all),
-    # then fill one exact-size key array; a single block's flat indices are the keys
-    found = []
-    for first, dist in _hamming_blocks(codes):
-        hit = hits(first, dist)
-        if len(hit) == m:
-            return _PairView(items, np.flatnonzero(hit))
         found.append((first, hit.size, np.count_nonzero(hit), np.packbits(hit, axis=None)))
     keys = np.empty(sum(count for _, _, count, _ in found), dtype=np.int64)
     end = 0

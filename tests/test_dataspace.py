@@ -302,6 +302,15 @@ def test_indistinguishable_pairs():
         assert a <= b
 
 
+def test_unhashable_datasets_are_refused_in_any_order():
+    conforming = conforming_set(CUBE, CUBE_INV, ((1, 2),))
+    as_lists = [list(dataset) for dataset in conforming]
+    assert as_lists == sorted(as_lists)
+    for datasets in (as_lists, as_lists[::-1]):
+        with pytest.raises(TypeError):
+            indistinguishable_pairs(datasets, 2)
+
+
 def test_distances_past_one_byte_do_not_wrap():
     # 300 records that all differ: the distance is 300, not 300 - 256
     x, y = ((1,),) * 300, ((2,),) * 300
