@@ -39,6 +39,7 @@ from .rng import NoiseRng, RngSeed
 from . import simplex  # noqa: F401  imported for the benchmark tracer, which wraps simplex.solve_lp
 from .sensitivity import (
     SensitivitySpace,
+    TableGeometry,
     brute_force_sensitivity_space,
     cell_count_query,
     contingency_s_dp,
@@ -48,6 +49,7 @@ from .sensitivity import (
     lp_sensitivity,
     projection_matrix,
     span_basis,
+    table_geometry,
 )
 from .tradeoff import (
     PrivacyGuarantee,

@@ -33,8 +33,8 @@ from .rng import RngSeed
 from .sensitivity import (
     contingency_s_dp,
     contingency_s_semi,
-    lp_sensitivity,
     sensitivity_space_to_csv,
+    table_geometry,
 )
 from .tradeoff import (
     compose_self,
@@ -170,23 +170,17 @@ def _unread_flag(args: argparse.Namespace) -> str | None:
     return None
 
 
+#: The ``TableGeometry`` fields ``semidp sens`` prints as JSON.
+SENS_FIELDS = ("provenance", "ambient_dim", "num_vectors", "span_dim", "delta_1", "delta_2", "delta_inf")
+
+
 def _run_sens(args: argparse.Namespace) -> None:
-    space = contingency_s_semi(args.r, args.c) if args.space == "semi" else contingency_s_dp(args.r, args.c)
     if args.format == "csv":
-        _emit(args, sensitivity_space_to_csv(space))
+        build = contingency_s_semi if args.space == "semi" else contingency_s_dp
+        _emit(args, sensitivity_space_to_csv(build(args.r, args.c)))
         return
-    # the semi span is the tables with zero row and column sums, the dp span those summing to zero
-    span_dim = (args.r - 1) * (args.c - 1) if args.space == "semi" else args.r * args.c - 1
-    payload = {
-        "provenance": space.provenance,
-        "ambient_dim": space.ambient_dim,
-        "num_vectors": len(space.array),
-        "span_dim": span_dim,
-        "delta_1": lp_sensitivity(space, 1),
-        "delta_2": lp_sensitivity(space, 2),
-        "delta_inf": lp_sensitivity(space, math.inf),
-    }
-    _emit(args, json.dumps(payload, sort_keys=True))
+    geometry = table_geometry(args.space, args.r, args.c)
+    _emit(args, json.dumps({key: getattr(geometry, key) for key in SENS_FIELDS}, sort_keys=True))
 
 
 def _run_mech(args: argparse.Namespace) -> None:
@@ -201,12 +195,12 @@ def _run_mech(args: argparse.Namespace) -> None:
         c = len(query) // r if c is None else c
         if r * c != len(query):
             raise ValueError("query length must equal r*c for table mechanisms")
-        space = contingency_s_semi(r, c)
         if args.kind == "gaussian":
             if args.mu is None:
                 raise ValueError("--mu is required for the gaussian mechanism")
-            out = gaussian_semi(query, space, args.mu, seed)
+            out = gaussian_semi(query, table_geometry("semi", r, c), args.mu, seed)
         else:
+            space = contingency_s_semi(r, c)
             if args.eps is None:
                 raise ValueError("--eps is required for the knorm mechanism")
             out = knorm_optimal(query, space, args.eps, seed)

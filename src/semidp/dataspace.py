@@ -25,6 +25,7 @@ import bisect
 import itertools
 import math
 import numbers
+from collections import defaultdict
 from collections.abc import Set
 from dataclasses import dataclass
 from functools import lru_cache
@@ -226,14 +227,16 @@ def _conforming_cached(
 
 
 def _record_codes(datasets: Sequence[Dataset]) -> np.ndarray:
-    """One row per dataset, each record replaced by an integer id: the
-    position in the concatenated datasets where that record first appears.
-    The ids only need to tell records apart; ``_hamming_blocks`` narrows them."""
+    """One row per dataset, each record replaced by an integer id: 0 to R - 1
+    over the R distinct records, in order of first appearance. Dense ids keep
+    the largest one below R, so ``_hamming_blocks`` narrows them to one byte
+    whenever at most 256 records are distinct."""
     lengths = set(map(len, datasets))
     if len(lengths) > 1:
         raise ValueError("datasets must have the same number of rows")
-    ids: dict[tuple[int, ...], int] = {}
-    flat = map(ids.setdefault, itertools.chain.from_iterable(datasets), itertools.count())
+    # each record missing from ids is given the next count: 0, 1, 2, ...
+    ids: defaultdict[tuple[int, ...], int] = defaultdict(itertools.count().__next__)
+    flat = map(ids.__getitem__, itertools.chain.from_iterable(datasets))
     return np.fromiter(flat, dtype=np.int64).reshape(len(datasets), max(lengths, default=0))
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .dataspace import _check_integer, semi_adjacent_bound
 from .mechanisms import NaiveGroupMechanism, gaussian_noise_samples, knorm_noise_samples
 from .rng import NoiseRng, RngSeed
-from .sensitivity import contingency_s_semi
+from .sensitivity import _check_table_size, contingency_s_semi, table_geometry
 from .tradeoff import zcdp_group, zcdp_to_approx_dp
 
 CSV_HEADER = "k,model,method,param,mean_l2,se"
@@ -75,13 +75,18 @@ def _row(cfg: ExperimentConfig, method: str, param: float, costs: np.ndarray) ->
 def run_gaussian_experiment(cfg: ExperimentConfig) -> list[dict]:
     """Projected Gaussian on the margin-preserving space vs the naive
     group-privacy Gaussian at mu/3 with full-space single-move sensitivity.
+
+    The projected Gaussian reads the space's closed form (``table_geometry``),
+    not its vectors. Tables whose space is past ``TABLE_SPACE_CAP`` are still
+    refused, since the draws grow as replicates x k^2.
     """
     if cfg.mu is None or cfg.mu <= 0:
         raise ValueError("gaussian experiment requires a positive mu")
-    space = contingency_s_semi(cfg.k, cfg.k)
+    geometry = table_geometry("semi", cfg.k, cfg.k)
+    _check_table_size(geometry)
     reps = cfg.replicates
     semi_rng = NoiseRng(cfg.seed.with_stream(cfg.seed.stream + 1))
-    semi_noise = gaussian_noise_samples(space, cfg.mu, semi_rng, reps)
+    semi_noise = gaussian_noise_samples(geometry, cfg.mu, semi_rng, reps)
     naive = NaiveGroupMechanism("gaussian", TABLE_GROUP_SIZE, cfg.mu)
     naive_rng = NoiseRng(cfg.seed.with_stream(cfg.seed.stream + 2))
     naive_noise = naive.noise_samples(cfg.k * cfg.k, naive_rng, reps)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -27,12 +27,13 @@ from .sensitivity import (
     HullCones,
     RootHull,
     SensitivitySpace,
-    _double_centring,
+    TableGeometry,
     _exact_hull,
     _table_shape,
     lp_sensitivity,
     projection_matrix,
     span_basis,
+    table_geometry,
 )
 
 #: Cone draws form their directions this many at a time.
@@ -72,26 +73,35 @@ def _as_vector(query_value, dim: int | None = None) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def _gaussian_constants(space: SensitivitySpace) -> tuple[int, float, Callable[[np.ndarray], np.ndarray]]:
+def _gaussian_constants(
+    space: SensitivitySpace | TableGeometry,
+) -> tuple[int, float, Callable[[np.ndarray], np.ndarray]]:
     """Span dimension, Delta_2 and span projection of a space, computed once per space.
 
-    On the r x c one-way-margin space all three are closed-form, none read
-    from its vectors: s = (r - 1)(c - 1), Delta_2 = 2 (four entries +-1 a
-    move), and ``_double_centring``. Any other space projects by ``span_basis``.
+    A semi ``TableGeometry`` holds all three, and a space with the vectors
+    of ``contingency_s_semi(r, c)`` reads them from ``table_geometry``:
+    s = (r - 1)(c - 1), Delta_2 = 2 and double centring, none read from its
+    vectors. Any other space projects by ``span_basis``; a dp geometry,
+    which holds no projector, is refused.
     """
-    shape = _table_shape(space)
-    if shape is not None:
-        r, c = shape
-        return (r - 1) * (c - 1), 2.0, partial(_double_centring, r=r, c=c)
-    basis = span_basis(space)
-    P = projection_matrix(basis, space.ambient_dim)
-    return basis.s, lp_sensitivity(space, 2), lambda z: z @ P
+    if isinstance(space, SensitivitySpace):
+        shape = _table_shape(space)
+        if shape is None:
+            basis = span_basis(space)
+            P = projection_matrix(basis, space.ambient_dim)
+            return basis.s, lp_sensitivity(space, 2), lambda z: z @ P
+        space = table_geometry("semi", *shape)
+    if space.project is None:
+        raise ValueError(f"the projected Gaussian needs the vectors of {space.provenance}; "
+                         f"pass contingency_s_{space.kind}({space.r}, {space.c})")
+    return space.span_dim, space.delta_2, space.project
 
 
 def gaussian_noise_samples(
-    space: SensitivitySpace, mu: float, rng: NoiseRng, size: int
+    space: SensitivitySpace | TableGeometry, mu: float, rng: NoiseRng, size: int
 ) -> np.ndarray:
-    """Bulk projected-Gaussian noise draws, one row per sample."""
+    """Bulk projected-Gaussian noise draws, one row per sample. A semi
+    ``table_geometry`` draws the same bytes as its space, which it never builds."""
     s, delta2, project = _gaussian_constants(space)
     d = space.ambient_dim
     if s == 0:
@@ -100,10 +110,13 @@ def gaussian_noise_samples(
     return project(z)
 
 
-def gaussian_semi(query_value, space: SensitivitySpace, mu: float, seed: RngSeed) -> MechanismOutput:
+def gaussian_semi(
+    query_value, space: SensitivitySpace | TableGeometry, mu: float, seed: RngSeed
+) -> MechanismOutput:
     """Gaussian noise with covariance (Delta_2/mu)^2 P, P projecting onto
     the span of the sensitivity space; directions the adjacent datasets
-    cannot move are left exactly noiseless.
+    cannot move are left exactly noiseless. The space may be given as a
+    semi ``table_geometry``.
     """
     if not 0 < mu < math.inf:
         raise ValueError(f"mu must be positive and finite, got {mu}")
@@ -124,10 +137,11 @@ def gaussian_semi(query_value, space: SensitivitySpace, mu: float, seed: RngSeed
 
 
 def knorm_noise_samples(
-    space: SensitivitySpace, epsilon: float, rng: NoiseRng, size: int
+    space: SensitivitySpace | HullCones | RootHull, epsilon: float, rng: NoiseRng, size: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
     """Bulk hull-mechanism draws: density proportional to exp(-epsilon ||y||_K)
-    on the span, K the hull of the space.
+    on the span, K the hull of the space, or K itself when ``space`` is the
+    hull ``_exact_hull`` found for it.
 
     Returns (noise, radii, directions, rejection counts): noise[i] equals
     radii[i] * directions[i], each radius a Gamma(s + 1, epsilon) variate and
@@ -153,7 +167,7 @@ def knorm_noise_samples(
     / C(2 n - 2, n - 1) and A and the path uniformly. Any other space is
     refused by name before a uniform is drawn.
     """
-    hull = _exact_hull(space)
+    hull = space if isinstance(space, (HullCones, RootHull)) else _exact_hull(space)
     if hull is None:
         raise ValueError("sensitivity space has empty span; nothing to randomize")
     s, tabled = hull.s, isinstance(hull, HullCones)
@@ -210,7 +224,7 @@ def knorm_optimal(query_value, space: SensitivitySpace, epsilon: float, seed: Rn
     if s == 0:
         meta["warning"] = _DEGENERATE_WARNING
         return MechanismOutput(value=query, noise=np.zeros_like(query), meta=meta)
-    noise, radii, _, rejections = knorm_noise_samples(space, epsilon, rng, 1)
+    noise, radii, _, rejections = knorm_noise_samples(hull, epsilon, rng, 1)
     meta.update(delta_k=1.0, radius=repr(float(radii[0])), rejections=rejections[0], sampler="cone")
     return MechanismOutput(value=query + noise[0], noise=noise[0], meta=meta)
 

@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 import zlib
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 from typing import Callable, Sequence
 
@@ -46,9 +48,15 @@ HULL_TOL = 1e-9
 
 #: Most entries m * d a table space may hold, checked before it is built. On a
 #: 2-vCPU host the 15 x 15 semi space (4.96 M entries, 40 MB in int64) builds
-#: in 0.04-0.08 s at 95 MB peak RSS, and ``semidp sens`` on it (span basis too)
-#: in 0.24-0.30 s at 162 MB; the 9 x 19 dp space (4.97 M), 0.07 s and 94 MB.
+#: in 0.04-0.08 s at 95 MB peak RSS; the 9 x 19 dp space (4.97 M), 0.07 s and
+#: 94 MB. Only the vectors' readers build it: ``semidp sens --format csv``,
+#: the hull sampler and library calls on the space. ``table_geometry`` serves
+#: the projected Gaussian and ``semidp sens`` JSON at any shape without it.
 TABLE_SPACE_CAP = 5_000_000
+
+#: Most bytes of vectors the built table spaces keep cached; the least
+#: recently used space goes first. Three spaces at ``TABLE_SPACE_CAP`` fit.
+TABLE_CACHE_BYTES = 128 << 20
 
 #: Package data file of the facet tables: one int8 array per key "RxC", each
 #: row twice a facet normal of hull(contingency_s_semi(r, c)), for (r, c) in
@@ -195,6 +203,54 @@ def brute_force_sensitivity_space(
     return SensitivitySpace(diffs, f"brute_force(radius={radius}, subset)")
 
 
+@dataclass(frozen=True, eq=False)
+class TableGeometry:
+    """The semi or dp space of an r x c table in closed form, without its
+    vectors: its provenance, d = r c cells, m vectors, span dimension s, the
+    largest l1, l2 and linf norms, and for semi the projector onto the span.
+
+    The semi space has m = r c (r - 1)(c - 1) / 2 + 1 moves of four entries
+    +-1, s = (r - 1)(c - 1), and double centring as its projector; the dp
+    space m = d (d - 1) + 1 moves of two entries +-1 and s = d - 1, except
+    that the 1 x 1 dp space is zero alone, with norms 0. The projected
+    Gaussian (``gaussian_semi``) takes a semi geometry in place of the space.
+    """
+
+    kind: str
+    r: int
+    c: int
+    provenance: str
+    ambient_dim: int
+    num_vectors: int
+    span_dim: int
+    delta_1: float
+    delta_2: float
+    delta_inf: float
+    project: Callable[[np.ndarray], np.ndarray] | None
+
+
+@lru_cache(maxsize=128)
+def table_geometry(kind: str, r: int, c: int) -> TableGeometry:
+    """The closed-form geometry of ``contingency_s_semi(r, c)`` (kind "semi")
+    or ``contingency_s_dp(r, c)`` ("dp"), in O(1) at any shape: nothing is
+    built and ``TABLE_SPACE_CAP`` is not read. Raises ``ValueError`` on the
+    shapes the space refuses, r or c below 2 (semi) or 1 (dp)."""
+    d = r * c
+    if kind == "semi":
+        if r < 2 or c < 2:
+            raise ValueError("r and c must both be >= 2")
+        return TableGeometry(kind, r, c, f"contingency_margins({r}x{c})", d,
+                             d * (r - 1) * (c - 1) // 2 + 1, (r - 1) * (c - 1), 4.0, 2.0, 1.0,
+                             partial(_double_centring, r=r, c=c))
+    if kind == "dp":
+        if r < 1 or c < 1:
+            raise ValueError("r and c must both be >= 1")
+        moves = float(d > 1)
+        return TableGeometry(kind, r, c, f"contingency_single_move({r}x{c})", d, d * (d - 1) + 1,
+                             d - 1, 2.0 * moves, math.sqrt(2.0) * moves, moves, None)
+    raise ValueError(f"kind must be 'semi' or 'dp', got {kind!r}")
+
+
 def contingency_s_semi(r: int, c: int) -> SensitivitySpace:
     """Margin-preserving four-cell moves of an r x c table, plus zero.
 
@@ -208,30 +264,52 @@ def contingency_s_semi(r: int, c: int) -> SensitivitySpace:
     r, c >= 3, three records can rotate their column among themselves, and
     radius 3 adds those six-entry differences.
     """
-    if r < 2 or c < 2:
-        raise ValueError("r and c must both be >= 2")
-    _check_table_size(r, c, r * c * (r - 1) * (c - 1) // 2 + 1)
+    _check_table_size(table_geometry("semi", r, c))
     return _table_space("semi", r, c)
 
 
 def contingency_s_dp(r: int, c: int) -> SensitivitySpace:
     """Single-record moves of an r x c table: one +1, one -1, plus zero."""
-    if r < 1 or c < 1:
-        raise ValueError("r and c must both be >= 1")
-    _check_table_size(r, c, r * c * (r * c - 1) + 1)
+    _check_table_size(table_geometry("dp", r, c))
     return _table_space("dp", r, c)
 
 
-def _check_table_size(r: int, c: int, m: int) -> None:
-    """ValueError when m vectors of an r x c table exceed ``TABLE_SPACE_CAP`` entries."""
+def _check_table_size(geometry: TableGeometry) -> None:
+    """ValueError when the table space's m vectors exceed ``TABLE_SPACE_CAP`` entries."""
+    r, c, m = geometry.r, geometry.c, geometry.num_vectors
     if m * r * c > TABLE_SPACE_CAP:
         raise ValueError(f"a {r}x{c} table space of {m:,} vectors has {m * r * c:,} entries, "
                          f"more than TABLE_SPACE_CAP = {TABLE_SPACE_CAP:,}")
 
 
-@lru_cache(maxsize=32)
+_table_spaces: OrderedDict[tuple[str, int, int], SensitivitySpace] = OrderedDict()
+_table_lock = threading.Lock()
+
+
 def _table_space(kind: str, r: int, c: int) -> SensitivitySpace:
-    """The semi or dp space of an r x c table, built once per (kind, r, c).
+    """The semi or dp space of an r x c table, built once per (kind, r, c)
+    while it stays among the most recently used spaces whose vectors fit in
+    ``TABLE_CACHE_BYTES``; ``_table_space.cache_clear()`` empties the cache."""
+    key = (kind, r, c)
+    with _table_lock:
+        if key in _table_spaces:
+            _table_spaces.move_to_end(key)
+            return _table_spaces[key]
+    built = _build_table_space(kind, r, c)
+    with _table_lock:
+        space = _table_spaces.setdefault(key, built)  # another thread's build, if it came first
+        _table_spaces.move_to_end(key)
+        held = sum(kept.array.nbytes for kept in _table_spaces.values())
+        while held > TABLE_CACHE_BYTES:
+            held -= _table_spaces.popitem(last=False)[1].array.nbytes
+    return space
+
+
+_table_space.cache_clear = _table_spaces.clear
+
+
+def _build_table_space(kind: str, r: int, c: int) -> SensitivitySpace:
+    """The semi or dp space of an r x c table.
 
     The rows come out in lexicographic order, so the constructor sorts
     nothing: the moves whose first nonzero entry is +1 come last, by that
@@ -259,8 +337,7 @@ def _table_space(kind: str, r: int, c: int) -> SensitivitySpace:
     V[rows, np.transpose(plus)] = 1
     V[rows, np.transpose(minus)] = -1
     np.negative(V[:half:-1], out=V[:half])
-    name = "contingency_margins" if kind == "semi" else "contingency_single_move"
-    return SensitivitySpace(V, f"{name}({r}x{c})")
+    return SensitivitySpace(V, table_geometry(kind, r, c).provenance)
 
 
 def lp_sensitivity(space: SensitivitySpace, p) -> float:

@@ -8,7 +8,7 @@ from semidp.dataspace import DataspaceSpec, OneWayMargins, conforming_set
 from semidp.inference import Table2x2, _nchg_cached, umpu_test
 from semidp.mechanisms import _gaussian_constants, gaussian_semi
 from semidp.rng import RngSeed
-from semidp.sensitivity import _span_basis_cached, contingency_s_dp, contingency_s_semi
+from semidp.sensitivity import _span_basis_cached, contingency_s_dp, contingency_s_semi, table_geometry
 from semidp.tradeoff import gaussian_dp
 
 
@@ -47,3 +47,10 @@ def test_module_cache_walk_empties_the_central_law_cache():
     assert _nchg_cached.cache_info().currsize
     _clear_semidp_caches()
     assert _nchg_cached.cache_info().currsize == 0
+
+
+def test_module_cache_walk_empties_the_table_geometry_cache():
+    geometry = table_geometry("semi", 3, 4)
+    assert table_geometry.cache_info().currsize and table_geometry("semi", 3, 4) is geometry
+    _clear_semidp_caches()
+    assert table_geometry.cache_info().currsize == 0 and table_geometry("semi", 3, 4) is not geometry

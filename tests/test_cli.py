@@ -8,12 +8,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import semidp
-from semidp import cli
+from semidp import cli, harness
 from semidp.cli import cli_dispatch
 from semidp.inference import SUPPORT_CAP
+from semidp.mechanisms import NaiveGroupMechanism, gaussian_noise_samples
+from semidp.rng import NoiseRng, RngSeed
 
 
 def _refuse_constant(name):
@@ -307,24 +310,119 @@ def test_out_of_range_points_and_shapes_exit_1(capsys, argv, message):
 _CELLS_15X16 = ",".join(["1"] * 240)
 
 
+def _refuse_to_build(*args):
+    raise AssertionError("a table space was built")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sens", "--r", "15", "--c", "16", "--format", "csv"],
+        ["sens", "--r", "4", "--c", "43", "--space", "dp", "--format", "csv"],
+        ["experiment", "gaussian", "--k", "16", "--mu", "1"],
+        ["mech", "--query", _CELLS_15X16, "--kind", "knorm", "--eps", "1", "--r", "15"],
+    ],
+)
+def test_table_spaces_past_the_cap_exit_1(capsys, monkeypatch, argv):
+    # the commands that read the vectors, and the Gaussian experiment, whose
+    # draws grow as replicates x k^2
+    monkeypatch.setattr(semidp.sensitivity, "_table_space", _refuse_to_build)
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("semidp: error:") and "more than TABLE_SPACE_CAP = 5,000,000" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["sens", "--r", "15", "--c", "16"],
         ["sens", "--r", "4", "--c", "43", "--space", "dp"],
         ["mech", "--query", _CELLS_15X16, "--kind", "gaussian", "--mu", "1", "--r", "15"],
-        ["mech", "--query", _CELLS_15X16, "--kind", "knorm", "--eps", "1", "--r", "15"],
     ],
 )
-def test_table_spaces_past_the_cap_exit_1(capsys, monkeypatch, argv):
-    def refuse_to_build(*args):
-        raise AssertionError("a table space past the cap was built")
-
-    monkeypatch.setattr(semidp.sensitivity, "_table_space", refuse_to_build)
+def test_table_spaces_past_the_cap_are_answered_without_the_array(capsys, monkeypatch, argv):
+    monkeypatch.setattr(semidp.sensitivity, "_table_space", _refuse_to_build)
     code, out, err = run(capsys, argv)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("semidp: error:") and "more than TABLE_SPACE_CAP = 5,000,000" in err
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    if argv[0] == "sens":
+        r, c = int(argv[2]), int(argv[4])
+        d = r * c
+        assert payload["num_vectors"] == (d * (d - 1) + 1 if "dp" in argv else d * (r - 1) * (c - 1) // 2 + 1)
+    else:
+        table = np.array([float(v) for v in payload["noise"]]).reshape(15, 16)
+        assert np.abs(table.sum(axis=0)).max() < 1e-12 and np.abs(table.sum(axis=1)).max() < 1e-12
+        assert payload["meta"]["span_dim"] == 14 * 15
+
+
+def _built_space_outputs(kind, r, c, seed):
+    """The stdout of ``mech --kind gaussian``, ``experiment gaussian`` (when
+    r == c) and ``sens`` JSON, each computed from the built table space."""
+    space = (semidp.contingency_s_semi if kind == "semi" else semidp.contingency_s_dp)(r, c)
+    sens = {"provenance": space.provenance, "ambient_dim": space.ambient_dim,
+            "num_vectors": len(space.array), "span_dim": semidp.span_basis(space).s,
+            "delta_1": semidp.lp_sensitivity(space, 1), "delta_2": semidp.lp_sensitivity(space, 2),
+            "delta_inf": semidp.lp_sensitivity(space, float("inf"))}
+    outputs = {("sens", "--r", str(r), "--c", str(c), "--space", kind): json.dumps(sens, sort_keys=True)}
+    if kind == "semi":
+        query = np.arange(r * c, dtype=float)
+        argv = ("mech", "--query", ",".join(map(repr, query.tolist())), "--kind", "gaussian",
+                "--mu", "0.7", "--r", str(r), "--c", str(c), "--seed", str(seed))
+        outputs[argv] = semidp.gaussian_semi(query, space, 0.7, RngSeed(seed)).to_json()
+    if kind == "semi" and r == c:
+        cfg = harness.ExperimentConfig(k=r, model="I", mu=0.7, replicates=7, seed=RngSeed(seed))
+        semi = gaussian_noise_samples(space, 0.7, NoiseRng(cfg.seed.with_stream(1)), 7)
+        naive = NaiveGroupMechanism("gaussian", harness.TABLE_GROUP_SIZE, 0.7).noise_samples(
+            r * c, NoiseRng(cfg.seed.with_stream(2)), 7)
+        rows = [harness._row(cfg, "semi", 0.7, np.linalg.norm(semi, axis=1)),
+                harness._row(cfg, "naive", 0.7, np.linalg.norm(naive, axis=1))]
+        argv = ("experiment", "gaussian", "--k", str(r), "--mu", "0.7", "--replicates", "7",
+                "--seed", str(seed))
+        outputs[argv] = json.dumps(rows, sort_keys=True)
+    return outputs
+
+
+def test_table_gaussian_and_sens_json_equal_the_built_space_without_building_it(capsys, monkeypatch):
+    shapes = [("semi", r, c) for r, c in ((2, 2), (2, 5), (3, 3), (4, 3), (5, 5), (10, 10))]
+    shapes += [("dp", r, c) for r, c in ((1, 1), (1, 4), (3, 3), (4, 5))]
+    want = {}
+    for seed, (kind, r, c) in enumerate(shapes):
+        want.update(_built_space_outputs(kind, r, c, seed))
+    semidp.sensitivity._table_space.cache_clear()
+    semidp.mechanisms._gaussian_constants.cache_clear()
+    monkeypatch.setattr(semidp.sensitivity, "_table_space", _refuse_to_build)
+    assert {argv[0] for argv in want} == {"sens", "mech", "experiment"}
+    for argv, stdout in want.items():
+        assert run(capsys, list(argv)) == (0, stdout + "\n", ""), argv
+
+
+def _peak_rss_kib(argv):
+    """(exit code, stdout, peak RSS in KiB) of one CLI request in a fresh interpreter."""
+    code = ("import contextlib, io, resource, semidp.cli\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            f"    code = semidp.cli.cli_dispatch({argv!r})\n"
+            "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            "print(out.getvalue(), end='')")
+    env = {**os.environ, "PYTHONPATH": str(Path(semidp.__file__).parents[1])}
+    lines = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, check=True).stdout.split("\n", 1)
+    exit_code, kib = map(int, lines[0].split())
+    return exit_code, lines[1], kib
+
+
+def test_table_gaussian_and_sens_json_take_memory_independent_of_the_vector_count():
+    # the 1000 x 1000 semi space has 5 x 10^11 vectors, and the 100 x 100 one
+    # 4.9 x 10^7; each request answers within 10 MB of the peak of sens on 2 x 2
+    _, _, base = _peak_rss_kib(["sens", "--r", "2", "--c", "2"])
+    code, out, sens_kib = _peak_rss_kib(["sens", "--r", "1000", "--c", "1000"])
+    assert code == 0 and json.loads(out)["num_vectors"] == 499_000_500_001
+    cells = ",".join(["1"] * 10_000)
+    code, out, mech_kib = _peak_rss_kib(["mech", "--query", cells, "--kind", "gaussian", "--mu", "1",
+                                         "--r", "100", "--seed", "3"])
+    assert code == 0 and len(json.loads(out)["noise"]) == 10_000
+    assert sens_kib - base <= 10 * 1024 and mech_kib - base <= 10 * 1024
 
 
 @pytest.mark.parametrize(

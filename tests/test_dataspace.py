@@ -311,6 +311,15 @@ def test_unhashable_datasets_are_refused_in_any_order():
             indistinguishable_pairs(datasets, 2)
 
 
+def test_record_codes_are_dense_in_order_of_first_appearance():
+    # 300 datasets of two records over three distinct records, the third
+    # first seen in the last dataset: its id is 2, not its position 598
+    x, y, z = ((1,), (2,)), ((2,), (1,)), ((2,), (3,))
+    codes = dataspace._record_codes([x, y] * 149 + [x, z])
+    assert codes.tolist() == [[0, 1], [1, 0]] * 149 + [[0, 1], [1, 2]]
+    assert dataspace._record_codes([]).shape == (0, 0)
+
+
 def test_distances_past_one_byte_do_not_wrap():
     # 300 records that all differ: the distance is 300, not 300 - 256
     x, y = ((1,),) * 300, ((2,),) * 300

@@ -29,6 +29,7 @@ from semidp.sensitivity import (
     hull_membership,
     projection_matrix,
     span_basis,
+    table_geometry,
 )
 
 S22 = contingency_s_semi(2, 2)
@@ -232,6 +233,28 @@ def test_knorm_samplers_by_space():
         out = knorm_optimal(np.zeros(space.ambient_dim), space, 1.0, RngSeed(3))
         assert out.meta["sampler"] == "cone" and out.meta["rejections"] == 0
         assert out.meta["span_dim"] == span_basis(space).s
+
+
+def test_knorm_optimal_looks_its_hull_up_once(monkeypatch):
+    lookups = []
+    exact_hull = mechanisms._exact_hull
+    monkeypatch.setattr(mechanisms, "_exact_hull", lambda space: lookups.append(space) or exact_hull(space))
+    for space in (S22, contingency_s_semi(3, 3), contingency_s_semi(2, 4), contingency_s_dp(2, 3)):
+        lookups.clear()
+        out = knorm_optimal(np.zeros(space.ambient_dim), space, 0.7, RngSeed(5))
+        assert lookups == [space]
+        noise = knorm_noise_samples(space, 0.7, NoiseRng(RngSeed(5)), 1)[0][0]
+        assert out.noise.tobytes() == noise.tobytes()
+
+
+def test_gaussian_takes_a_semi_geometry_and_refuses_a_dp_one():
+    for r, c in ((2, 2), (3, 5), (6, 4)):
+        query = np.arange(r * c, dtype=float)
+        out = gaussian_semi(query, table_geometry("semi", r, c), 0.9, RngSeed(4))
+        assert out.to_json() == gaussian_semi(query, contingency_s_semi(r, c), 0.9, RngSeed(4)).to_json()
+    refusal = r"^the projected Gaussian needs the vectors of contingency_single_move\(3x3\); pass contingency_s_dp\(3, 3\)$"
+    with pytest.raises(ValueError, match=refusal):
+        gaussian_noise_samples(table_geometry("dp", 3, 3), 1.0, NoiseRng(RngSeed(1)), 2)
 
 
 def test_knorm_draws_on_every_single_move_space_up_to_sixteen_cells():

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -46,6 +47,7 @@ from semidp.sensitivity import (
     projection_matrix,
     sensitivity_space_to_csv,
     span_basis,
+    table_geometry,
 )
 
 V = (1, -1, -1, 1)
@@ -168,6 +170,79 @@ def test_table_builders_return_one_object_per_shape():
     assert contingency_s_semi(3, 4) is contingency_s_semi(3, 4)
     assert contingency_s_dp(3, 4) is contingency_s_dp(3, 4)
     assert contingency_s_semi(3, 4) != contingency_s_semi(4, 3)
+
+
+@pytest.mark.parametrize("kind, build", [("semi", contingency_s_semi), ("dp", contingency_s_dp)])
+def test_table_geometry_equals_the_built_space(kind, build):
+    # every shape with r, c <= 6, dp 1 x c and 1 x 1 among them
+    low = 2 if kind == "semi" else 1
+    for r, c in itertools.product(range(low, 7), repeat=2):
+        space, geometry = build(r, c), table_geometry(kind, r, c)
+        assert (geometry.provenance, geometry.ambient_dim, geometry.num_vectors, geometry.span_dim) == (
+            space.provenance, space.ambient_dim, len(space.array), span_basis(space).s), (r, c)
+        assert (geometry.delta_1, geometry.delta_2, geometry.delta_inf) == tuple(
+            lp_sensitivity(space, p) for p in (1, 2, math.inf)), (r, c)
+        if kind == "semi":
+            z = np.random.default_rng([r, c]).normal(size=(5, r * c))
+            P = projection_matrix(span_basis(space), r * c)
+            np.testing.assert_allclose(geometry.project(z), z @ P, rtol=0, atol=1e-12)
+        else:
+            assert geometry.project is None
+    assert table_geometry(kind, 3, 4) is table_geometry(kind, 3, 4)
+    with pytest.raises(ValueError, match=f"^r and c must both be >= {low}$"):
+        table_geometry(kind, low - 1, 3)
+
+
+def test_table_space_cache_keeps_the_recently_used_spaces_within_its_bytes(monkeypatch):
+    def held():
+        return sum(space.array.nbytes for space in sensitivity._table_spaces.values())
+
+    sensitivity._table_space.cache_clear()
+    a, b = contingency_s_semi(3, 3), contingency_s_semi(3, 4)
+    bound = a.array.nbytes + b.array.nbytes
+    monkeypatch.setattr(sensitivity, "TABLE_CACHE_BYTES", bound)
+    assert contingency_s_semi(3, 3) is a  # b is now the least recently used
+    contingency_s_dp(2, 2)
+    assert list(sensitivity._table_spaces) == [("semi", 3, 3), ("dp", 2, 2)] and held() <= bound
+    rebuilt = contingency_s_semi(3, 4)
+    assert rebuilt == b and rebuilt is not b
+    assert list(sensitivity._table_spaces) == [("dp", 2, 2), ("semi", 3, 4)] and held() <= bound
+    assert contingency_s_semi(3, 4) is rebuilt and contingency_s_semi(3, 3) is not a
+    monkeypatch.setattr(sensitivity, "TABLE_CACHE_BYTES", 0)
+    assert contingency_s_semi(2, 2) == contingency_s_semi(2, 2) is not contingency_s_semi(2, 2)
+    assert held() == 0
+
+
+def test_table_space_cache_stays_within_its_bytes_under_threads(monkeypatch):
+    # eight threads on two cores build and evict four shapes; a lost update
+    # would leave the cache past its bound or hand back a wrong space
+    shapes = [("semi", 3, 3), ("semi", 3, 4), ("dp", 2, 3), ("dp", 3, 3)]
+    want = {shape: sensitivity._build_table_space(*shape) for shape in shapes}
+    bound = sum(sorted(space.array.nbytes for space in want.values())[:2])
+    sensitivity._table_space.cache_clear()
+    monkeypatch.setattr(sensitivity, "TABLE_CACHE_BYTES", bound)
+    wrong, finished = [], []
+
+    def work(start):
+        for i in range(200):
+            shape = shapes[(start + i) % len(shapes)]
+            if sensitivity._table_space(*shape) != want[shape]:
+                wrong.append(shape)
+        finished.append(start)  # not reached when a lookup raised
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and wrong == []
+    assert sorted(finished) == list(range(8))
+    assert sum(space.array.nbytes for space in sensitivity._table_spaces.values()) <= bound
 
 
 def test_equal_spaces_hash_equal():
