@@ -14,7 +14,9 @@ import functools
 import json
 import math
 import os
+import re
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,9 +78,20 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+class _DirectTable(NamedTuple):
+    """What ``_parse_direct`` reads of one subcommand's parser."""
+
+    negative_number: re.Pattern  # the parser's own test for a value such as -1 or -.5
+    options: dict[str, argparse.Action]  # exact option string -> its action
+    defaults: dict[str, object]  # dest -> default, a str default passed through the type
+    required: frozenset[str]  # dests that must be given
+
+
 @functools.cache  # parsing leaves the parsers unchanged, so one instance serves every call
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top parser, and each subcommand's own parser by name."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _DirectTable]]:
+    """The top parser, and the direct-parse table of each subcommand whose
+    actions, but for help, are all single-value ``store`` options (every
+    subcommand but ``experiment``, which takes a positional)."""
     parser = argparse.ArgumentParser(prog="semidp")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -148,7 +161,49 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--group", type=int, default=None)
     common(p)
 
-    return parser, sub.choices
+    tables = {}
+    for name, p in sub.choices.items():
+        actions = [a for a in p._actions if not isinstance(a, argparse._HelpAction)]
+        if all(type(a) is argparse._StoreAction and a.option_strings and a.nargs is None
+               for a in actions):
+            tables[name] = _DirectTable(
+                p._negative_number_matcher,
+                {flag: a for a in actions for flag in a.option_strings},
+                {a.dest: (a.type or str)(a.default) if isinstance(a.default, str) else a.default
+                 for a in actions},
+                frozenset(a.dest for a in actions if a.required))
+    return parser, tables
+
+
+def _parse_direct(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace ``parser.parse_args(argv)`` returns, read straight from
+    the subcommand's actions, or None when argv is not that simple.
+
+    argv must be a tabled subcommand and then (exact option string, value)
+    pairs, each value converting by the action's type, lying in its choices
+    and starting with ``-`` only as a negative number; every required option
+    must be given, and a repeated option keeps its last value. Anything else
+    (help, usage errors, abbreviations, ``--flag=value``, ``experiment``)
+    returns None and is left to argparse, the one source of help and error text.
+    """
+    table = _build_parser()[1].get(argv[0]) if len(argv) % 2 else None
+    if table is None:
+        return None
+    values = {}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        action = table.options.get(flag)
+        if action is None or (text[:1] == "-" and not table.negative_number.match(text)):
+            return None
+        try:
+            value = (action.type or str)(text)
+        except (ValueError, TypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if not table.required <= values.keys():
+        return None
+    return argparse.Namespace(command=argv[0], **{**table.defaults, **values})
 
 
 def _unread_flag(args: argparse.Namespace) -> str | None:
@@ -329,16 +384,10 @@ _RUNNERS = {
 
 
 def cli_dispatch(argv: list[str]) -> int:
-    parser, subparsers = _build_parser()
+    parser = _build_parser()[0]
+    args = _parse_direct(argv)
     try:
-        if argv and argv[0] in subparsers:
-            # one parse, by the subcommand's own parser, with the top parser's
-            # message for what it leaves over: the bytes of parser.parse_args(argv)
-            args, extra = subparsers[argv[0]].parse_known_args(
-                argv[1:], argparse.Namespace(command=argv[0]))
-            if extra:
-                parser.error(f"unrecognized arguments: {' '.join(extra)}")
-        else:
+        if args is None:
             args = parser.parse_args(argv)
         unread = _unread_flag(args)
         if unread is not None:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cnd import SAMPLE_CAP
 from .dataspace import _check_integer, semi_adjacent_bound
 from .mechanisms import NaiveGroupMechanism, gaussian_noise_samples, knorm_noise_samples
 from .rng import NoiseRng, RngSeed
@@ -28,6 +29,10 @@ CSV_HEADER = "k,model,method,param,mean_l2,se"
 TABLE_GROUP_SIZE = semi_adjacent_bound(2)
 
 MODELS = ("I", "II")
+
+#: Most noise values one experiment draws per method, replicates x k^2; the
+#: same bound as ``cnd.SAMPLE_CAP``. Larger configs are refused before any draw.
+DRAW_CAP = SAMPLE_CAP
 
 #: The exact statistics the census report lists as released without noise.
 CENSUS_INVARIANTS = (
@@ -53,6 +58,10 @@ class ExperimentConfig:
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
         object.__setattr__(self, "replicates", _check_integer(self.replicates, "replicates", 1))
+        draws = self.replicates * self.k * self.k
+        if draws > DRAW_CAP:
+            raise ValueError(f"{self.replicates:,} replicates of a {self.k}x{self.k} table draw "
+                             f"{draws:,} values, more than DRAW_CAP = {DRAW_CAP:,}")
         for name in ("mu", "eps"):
             value = getattr(self, name)
             if value is not None and not (isinstance(value, numbers.Real) and math.isfinite(value)):
@@ -78,7 +87,7 @@ def run_gaussian_experiment(cfg: ExperimentConfig) -> list[dict]:
 
     The projected Gaussian reads the space's closed form (``table_geometry``),
     not its vectors. Tables whose space is past ``TABLE_SPACE_CAP`` are still
-    refused, since the draws grow as replicates x k^2.
+    refused, since the draws grow as replicates x k^2 (``DRAW_CAP`` bounds them).
     """
     if cfg.mu is None or cfg.mu <= 0:
         raise ValueError("gaussian experiment requires a positive mu")

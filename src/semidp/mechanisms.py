@@ -69,6 +69,9 @@ def _as_vector(query_value, dim: int | None = None) -> np.ndarray:
     v = np.asarray(query_value, dtype=float).reshape(-1)
     if dim is not None and v.shape[0] != dim:
         raise ValueError(f"query value has dimension {v.shape[0]}, expected {dim}")
+    if not np.isfinite(v).all():  # a NaN or infinite cell would pass through the noise into the release
+        i = int(np.argmin(np.isfinite(v)))
+        raise ValueError(f"query value must be finite, got {float(v[i])} at index {i}")
     return v
 
 

@@ -1,9 +1,11 @@
 """Command-line dispatch: exit codes, output formats, seeding."""
 
+import argparse
 import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -275,6 +277,12 @@ def test_config_file_overrides(tmp_path, capsys):
         ["account", "--gdp", "1e300", "--group", str(10**10)],
         ["account", "--zcdp", "1", "--group", str(10**200)],
         ["account", "--zcdp", "2", "--group", str(10**154)],
+        # query cells that no noise could hide
+        ["mech", "--query", "1,2,nan,4", "--kind", "knorm", "--eps", "1"],
+        ["mech", "--query", "1,2,3,1e400", "--kind", "gaussian", "--mu", "1"],
+        ["mech", "--query", "inf,2,3,4", "--kind", "l1", "--eps", "1"],
+        ["mech", "--query", "1,-inf,3,4", "--kind", "naive-gaussian", "--mu", "1"],
+        ["mech", "--query", "1,nan,3,4", "--kind", "naive-linf", "--eps", "1"],
     ],
 )
 def test_non_finite_privacy_parameters_exit_1(capsys, argv):
@@ -484,20 +492,25 @@ def test_cli_import_leaves_slow_scipy_subpackages_unloaded():
     assert out == "[]\n[] 0\n[] 0 1\n[] True 2 1.0\n"
 
 
-def _parse_as_one_parser(argv):
-    """(exit code, stdout, stderr) of ``parser.parse_args(argv)`` and the
-    unread-flag check, on the whole argv: the parse that ``cli_dispatch``
-    gives subcommands to their own parsers."""
+def _dispatch_on_one_parser(argv):
+    """(exit code, stdout, stderr) of a dispatch that gives the whole argv to
+    ``parser.parse_args``, then the unread-flag check and the runner: the
+    bytes ``cli_dispatch`` must give, whether it parses argv directly or not."""
     parser, _ = cli._build_parser()
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            unread = cli._unread_flag(parser.parse_args(argv))
+            args = parser.parse_args(argv)
+            unread = cli._unread_flag(args)
             if unread is not None:
                 parser.error(unread)
-            code = None
+            cli._RUNNERS[args.command](args)
+            code = 0
         except SystemExit as exc:
             code = int(exc.code or 0)
+        except (ValueError, RuntimeError, OSError) as exc:
+            print(f"semidp: error: {exc}", file=sys.stderr)
+            code = 1
     return code, out.getvalue(), err.getvalue()
 
 
@@ -513,12 +526,78 @@ def _parse_as_one_parser(argv):
         ["mech", "--query", "5,3,2,4", "--kind", "knorm", "--eps", "1", "--mu", "1"],
         ["sens", "--r", "2", "--c", "3", "extra", "--", "more"],
         ["experiment"],
+        # argv that the direct parse must leave to argparse, or read as argparse does
+        ["mech", "--query", "5,3,2,4", "--kind", "l1", "--eps=0.5"],
+        ["cnd", "--f", "gdp:1", "--que", "0.25"],
+        ["cnd", "--f", "gdp:1", "--cdf", "-1e-5"],
+        ["cnd", "--f", "gdp:1", "--cdf", "-.5"],
+        ["test", "--table", "5,3,2,4", "--f", "-"],
+        ["test", "--table", "5, 3, 2, 4", "--f", "gdp:1"],
+        ["cnd", "--f", "gdp:1", "--cdf", "-1 "],
+        ["mech", "--query", "5,3,2,4", "--kind", "l2", "--eps", "1", "--seed", "3", "--seed", "4"],
+        ["sens", "--r", "2", "--c"],
+        ["mech", "--query", "5,3,2,4", "--kind", "l3", "--eps", "1"],
+        ["sens", "--r", "2.5", "--c", "2"],
     ],
 )
 def test_usage_errors_and_help_match_one_parser_over_the_whole_argv(capsys, argv):
-    want = _parse_as_one_parser(argv)
-    assert want[0] is not None
-    assert run(capsys, argv) == want
+    assert run(capsys, argv) == _dispatch_on_one_parser(argv)
+
+
+def _readme_examples():
+    """The argv of each ``semidp ...`` line in README's "Command line" block."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line.partition("#")[0])[1:] for line in block.splitlines() if line.strip()]
+
+
+def _argv_corpus():
+    """Every README example, and each of them with one value replaced, one
+    flag respelled, one pair repeated or the last token dropped."""
+    values = ["-1", "-.5", "-1e-5", "-", "--", "", " 1", "1 ", "2.5", "nan", "inf", "1e400",
+              "x", "csv", "dp", "knorm", "gdp:1", "--r", "-h", "--help", "--seed", "-5 "]
+    corpus = []
+    for argv in _readme_examples():
+        corpus += [argv, argv[:-1], [*argv, *argv[1:3]], [*argv, "--out"]]
+        for i in range(1, len(argv)):
+            if argv[i].startswith("--"):
+                corpus += [argv[:i] + [argv[i][:3]] + argv[i + 1:],
+                           argv[:i] + [argv[i].upper()] + argv[i + 1:]]
+                if i + 1 < len(argv):
+                    corpus.append(argv[:i] + [f"{argv[i]}={argv[i + 1]}"] + argv[i + 2:])
+            corpus += [argv[:i] + [value] + argv[i + 1:] for value in values]
+    return corpus
+
+
+def test_direct_parse_defers_or_equals_argparse(capsys):
+    parser, _ = cli._build_parser()
+    answered = 0
+    for argv in _argv_corpus():
+        direct = cli._parse_direct(argv)
+        try:
+            want = vars(parser.parse_args(argv))
+        except SystemExit:
+            want = None
+        # reprs, so that nan equals nan and 1 differs from 1.0
+        assert direct is None or repr(vars(direct)) == repr(want), argv
+        answered += direct is not None
+    capsys.readouterr()
+    assert answered > 100
+    for argv in _readme_examples():
+        assert (cli._parse_direct(argv) is None) == (argv[0] == "experiment"), argv
+
+
+def test_readme_examples_exit_0_without_argparse(capsys, monkeypatch):
+    """The well-formed requests the benchmark sends take the direct parse."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed a well-formed request")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    examples = [argv for argv in _readme_examples() if argv[0] != "experiment"]
+    assert sorted({argv[0] for argv in examples}) == ["account", "census", "cnd", "mech", "sens", "test"]
+    for argv in examples:
+        assert run(capsys, argv)[0] == 0, argv
 
 
 def test_sens_reads_its_span_dimension_in_closed_form(capsys, monkeypatch):
@@ -592,3 +671,19 @@ def test_experiment_config_errors_exit_1(tmp_path, capsys, config, message):
     code, out, err = run(capsys, ["experiment", "gaussian", "--mu", "1", "--replicates", "3",
                                   "--config", str(path)])
     assert (code, out, err) == (1, "", f"semidp: error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "gaussian", "--k", "15", "--mu", "1", "--replicates", "4445"],
+    ["experiment", "knorm", "--k", "2", "--eps", "1", "--replicates", "250001"],
+])
+def test_experiment_draws_past_the_cap_are_refused_before_a_draw(capsys, monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError("a noise generator was built")
+
+    monkeypatch.setattr(harness, "NoiseRng", refuse)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("semidp: error:") and f"DRAW_CAP = {harness.DRAW_CAP:,}" in err
+    assert harness.DRAW_CAP == semidp.cnd.SAMPLE_CAP
+    harness.ExperimentConfig(k=10, model="I", replicates=harness.DRAW_CAP // 100)  # at the cap
