@@ -250,15 +250,15 @@ def _run_mech(args: argparse.Namespace) -> None:
         c = len(query) // r if c is None else c
         if r * c != len(query):
             raise ValueError("query length must equal r*c for table mechanisms")
+        geometry = table_geometry("semi", r, c)
         if args.kind == "gaussian":
             if args.mu is None:
                 raise ValueError("--mu is required for the gaussian mechanism")
-            out = gaussian_semi(query, table_geometry("semi", r, c), args.mu, seed)
+            out = gaussian_semi(query, geometry, args.mu, seed)
         else:
-            space = contingency_s_semi(r, c)
             if args.eps is None:
                 raise ValueError("--eps is required for the knorm mechanism")
-            out = knorm_optimal(query, space, args.eps, seed)
+            out = knorm_optimal(query, geometry, args.eps, seed)
     elif args.kind.startswith("naive-"):
         kind = args.kind.removeprefix("naive-")
         param = args.mu if kind == "gaussian" else args.eps

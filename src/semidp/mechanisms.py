@@ -1,7 +1,7 @@
 """Additive noise mechanisms calibrated on sensitivity spaces.
 
 Four samplers: a projected Gaussian that confines noise to the span of the
-sensitivity space (by double centring on a one-way-margin table); an
+sensitivity space (by double centring or centring on a table's record); an
 optimal hull-calibrated mechanism, exact and without rejection (s + 1
 exponentials on a cone simplex picked by volume: from the cone tables on
 the tabled one-way-margin tables, mapped by a random table symmetry, and
@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -29,11 +28,10 @@ from .sensitivity import (
     SensitivitySpace,
     TableGeometry,
     _exact_hull,
-    _table_shape,
+    _table_record,
     lp_sensitivity,
     projection_matrix,
     span_basis,
-    table_geometry,
 )
 
 #: Cone draws form their directions this many at a time.
@@ -75,35 +73,27 @@ def _as_vector(query_value, dim: int | None = None) -> np.ndarray:
     return v
 
 
-@lru_cache(maxsize=128)
 def _gaussian_constants(
     space: SensitivitySpace | TableGeometry,
 ) -> tuple[int, float, Callable[[np.ndarray], np.ndarray]]:
-    """Span dimension, Delta_2 and span projection of a space, computed once per space.
+    """Span dimension, Delta_2 and span projection of a space.
 
-    A semi ``TableGeometry`` holds all three, and a space with the vectors
-    of ``contingency_s_semi(r, c)`` reads them from ``table_geometry``:
-    s = (r - 1)(c - 1), Delta_2 = 2 and double centring, none read from its
-    vectors. Any other space projects by ``span_basis``; a dp geometry,
-    which holds no projector, is refused.
+    A table's record (``_table_record``) holds all three in closed form:
+    s = (r - 1)(c - 1), Delta_2 = 2 and double centring (semi), s = d - 1,
+    Delta_2 = sqrt(2) and centring (dp). Any other space projects by ``span_basis``.
     """
-    if isinstance(space, SensitivitySpace):
-        shape = _table_shape(space)
-        if shape is None:
-            basis = span_basis(space)
-            P = projection_matrix(basis, space.ambient_dim)
-            return basis.s, lp_sensitivity(space, 2), lambda z: z @ P
-        space = table_geometry("semi", *shape)
-    if space.project is None:
-        raise ValueError(f"the projected Gaussian needs the vectors of {space.provenance}; "
-                         f"pass contingency_s_{space.kind}({space.r}, {space.c})")
-    return space.span_dim, space.delta_2, space.project
+    record = _table_record(space)
+    if record is not None:
+        return record.span_dim, record.delta_2, record.project
+    basis = span_basis(space)
+    P = projection_matrix(basis, space.ambient_dim)
+    return basis.s, lp_sensitivity(space, 2), lambda z: z @ P
 
 
 def gaussian_noise_samples(
     space: SensitivitySpace | TableGeometry, mu: float, rng: NoiseRng, size: int
 ) -> np.ndarray:
-    """Bulk projected-Gaussian noise draws, one row per sample. A semi
+    """Bulk projected-Gaussian noise draws, one row per sample. A
     ``table_geometry`` draws the same bytes as its space, which it never builds."""
     s, delta2, project = _gaussian_constants(space)
     d = space.ambient_dim
@@ -118,8 +108,8 @@ def gaussian_semi(
 ) -> MechanismOutput:
     """Gaussian noise with covariance (Delta_2/mu)^2 P, P projecting onto
     the span of the sensitivity space; directions the adjacent datasets
-    cannot move are left exactly noiseless. The space may be given as a
-    semi ``table_geometry``.
+    cannot move are left exactly noiseless. The space may be given as its
+    ``table_geometry``.
     """
     if not 0 < mu < math.inf:
         raise ValueError(f"mu must be positive and finite, got {mu}")
@@ -140,11 +130,11 @@ def gaussian_semi(
 
 
 def knorm_noise_samples(
-    space: SensitivitySpace | HullCones | RootHull, epsilon: float, rng: NoiseRng, size: int
+    space: SensitivitySpace | TableGeometry | HullCones | RootHull, epsilon: float, rng: NoiseRng, size: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
     """Bulk hull-mechanism draws: density proportional to exp(-epsilon ||y||_K)
-    on the span, K the hull of the space, or K itself when ``space`` is the
-    hull ``_exact_hull`` found for it.
+    on the span, K the hull of the space or of its ``table_geometry``, or K
+    itself when ``space`` is the hull ``_exact_hull`` found for it.
 
     Returns (noise, radii, directions, rejection counts): noise[i] equals
     radii[i] * directions[i], each radius a Gamma(s + 1, epsilon) variate and
@@ -209,13 +199,15 @@ def _root_directions(root: RootHull, weights: np.ndarray, u: np.ndarray) -> np.n
     return x.reshape(size, n)[:, root.cell] * root.sign
 
 
-def knorm_optimal(query_value, space: SensitivitySpace, epsilon: float, seed: RngSeed) -> MechanismOutput:
+def knorm_optimal(
+    query_value, space: SensitivitySpace | TableGeometry, epsilon: float, seed: RngSeed
+) -> MechanismOutput:
     """Optimal hull-calibrated mechanism for a possibly rank-deficient space.
 
     The noise density is proportional to exp(-epsilon * ||v||_K) on the span,
     where K is the convex hull of the sensitivity space; in hull-gauge units
     the worst adjacent move has length exactly 1, which the meta records as
-    ``delta_k``.
+    ``delta_k``. The space may be given as its ``table_geometry``.
     """
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")

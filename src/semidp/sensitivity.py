@@ -5,15 +5,15 @@ adjacency relation protects. Its span tells a mechanism which directions
 need noise at all; its convex hull is the unit ball of the gauge norm used
 by the optimal hull-calibrated mechanism.
 
-The hulls of the tables ``contingency_s_semi(r, c)`` for (r, c) in
-``TABLE_SHAPES`` ship precomputed (``facets.npz``, from
-``tools/facet_tables.py``) and are held once per shape in cells
-(``hull_cones``): the integer facet table F, whose max(F x) / 2 is the gauge
-at the double-centred x, and one triangulated facet per symmetry orbit for
-the hull sampler. The root polytope conv{e_a - e_b} of the single-move
-spaces and 2 x c tables is held in closed form (``root_hull``). The gauge and
-the hull sampler read the same hull (``_exact_hull``), and every other
-nonzero space is refused by name.
+A table's hull follows from its (kind, r, c) record (``_table_record``).
+The hulls of ``contingency_s_semi(r, c)`` for (r, c) in ``TABLE_SHAPES``
+ship precomputed (``facets.npz``, from ``tools/facet_tables.py``), held per
+shape in cells (``hull_cones``): the integer facet table F, whose max(F x)
+/ 2 is the gauge at the double-centred x, and one triangulated facet per
+symmetry orbit for the hull sampler. The root polytope conv{e_a - e_b} of
+the single-move spaces and 2 x c tables is closed-form (``root_hull``). The
+gauge and the hull sampler read the same hull (``_exact_hull``), and every
+other nonzero space is refused by name.
 """
 
 from __future__ import annotations
@@ -49,9 +49,9 @@ HULL_TOL = 1e-9
 #: Most entries m * d a table space may hold, checked before it is built. On a
 #: 2-vCPU host the 15 x 15 semi space (4.96 M entries, 40 MB in int64) builds
 #: in 0.04-0.08 s at 95 MB peak RSS; the 9 x 19 dp space (4.97 M), 0.07 s and
-#: 94 MB. Only the vectors' readers build it: ``semidp sens --format csv``,
-#: the hull sampler and library calls on the space. ``table_geometry`` serves
-#: the projected Gaussian and ``semidp sens`` JSON at any shape without it.
+#: 94 MB. Only the vectors' readers build it: ``semidp sens --format csv``
+#: and library calls on the space. ``table_geometry`` serves both table
+#: mechanisms and ``semidp sens`` JSON without it.
 TABLE_SPACE_CAP = 5_000_000
 
 #: Most bytes of vectors the built table spaces keep cached; the least
@@ -207,13 +207,13 @@ def brute_force_sensitivity_space(
 class TableGeometry:
     """The semi or dp space of an r x c table in closed form, without its
     vectors: its provenance, d = r c cells, m vectors, span dimension s, the
-    largest l1, l2 and linf norms, and for semi the projector onto the span.
+    largest l1, l2 and linf norms, and the projector onto the span.
 
     The semi space has m = r c (r - 1)(c - 1) / 2 + 1 moves of four entries
     +-1, s = (r - 1)(c - 1), and double centring as its projector; the dp
-    space m = d (d - 1) + 1 moves of two entries +-1 and s = d - 1, except
-    that the 1 x 1 dp space is zero alone, with norms 0. The projected
-    Gaussian (``gaussian_semi``) takes a semi geometry in place of the space.
+    space m = d (d - 1) + 1 moves of two entries +-1, s = d - 1 and
+    centring, except that the 1 x 1 dp space is zero alone, with norms 0.
+    Both table mechanisms take a geometry in place of the space.
     """
 
     kind: str
@@ -226,7 +226,7 @@ class TableGeometry:
     delta_1: float
     delta_2: float
     delta_inf: float
-    project: Callable[[np.ndarray], np.ndarray] | None
+    project: Callable[[np.ndarray], np.ndarray]
 
 
 @lru_cache(maxsize=128)
@@ -247,7 +247,7 @@ def table_geometry(kind: str, r: int, c: int) -> TableGeometry:
             raise ValueError("r and c must both be >= 1")
         moves = float(d > 1)
         return TableGeometry(kind, r, c, f"contingency_single_move({r}x{c})", d, d * (d - 1) + 1,
-                             d - 1, 2.0 * moves, math.sqrt(2.0) * moves, moves, None)
+                             d - 1, 2.0 * moves, math.sqrt(2.0) * moves, moves, _centring)
     raise ValueError(f"kind must be 'semi' or 'dp', got {kind!r}")
 
 
@@ -408,6 +408,28 @@ def _double_centring(x: np.ndarray, r: int, c: int) -> np.ndarray:
     return (t - t.sum(axis=1, keepdims=True) / r).reshape(x.shape)
 
 
+def _centring(x: np.ndarray) -> np.ndarray:
+    """Project x's last axis onto the vectors whose entries sum to zero."""
+    return x - x.mean(axis=-1, keepdims=True)
+
+
+def _table_record(space: SensitivitySpace | TableGeometry) -> TableGeometry | None:
+    """The geometry itself, or, whatever the provenance, the semi r x c one of
+    a space with the vectors of ``contingency_s_semi(r, c)`` or the dp 1 x d
+    one of a single-move space on d cells; else None. The d (d - 1) + 1 rows
+    of a single-move space are its moves e_a - e_b and zero: rows of sum 0,
+    l1 norm at most 2 and entries -1, 0, 1."""
+    if isinstance(space, TableGeometry):
+        return space
+    if (shape := _table_shape(space)) is not None:
+        return table_geometry("semi", *shape)
+    (m, d), arr = space.array.shape, space.array
+    if (m == d * (d - 1) + 1 and (entries := np.abs(arr)).max() <= 1
+            and entries.sum(axis=1).max() <= 2 and not arr.sum(axis=1).any()):
+        return table_geometry("dp", 1, d)
+    return None
+
+
 def _table_shape(space: SensitivitySpace) -> tuple[int, int] | None:
     """(r, c) when the space's vectors are those of ``contingency_s_semi(r, c)``,
     whatever its provenance; else None.
@@ -511,11 +533,11 @@ class HullCones:
         return int(self.simplices.shape[1])
 
 
-def hull_cones(space: SensitivitySpace) -> HullCones | None:
-    """The tabled hull of a space whose vectors are those of a tabled
-    ``contingency_s_semi(r, c)``, whatever its provenance; else None."""
-    shape = _table_shape(space)
-    return _hull_table(*shape) if shape in TABLE_SHAPES else None
+def hull_cones(space: SensitivitySpace | TableGeometry) -> HullCones | None:
+    """The tabled hull of a tabled semi shape's record (``_table_record``); else None."""
+    record = _table_record(space)
+    tabled = record is not None and record.kind == "semi" and (record.r, record.c) in TABLE_SHAPES
+    return _hull_table(record.r, record.c) if tabled else None
 
 
 @lru_cache(maxsize=len(TABLE_SHAPES))
@@ -608,40 +630,42 @@ class RootHull:
     s: int
 
 
-@lru_cache(maxsize=128)
-def root_hull(space: SensitivitySpace) -> RootHull | None:
-    """The root polytope of a space with the vectors of a 2 x c or r x 2
-    ``contingency_s_semi`` or of a single-move space, whatever its
-    provenance; else None. The d (d - 1) + 1 distinct rows of a single-move
-    space on d >= 2 cells are its moves e_a - e_b and zero: rows of sum 0,
-    l1 norm at most 2 and entries -1, 0, 1."""
-    shape = _table_shape(space)
-    if shape is not None and 2 in shape:
-        rows, cols = np.indices(shape).reshape(2, -1)
-        cell, mirrored = (cols, rows) if shape[0] == 2 else (rows, cols)
-        return RootHull(cell, 1.0 - 2.0 * mirrored, max(shape) - 1)
-    (m, d), entries = space.array.shape, np.abs(space.array)
-    if (d > 1 and m == d * (d - 1) + 1 and entries.max() <= 1 and entries.sum(axis=1).max() <= 2
-            and not space.array.sum(axis=1).any()):
-        return RootHull(np.arange(d), np.ones(d), d - 1)
-    return None
+def root_hull(space: SensitivitySpace | TableGeometry) -> RootHull | None:
+    """The root polytope of the record (``_table_record``) of a 2 x c or
+    r x 2 semi table or of a single-move space on two cells or more; else None."""
+    record = _table_record(space)
+    if record is None or not record.span_dim or (record.kind == "semi" and 2 not in (record.r, record.c)):
+        return None
+    if record.kind == "dp":
+        return RootHull(np.arange(record.ambient_dim), np.ones(record.ambient_dim), record.span_dim)
+    rows, cols = np.indices((record.r, record.c)).reshape(2, -1)
+    cell, mirrored = (cols, rows) if record.r == 2 else (rows, cols)
+    return RootHull(cell, 1.0 - 2.0 * mirrored, record.span_dim)
 
 
-def _exact_hull(space: SensitivitySpace) -> HullCones | RootHull | None:
+def _exact_hull(space: SensitivitySpace | TableGeometry) -> HullCones | RootHull | None:
     """The hull that draws and gauges read, the tabled one before the root
     polytope; None for a zero space, and ``ValueError`` naming any other space."""
-    hull = hull_cones(space) or root_hull(space)
-    if hull is None and space.array.any():
+    record = _table_record(space)
+    hull = None if record is None else hull_cones(record) or root_hull(record)
+    if hull is None and (space.array.any() if record is None else record.span_dim):
         tables = ", ".join(f"{r}x{c}" for r, c in TABLE_SHAPES if 2 not in (r, c))
         raise ValueError(f"the hull sampler refuses {space.provenance}: it draws exactly only on "
                          f"single-move spaces and the semi tables 2 x c, r x 2, {tables}")
     return hull
 
 
-def _gauge(space: SensitivitySpace, v) -> float:
-    """Gauge of v over hull(space), inf off the span: max(F x) / 2 at the
-    double-centred x on a tabled hull, ||y||_1 / 2 at the root polytope's
-    projected point y."""
+def hull_membership(space: SensitivitySpace, v) -> bool:
+    """True when v lies in hull(space), its gauge at most 1 + ``HULL_TOL``."""
+    return gauge_norm(space, v) <= 1.0 + HULL_TOL
+
+
+def gauge_norm(space: SensitivitySpace, v) -> float:
+    """Gauge of v with unit ball hull(space), the least t >= 0 with v in
+    t * hull(space): max(F x) / 2 at the double-centred x on a tabled hull,
+    ||y||_1 / 2 at the root polytope's projected point y. Returns inf off the
+    span, and ``ValueError`` on a space the hull sampler refuses.
+    """
     v = np.asarray(v, dtype=float)
     if v.shape != (space.ambient_dim,):
         raise ValueError("v must match the ambient dimension")
@@ -661,23 +685,6 @@ def _gauge(space: SensitivitySpace, v) -> float:
         x, gauge = y[hull.cell] * hull.sign, float(np.abs(y).sum()) / 2.0
     residual = v - x
     return math.inf if math.sqrt(residual @ residual) > HULL_TOL * max(1.0, math.sqrt(v @ v)) else gauge
-
-
-def hull_membership(space: SensitivitySpace, v) -> bool:
-    """True when v lies in the convex hull of the space's vectors, that is,
-    when its gauge is at most 1 + ``HULL_TOL``.
-    """
-    return _gauge(space, v) <= 1.0 + HULL_TOL
-
-
-def gauge_norm(space: SensitivitySpace, v) -> float:
-    """Gauge of v with unit ball hull(space): the least t >= 0 with v in
-    t * hull(space), from the facet table or the root polytope's closed form.
-
-    Returns inf when v lies outside the span (no finite scaling of the hull
-    can reach it), and ``ValueError`` on a space the hull sampler refuses.
-    """
-    return _gauge(space, v)
 
 
 def sensitivity_space_to_csv(space: SensitivitySpace) -> str:

@@ -327,18 +327,41 @@ def _refuse_to_build(*args):
     [
         ["sens", "--r", "15", "--c", "16", "--format", "csv"],
         ["sens", "--r", "4", "--c", "43", "--space", "dp", "--format", "csv"],
-        ["experiment", "gaussian", "--k", "16", "--mu", "1"],
+        ["experiment", "knorm", "--k", "16", "--eps", "1"],
         ["mech", "--query", _CELLS_15X16, "--kind", "knorm", "--eps", "1", "--r", "15"],
     ],
 )
 def test_table_spaces_past_the_cap_exit_1(capsys, monkeypatch, argv):
-    # the commands that read the vectors, and the Gaussian experiment, whose
-    # draws grow as replicates x k^2
+    # the CSV export reads the vectors and stops at the cap; the hull sampler
+    # reads the table's record, and refuses a hull it cannot draw by name
     monkeypatch.setattr(semidp.sensitivity, "_table_space", _refuse_to_build)
     code, out, err = run(capsys, argv)
     assert code == 1
     assert out == ""
-    assert err.startswith("semidp: error:") and "more than TABLE_SPACE_CAP = 5,000,000" in err
+    if argv[0] == "sens":
+        assert err.startswith("semidp: error:") and "more than TABLE_SPACE_CAP = 5,000,000" in err
+    else:
+        shape = "16x16" if argv[0] == "experiment" else "15x16"
+        assert err.startswith(f"semidp: error: the hull sampler refuses contingency_margins({shape}): ")
+
+
+def test_gaussian_experiment_past_the_cap_answers_without_the_array(capsys, monkeypatch):
+    # the projected Gaussian reads the 16 x 16 table's closed form; its draws
+    # are the double-centred normal draws of the semi stream
+    monkeypatch.setattr(semidp.sensitivity, "_table_space", _refuse_to_build)
+    code, out, err = run(capsys, ["experiment", "gaussian", "--k", "16", "--mu", "1",
+                                  "--replicates", "2", "--seed", "5"])
+    assert (code, err) == (0, "")
+    seed = RngSeed(5)
+    t = np.asarray(NoiseRng(seed.with_stream(1)).normal(scale=2.0, size=(2, 256))).reshape(2, 16, 16)
+    t = t - t.mean(axis=2, keepdims=True)
+    semi = np.linalg.norm((t - t.mean(axis=1, keepdims=True)).reshape(2, 256), axis=1)
+    naive = NaiveGroupMechanism("gaussian", harness.TABLE_GROUP_SIZE, 1.0).noise_samples(
+        256, NoiseRng(seed.with_stream(2)), 2)
+    rows = json.loads(out)
+    assert [(row["k"], row["method"]) for row in rows] == [(16, "semi"), (16, "naive")]
+    assert rows[0]["mean_l2"] == pytest.approx(semi.mean(), rel=1e-12)
+    assert rows[1]["mean_l2"] == pytest.approx(np.linalg.norm(naive, axis=1).mean(), rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -398,7 +421,6 @@ def test_table_gaussian_and_sens_json_equal_the_built_space_without_building_it(
     for seed, (kind, r, c) in enumerate(shapes):
         want.update(_built_space_outputs(kind, r, c, seed))
     semidp.sensitivity._table_space.cache_clear()
-    semidp.mechanisms._gaussian_constants.cache_clear()
     monkeypatch.setattr(semidp.sensitivity, "_table_space", _refuse_to_build)
     assert {argv[0] for argv in want} == {"sens", "mech", "experiment"}
     for argv, stdout in want.items():
@@ -431,6 +453,27 @@ def test_table_gaussian_and_sens_json_take_memory_independent_of_the_vector_coun
                                          "--r", "100", "--seed", "3"])
     assert code == 0 and len(json.loads(out)["noise"]) == 10_000
     assert sens_kib - base <= 10 * 1024 and mech_kib - base <= 10 * 1024
+
+
+def test_knorm_on_the_root_polytope_builds_no_space_at_any_shape(capsys, monkeypatch):
+    # 2 x c and r x 2 tables draw from the root polytope of their record: the
+    # same bytes as from the built space, and past the cap in O(rc) memory
+    want = {}
+    for r, c in ((2, 5), (7, 2)):
+        query = np.arange(r * c, dtype=float)
+        argv = ("mech", "--query", ",".join(map(repr, query.tolist())), "--kind", "knorm",
+                "--eps", "0.6", "--r", str(r), "--c", str(c), "--seed", "4")
+        space = semidp.contingency_s_semi(r, c)
+        want[argv] = semidp.knorm_optimal(query, space, 0.6, RngSeed(4)).to_json()
+    monkeypatch.setattr(semidp.sensitivity, "_table_space", _refuse_to_build)
+    for argv, stdout in want.items():
+        assert run(capsys, list(argv)) == (0, stdout + "\n", ""), argv
+    _, _, base = _peak_rss_kib(["mech", "--query", "1,2,3,4,5,6", "--kind", "knorm", "--eps", "1",
+                                "--r", "2", "--c", "3", "--seed", "1"])
+    code, out, kib = _peak_rss_kib(["mech", "--query", ",".join(["1"] * 400), "--kind", "knorm",
+                                    "--eps", "1", "--r", "2", "--c", "200", "--seed", "1"])
+    assert code == 0 and json.loads(out)["meta"]["span_dim"] == 199
+    assert kib - base <= 10 * 1024
 
 
 @pytest.mark.parametrize(

@@ -135,9 +135,8 @@ def test_table_projector_draws_match_the_basis_path(monkeypatch):
     space = contingency_s_semi(4, 5)
     query = np.arange(20.0)
     table = gaussian_semi(query, space, 0.7, RngSeed(8))
-    # a renamed space misses the constants cache; with no shape recognized it
-    # takes its projector from span_basis
-    monkeypatch.setattr(mechanisms, "_table_shape", lambda space: None)
+    # with no table record recognized, a space takes its projector from span_basis
+    monkeypatch.setattr(mechanisms, "_table_record", lambda space: None)
     foreign = gaussian_semi(query, SensitivitySpace(space.array, "foreign"), 0.7, RngSeed(8))
     assert table.meta == foreign.meta
     assert np.abs(table.noise - foreign.noise).max() < 1e-12
@@ -161,15 +160,16 @@ def test_table_spaces_and_projector_need_no_sort_and_no_span_basis(monkeypatch):
         raise AssertionError("called on the table fast path")
 
     sensitivity._table_space.cache_clear()
-    mechanisms._gaussian_constants.cache_clear()
     monkeypatch.setattr(np, "lexsort", refuse)
     for module in (sensitivity, mechanisms):
         monkeypatch.setattr(module, "span_basis", refuse)
     monkeypatch.setattr(sensitivity, "_span_basis_cached", refuse)
-    contingency_s_dp(4, 4)
+    dp = contingency_s_dp(4, 4)
     space = contingency_s_semi(10, 10)
     out = gaussian_semi(np.zeros(100), space, 1.0, RngSeed(2))
     assert out.meta["span_dim"] == 81
+    out = gaussian_semi(np.zeros(16), dp, 1.0, RngSeed(2))
+    assert out.meta["span_dim"] == 15 and abs(out.noise.sum()) < 1e-12
 
 
 def test_knorm_noise_stays_in_span_and_hull():
@@ -247,14 +247,23 @@ def test_knorm_optimal_looks_its_hull_up_once(monkeypatch):
         assert out.noise.tobytes() == noise.tobytes()
 
 
-def test_gaussian_takes_a_semi_geometry_and_refuses_a_dp_one():
+def test_gaussian_takes_a_semi_or_dp_geometry():
     for r, c in ((2, 2), (3, 5), (6, 4)):
         query = np.arange(r * c, dtype=float)
         out = gaussian_semi(query, table_geometry("semi", r, c), 0.9, RngSeed(4))
         assert out.to_json() == gaussian_semi(query, contingency_s_semi(r, c), 0.9, RngSeed(4)).to_json()
-    refusal = r"^the projected Gaussian needs the vectors of contingency_single_move\(3x3\); pass contingency_s_dp\(3, 3\)$"
-    with pytest.raises(ValueError, match=refusal):
-        gaussian_noise_samples(table_geometry("dp", 3, 3), 1.0, NoiseRng(RngSeed(1)), 2)
+    # a single-move space projects by centring in closed form; on its record
+    # and on its vectors alike, within 1e-14 of the projector of its span basis
+    for r in range(1, 5):
+        for c in range(1, 5):
+            d, query, seed = r * c, np.arange(r * c, dtype=float), RngSeed(r, c)
+            out = gaussian_semi(query, table_geometry("dp", r, c), 0.9, seed)
+            space = contingency_s_dp(r, c)
+            assert out.to_json() == gaussian_semi(query, space, 0.9, seed).to_json()
+            assert out.meta["span_dim"] == d - 1 and out.meta["delta2"] == (math.sqrt(2.0) if d > 1 else 0.0)
+            z = NoiseRng(seed).normal(scale=out.meta["delta2"] / 0.9, size=(1, d))
+            basis_path = (z @ projection_matrix(span_basis(space), d))[0]
+            assert np.abs(out.noise - basis_path).max() <= 1e-14
 
 
 def test_knorm_draws_on_every_single_move_space_up_to_sixteen_cells():

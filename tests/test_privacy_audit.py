@@ -30,7 +30,9 @@ The projected Gaussian releases q + y, y ~ N(0, sigma^2 P), sigma =
 Delta_2 / mu and P the projector onto the span. Its privacy loss at a move
 D in the span is L(y) = (<y, D> - ||D||^2 / 2) / sigma^2, exactly
 N(-m^2 / 2, m^2) with m = mu ||D||_2 / Delta_2: mu-GDP at every adjacent
-move, and m = mu sqrt(6) / 2 at the 3x3 rotation.
+move, and m = mu sqrt(6) / 2 at the 3x3 rotation. It is audited on semi
+tables, projected by double centring, and on a single-move space,
+projected by centring.
 
 Seeds, sample sizes and thresholds were fixed before the tests were first
 run: each KS test needs p > 0.001; the audit allows 4 standard errors; the
@@ -189,13 +191,16 @@ def test_root_and_three_by_five_privacy_loss_has_mean_one_and_stays_bounded(kind
     (GAUSS_STREAM + 1, 3, 3, None),
     (GAUSS_STREAM + 2, 4, 4, None),
     (GAUSS_STREAM + 3, 3, 3, ROTATION),
+    (GAUSS_STREAM + 4, 2, 3, "dp"),
 ])
 def test_gaussian_privacy_loss_is_the_gdp_law(stream, r, c, move):
-    space = contingency_s_semi(r, c)
-    delta = (space.array[-1] if move is None else move).astype(float)  # an adjacent move, or the rotation
+    # move None: an adjacent move of the semi space; "dp": one of the single-move space
+    rotation = isinstance(move, np.ndarray)
+    space = BUILDERS[move if isinstance(move, str) else "semi"](r, c)
+    delta = (move if rotation else space.array[-1]).astype(float)
     delta2 = lp_sensitivity(space, 2)
     sigma, m = delta2 / GAUSS_MU, GAUSS_MU * math.sqrt(delta @ delta) / delta2
-    assert m == pytest.approx(GAUSS_MU if move is None else GAUSS_MU * math.sqrt(6.0) / 2.0, rel=1e-12)
+    assert m == pytest.approx(GAUSS_MU * math.sqrt(6.0) / 2.0 if rotation else GAUSS_MU, rel=1e-12)
     noise = gaussian_noise_samples(space, GAUSS_MU, NoiseRng(RngSeed(AUDIT_SEED, stream)), AUDIT_N)
     loss = (noise @ delta - delta @ delta / 2.0) / sigma**2
     p_loss = st.kstest(loss, st.norm(loc=-m * m / 2.0, scale=m).cdf).pvalue

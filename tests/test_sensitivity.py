@@ -182,12 +182,9 @@ def test_table_geometry_equals_the_built_space(kind, build):
             space.provenance, space.ambient_dim, len(space.array), span_basis(space).s), (r, c)
         assert (geometry.delta_1, geometry.delta_2, geometry.delta_inf) == tuple(
             lp_sensitivity(space, p) for p in (1, 2, math.inf)), (r, c)
-        if kind == "semi":
-            z = np.random.default_rng([r, c]).normal(size=(5, r * c))
-            P = projection_matrix(span_basis(space), r * c)
-            np.testing.assert_allclose(geometry.project(z), z @ P, rtol=0, atol=1e-12)
-        else:
-            assert geometry.project is None
+        z = np.random.default_rng([r, c]).normal(size=(5, r * c))
+        P = projection_matrix(span_basis(space), r * c)
+        np.testing.assert_allclose(geometry.project(z), z @ P, rtol=0, atol=1e-12)
     assert table_geometry(kind, 3, 4) is table_geometry(kind, 3, 4)
     with pytest.raises(ValueError, match=f"^r and c must both be >= {low}$"):
         table_geometry(kind, low - 1, 3)
@@ -1084,7 +1081,7 @@ def test_sampler_draws_equal_the_lp_only_path(monkeypatch):
         raise AssertionError("a tabled draw read the span or the gauge")
 
     for owner, name in ((sensitivity, "span_basis"), (sensitivity, "_span_basis_cached"),
-                        (sensitivity, "_gauge"), (semidp.simplex, "solve_lp")):
+                        (sensitivity, "gauge_norm"), (semidp.simplex, "solve_lp")):
         monkeypatch.setattr(owner, name, refuse)
     for r, c, size in SAMPLER_CASES:
         for seed in seeds:
@@ -1128,7 +1125,7 @@ def test_tabled_hulls_never_reach_the_lp(monkeypatch):
             for scale, inside in ((0.5, True), (1.0 + HULL_TOL / 2, True), (1.0 + 2 * HULL_TOL, False)):
                 assert hull_membership(space, scale * v) == inside
             assert gauge_norm(space, v) == pytest.approx(1.0, abs=1e-12)
-    gauges = _count_calls(monkeypatch, "_gauge")
+    gauges = _count_calls(monkeypatch, "gauge_norm")
     _, _, rejections = _knorm_draws(contingency_s_semi(3, 3), 4049, 300)
     assert rejections.sum() == 0 and gauges == []  # a cone draw takes no try and no gauge
     # untabled root hulls gauge in closed form too: a single-move space and a
@@ -1149,11 +1146,10 @@ def test_tabled_hulls_never_reach_the_lp(monkeypatch):
 def test_tabled_paths_read_no_span_coordinates(monkeypatch):
     # tabled hulls are read in cells: gauges, membership, draws and the
     # Gaussian run with every span basis and LP refused; so do gauges,
-    # membership and draws on the root polytope
+    # membership, draws and the Gaussian on the root polytope
     def refuse(*args, **kwargs):
         raise AssertionError("a tabled path read span coordinates")
 
-    mechanisms._gaussian_constants.cache_clear()
     for owner, name in ((sensitivity, "span_basis"), (sensitivity, "_span_basis_cached"),
                         (mechanisms, "span_basis"), (semidp.simplex, "solve_lp")):
         monkeypatch.setattr(owner, name, refuse)
@@ -1172,6 +1168,8 @@ def test_tabled_paths_read_no_span_coordinates(monkeypatch):
         assert gauge_norm(space, v) == 0.5 and hull_membership(space, v)
         assert gauge_norm(space, np.r_[1.0, np.zeros(space.ambient_dim - 1)]) == math.inf
         knorm_noise_samples(space, 1.0, NoiseRng(RngSeed(7)), 3)
+        out = mechanisms.gaussian_semi(np.zeros(space.ambient_dim), space, 1.0, RngSeed(7))
+        assert out.meta["span_dim"] == sensitivity.root_hull(space).s
 
 
 @pytest.mark.parametrize("r,c", [(2, 2), (3, 3), (4, 4)])
