@@ -82,6 +82,7 @@ class _DirectTable(NamedTuple):
     """What ``_parse_direct`` reads of one subcommand's parser."""
 
     negative_number: re.Pattern  # the parser's own test for a value such as -1 or -.5
+    positional: argparse.Action | None  # the one positional, which comes first, or None
     options: dict[str, argparse.Action]  # exact option string -> its action
     defaults: dict[str, object]  # dest -> default, a str default passed through the type
     required: frozenset[str]  # dests that must be given
@@ -90,8 +91,8 @@ class _DirectTable(NamedTuple):
 @functools.cache  # parsing leaves the parsers unchanged, so one instance serves every call
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _DirectTable]]:
     """The top parser, and the direct-parse table of each subcommand whose
-    actions, but for help, are all single-value ``store`` options (every
-    subcommand but ``experiment``, which takes a positional)."""
+    actions, but for help, are all single-value ``store`` actions: options,
+    and at most one positional with choices (``experiment``'s ``which``)."""
     parser = argparse.ArgumentParser(prog="semidp")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -164,10 +165,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _DirectTable]]:
     tables = {}
     for name, p in sub.choices.items():
         actions = [a for a in p._actions if not isinstance(a, argparse._HelpAction)]
-        if all(type(a) is argparse._StoreAction and a.option_strings and a.nargs is None
-               for a in actions):
+        positionals = [a for a in actions if not a.option_strings]
+        if (all(type(a) is argparse._StoreAction and a.nargs is None for a in actions)
+                and len(positionals) <= 1 and all(a.choices for a in positionals)):
             tables[name] = _DirectTable(
                 p._negative_number_matcher,
+                positionals[0] if positionals else None,
                 {flag: a for a in actions for flag in a.option_strings},
                 {a.dest: (a.type or str)(a.default) if isinstance(a.default, str) else a.default
                  for a in actions},
@@ -179,19 +182,29 @@ def _parse_direct(argv: list[str]) -> argparse.Namespace | None:
     """The Namespace ``parser.parse_args(argv)`` returns, read straight from
     the subcommand's actions, or None when argv is not that simple.
 
-    argv must be a tabled subcommand and then (exact option string, value)
-    pairs, each value converting by the action's type, lying in its choices
-    and starting with ``-`` only as a negative number; every required option
-    must be given, and a repeated option keeps its last value. Anything else
-    (help, usage errors, abbreviations, ``--flag=value``, ``experiment``)
-    returns None and is left to argparse, the one source of help and error text.
+    argv must be a tabled subcommand, then its positional if it takes one
+    (not starting with ``-``), and then (exact option string, value) pairs;
+    each value must convert by its action's type, lie in its choices and
+    start with ``-`` only as a negative number. Every required option must
+    be given, and a repeated option keeps its last value. Anything else
+    (help, usage errors, abbreviations, ``--flag=value``, a positional that
+    is missing, repeated or placed after an option) returns None and is
+    left to argparse, the one source of help and error text.
     """
-    table = _build_parser()[1].get(argv[0]) if len(argv) % 2 else None
+    table = _build_parser()[1].get(argv[0]) if argv else None
     if table is None:
         return None
+    steps, given = [], argv[1:]
+    if table.positional is not None:
+        if not given or given[0][:1] == "-":
+            return None
+        steps.append((table.positional, given[0]))
+        given = given[1:]
+    if len(given) % 2:
+        return None
+    steps += [(table.options.get(flag), text) for flag, text in zip(given[::2], given[1::2])]
     values = {}
-    for flag, text in zip(argv[1::2], argv[2::2]):
-        action = table.options.get(flag)
+    for action, text in steps:
         if action is None or (text[:1] == "-" and not table.negative_number.match(text)):
             return None
         try:

@@ -13,10 +13,13 @@ deterministic. The conforming set is enumerated breadth-first in numpy, and
 its record codes are cached with it; a(t), indistinguishable pairs and
 brute-force sensitivity spaces (``sensitivity``) share one blocked
 Hamming kernel over such codes, with one-byte distances up to 255 records.
-a(t) scans only one dataset per class of datasets that agree up to permuting
-their records after the first. Indistinguishable pairs come back as a
-read-only set view over the sorted distinct datasets and one int64 key per
-pair, not as pair tuples.
+a(t) reads the cached codes; pairs and brute force read them too when they
+are handed a list whose members are, in order, the very objects of a cached
+set (``_cached_conforming``), and code any other list afresh. a(t) scans
+only one dataset per class of datasets that agree up to permuting their
+records after the first. Indistinguishable pairs come back as a read-only
+set view over the sorted distinct datasets and one int64 key per pair, not
+as pair tuples.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ import bisect
 import itertools
 import math
 import numbers
+import operator
+import weakref
 from collections import defaultdict
 from collections.abc import Set
 from dataclasses import dataclass
@@ -131,9 +136,9 @@ def validate_dataset(space: DataspaceSpec, rows: Dataset) -> None:
     for row in rows:
         if len(row) != space.p:
             raise ValueError(f"row {row} has {len(row)} features, expected {space.p}")
-        for f, level in enumerate(row):
-            if not 1 <= level <= space.levels[f]:
-                raise ValueError(f"level {level} out of range for feature {f}")
+        for f, (level, top) in enumerate(zip(row, space.levels)):
+            if _check_integer(level, f"feature {f}'s level", 1) > top:
+                raise ValueError(f"feature {f}'s level must be <= {top}, got {level!r}")
 
 
 def hamming_distance(x: Dataset, y: Dataset) -> int:
@@ -162,13 +167,39 @@ def conforming_set(space: DataspaceSpec, spec: InvariantSpec, t: InvariantValue)
     states. The last few sets are cached; each call returns a fresh list of
     the cached member objects.
     """
-    return list(_conforming(space, spec, t)[0])
+    return list(_conforming(space, spec, t).datasets)
 
 
-def _conforming(
-    space: DataspaceSpec, spec: InvariantSpec, t: InvariantValue
-) -> tuple[tuple[Dataset, ...], np.ndarray]:
-    """The conforming datasets and their record codes, after the cap check."""
+class _Conforming:
+    """One enumerated conforming set: its datasets, their read-only (|S|, n)
+    record codes (each record's row-major cell index over ``levels``) and
+    the levels."""
+
+    __slots__ = ("datasets", "codes", "levels", "__weakref__")
+
+    def __init__(self, datasets: tuple[Dataset, ...], codes: np.ndarray, levels: tuple[int, ...]):
+        self.datasets, self.codes, self.levels = datasets, codes, levels
+
+
+#: Each cached conforming set by the id of its first dataset. The values are
+#: weak, so a set leaves as soon as ``_conforming_cached`` drops it, and while
+#: it lives its first dataset does, so the id names no other object.
+_CONFORMING: weakref.WeakValueDictionary[int, _Conforming] = weakref.WeakValueDictionary()
+
+
+def _cached_conforming(datasets: list) -> _Conforming | None:
+    """The cached conforming set whose members are, in order, the very
+    objects of ``datasets``, or None. Compares identities alone: no
+    dataset is hashed, compared or iterated."""
+    found = _CONFORMING.get(id(datasets[0])) if datasets else None
+    if (found is not None and len(found.datasets) == len(datasets)
+            and all(map(operator.is_, datasets, found.datasets))):
+        return found
+    return None
+
+
+def _conforming(space: DataspaceSpec, spec: InvariantSpec, t: InvariantValue) -> _Conforming:
+    """The cached conforming set, after the cap check."""
     if space.size() > ENUMERATION_CAP:
         raise EnumerationCapExceeded(
             f"dataspace has {space.size()} states, above the cap of {ENUMERATION_CAP}"
@@ -177,17 +208,16 @@ def _conforming(
 
 
 @lru_cache(maxsize=8)
-def _conforming_cached(
-    space: DataspaceSpec, spec: InvariantSpec, t: InvariantValue
-) -> tuple[tuple[Dataset, ...], np.ndarray]:
+def _conforming_cached(space: DataspaceSpec, spec: InvariantSpec, t: InvariantValue) -> _Conforming:
     """Breadth-first enumeration over record positions, in numpy.
 
     Records are coded by their row-major index over the levels. A state is a
     prefix of record codes plus the cell budgets it leaves. Each depth
     extends every state by every record whose cells all have budget left;
     ``np.nonzero`` lists the children state-major, record-minor, so the
-    datasets come out in lexicographic order. Returns the datasets and their
-    read-only (|S|, n) code array.
+    datasets come out in lexicographic order. Returns the datasets with
+    their read-only (|S|, n) code array, and registers them in
+    ``_CONFORMING``.
     """
     groups = _validated_groups(spec, space)
     sizes = _group_sizes(groups, space)
@@ -223,7 +253,10 @@ def _conforming_cached(
     codes.setflags(write=False)
     # n consecutive records per dataset
     datasets = tuple(zip(*[map(records.__getitem__, codes.ravel().tolist())] * space.n))
-    return datasets, codes
+    found = _Conforming(datasets, codes, space.levels)
+    if datasets:
+        _CONFORMING[id(datasets[0])] = found
+    return found
 
 
 def _record_codes(datasets: Sequence[Dataset]) -> np.ndarray:
@@ -302,7 +335,7 @@ def semi_adjacent_parameter(space: DataspaceSpec, spec: InvariantSpec, t: Invari
     dataset per such class, the one whose records after the first are sorted
     (R rows), against all of S; ``PAIR_CAP`` bounds R * |S|.
     """
-    codes = _conforming(space, spec, t)[1]
+    codes = _conforming(space, spec, t).codes
     if not len(codes):
         raise ValueError("conforming set is empty; invariant value is infeasible")
     if len(codes) == 1:
@@ -392,7 +425,10 @@ def indistinguishable_pairs(
     pairs lazily, and ``|``, ``&``, ``-`` with another set return builtin
     sets. The pairs are held as int64 keys into the sorted distinct
     datasets, 8 bytes a pair, plus one bit a pair and one block of keys
-    while they are found.
+    while they are found. Handed the very member objects of a cached
+    conforming set, in order (as ``conforming_set`` returns them), it reads
+    that set's datasets and record codes, already distinct and sorted,
+    instead of sorting and coding the list.
     Raises ``ValueError`` unless the radius is an integer >= 0, and
     ``EnumerationCapExceeded``, before any dataset is sorted or coded, when
     the datasets given number more than the square root of ``PAIR_CAP``.
@@ -400,10 +436,14 @@ def indistinguishable_pairs(
     _check_integer(radius, "radius", 0)
     datasets = list(datasets)
     _check_pairs(len(datasets), len(datasets))
-    # a dict dedups in input order, so already-sorted input sorts in one pass
-    items = tuple(sorted(dict.fromkeys(datasets)))
+    cached = _cached_conforming(datasets)
+    if cached is not None:
+        items, codes = cached.datasets, cached.codes
+    else:
+        # a dict dedups in input order, so already-sorted input sorts in one pass
+        items = tuple(sorted(dict.fromkeys(datasets)))
+        codes = _record_codes(items)
     m = len(items)
-    codes = _record_codes(items)
     later = np.arange(m, dtype=np.min_scalar_type(m))
     # count each block's pairs and keep them as bits (|S|^2 / 8 bytes in all),
     # then fill one exact-size key array, so the kernel runs once

@@ -33,6 +33,7 @@ import numpy as np
 from .dataspace import (
     DataspaceSpec,
     Dataset,
+    _cached_conforming,
     _check_integer,
     _check_pairs,
     _hamming_blocks,
@@ -129,25 +130,34 @@ def _rows_increase(arr: np.ndarray) -> bool:
     return bool((np.take_along_axis(after, first, 1) > np.take_along_axis(before, first, 1)).all())
 
 
-def cell_count_query(space: DataspaceSpec) -> Callable[[Dataset], tuple[int, ...]]:
-    """Query mapping a dataset to its joint cell counts, row-major.
+class _CellCountQuery:
+    """The query ``cell_count_query`` returns, recognized by its type."""
 
-    A record outside the space's levels raises ``ValueError``.
-    """
-    records = itertools.product(*[range(1, l + 1) for l in space.levels])
-    cells = {record: i for i, record in enumerate(records)}
-    size = len(cells)
+    __slots__ = ("_levels", "_cells")
 
-    def query(x: Dataset) -> tuple[int, ...]:
-        counts = [0] * size
+    def __init__(self, levels: tuple[int, ...]) -> None:
+        records = itertools.product(*[range(1, l + 1) for l in levels])
+        self._levels, self._cells = levels, {record: i for i, record in enumerate(records)}
+
+    def __call__(self, x: Dataset) -> tuple[int, ...]:
+        cells = self._cells
+        counts = [0] * len(cells)
         try:
             for row in x:
                 counts[cells[row]] += 1
         except KeyError:
-            raise ValueError(f"record {row} is outside the levels {space.levels}") from None
+            raise ValueError(f"record {row} is outside the levels {self._levels}") from None
         return tuple(counts)
 
-    return query
+
+def cell_count_query(space: DataspaceSpec) -> Callable[[Dataset], tuple[int, ...]]:
+    """Query mapping a dataset to its joint cell counts, row-major.
+
+    A record outside the space's levels raises ``ValueError``. Brute force
+    over a cached conforming set with the same levels does not call it: the
+    set's record codes are these cell indices, so it counts them instead.
+    """
+    return _CellCountQuery(space.levels)
 
 
 def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -174,21 +184,37 @@ def brute_force_sensitivity_space(
     integer >= 0; refused with ``EnumerationCapExceeded`` when |subset|^2
     exceeds ``dataspace.PAIR_CAP``, before ``query`` is called. ``space``
     is not read; it stays in the signature for callers that pass arguments
-    positionally.
+    positionally. Handed the very member objects of a cached conforming set,
+    in order (as ``conforming_set`` returns them), and a ``cell_count_query``
+    over the same levels, it reads that set's record codes, which are the
+    cell indices, and counts them with one ``bincount`` instead of calling
+    the query and coding the datasets; any other list or query takes the
+    general path.
     """
     _check_integer(radius, "radius", 0)
     subset = list(subset)
     if not subset:
         raise ValueError("subset must be non-empty")
     _check_pairs(len(subset), len(subset))
-    unique, vid = _unique_rows(np.array([query(x) for x in subset], dtype=np.int64))
+    cached = _cached_conforming(subset) if type(query) is _CellCountQuery else None
+    if cached is None or cached.levels != query._levels:
+        cached, values = None, np.array([query(x) for x in subset], dtype=np.int64)
+    else:
+        m, cells = len(subset), len(query._cells)
+        # dataset k's record codes land in row k of an |S| x cells count table
+        shifted = cached.codes + np.arange(0, m * cells, cells)[:, None]
+        values = np.bincount(shifted.ravel(), minlength=m * cells).reshape(m, cells)
+    unique, vid = _unique_rows(values)
     # scan the datasets ordered by query value, so each block's columns and rows
     # fall in runs of equal value: held[k] is the value of the k-th, and value u
     # runs from starts[u]
     order = np.argsort(vid, kind="stable")
     held = vid[order]
     starts = np.flatnonzero(np.r_[True, held[1:] != held[:-1]])
-    codes = _record_codes(list(map(subset.__getitem__, order.tolist())))
+    if cached is None:
+        codes = _record_codes(list(map(subset.__getitem__, order.tolist())))
+    else:
+        codes = cached.codes[order]
     n = codes.shape[1]
     # closest[u, v]: least distance between datasets of query values u and v
     closest = np.full((len(unique), len(unique)), n, dtype=np.min_scalar_type(n))

@@ -68,8 +68,8 @@ ACCOUNT = ["account", "--zcdp", "2.56", "--delta", "1e-10"]
         ["mech", "--query", "5,3,2,4", "--kind", "naive-gaussian", "--mu", "1", "--eps", "1"],
         ["mech", "--query", "5,3,2,4", "--kind", "naive-l1", "--eps", "1", "--mu", "1"],
         ["mech", "--query", "5,3,2,4", "--kind", "naive-l2", "--eps", "1", "--r", "2", "--c", "2"],
-        ["experiment", "gaussian", "--mu", "1", "--eps", "1"],
-        ["experiment", "knorm", "--eps", "1", "--mu", "1"],
+    ["experiment", "gaussian", "--mu", "1", "--eps", "1"],
+    ["experiment", "knorm", "--eps", "1", "--mu", "1"],
         ["cnd", "--f", "gdp:1", "--cdf", "0", "--seed", "1"],
     ],
 )
@@ -151,7 +151,7 @@ def test_experiment_csv_deterministic(capsys):
 def test_experiment_gaussian_json(capsys):
     code, out, _ = run(
         capsys,
-        ["experiment", "gaussian", "--k", "2", "--mu", "1", "--model", "II",
+    ["experiment", "gaussian", "--k", "2", "--mu", "1", "--model", "II",
          "--replicates", "5", "--seed", "3", "--format", "json"],
     )
     assert code == 0
@@ -230,7 +230,7 @@ def test_out_file(tmp_path, capsys):
     target = tmp_path / "rows.csv"
     code, out, _ = run(
         capsys,
-        ["experiment", "gaussian", "--k", "2", "--mu", "1", "--replicates", "3",
+    ["experiment", "gaussian", "--k", "2", "--mu", "1", "--replicates", "3",
          "--seed", "2", "--format", "csv", "--out", str(target)],
     )
     assert code == 0
@@ -243,7 +243,7 @@ def test_config_file_overrides(tmp_path, capsys):
     cfg.write_text(json.dumps({"k": 3, "replicates": 4}))
     code, out, _ = run(
         capsys,
-        ["experiment", "gaussian", "--k", "2", "--mu", "1", "--seed", "5",
+    ["experiment", "gaussian", "--k", "2", "--mu", "1", "--seed", "5",
          "--config", str(cfg), "--format", "json"],
     )
     assert code == 0
@@ -258,8 +258,8 @@ def test_config_file_overrides(tmp_path, capsys):
         ["mech", "--query", "5,3,2,4", "--kind", "gaussian", "--mu", "nan"],
         ["mech", "--query", "5,3,2,4", "--kind", "l2", "--eps", "inf"],
         ["mech", "--query", "5,3,2,4", "--kind", "naive-linf", "--eps", "inf"],
-        ["experiment", "knorm", "--k", "2", "--eps", "inf", "--replicates", "3"],
-        ["experiment", "gaussian", "--k", "2", "--mu", "nan", "--replicates", "3"],
+    ["experiment", "knorm", "--k", "2", "--eps", "inf", "--replicates", "3"],
+    ["experiment", "gaussian", "--k", "2", "--mu", "nan", "--replicates", "3"],
         ["cnd", "--f", "gdp:inf", "--cdf", "0", "--quantile", "0.5"],
         ["cnd", "--f", "eps:nan"],
         ["test", "--table", "5,3,2,4", "--f", "eps:inf"],
@@ -327,7 +327,7 @@ def _refuse_to_build(*args):
     [
         ["sens", "--r", "15", "--c", "16", "--format", "csv"],
         ["sens", "--r", "4", "--c", "43", "--space", "dp", "--format", "csv"],
-        ["experiment", "knorm", "--k", "16", "--eps", "1"],
+    ["experiment", "knorm", "--k", "16", "--eps", "1"],
         ["mech", "--query", _CELLS_15X16, "--kind", "knorm", "--eps", "1", "--r", "15"],
     ],
 )
@@ -568,7 +568,7 @@ def _dispatch_on_one_parser(argv):
         ["sens", "--r", "x", "--c", "3"],
         ["mech", "--query", "5,3,2,4", "--kind", "knorm", "--eps", "1", "--mu", "1"],
         ["sens", "--r", "2", "--c", "3", "extra", "--", "more"],
-        ["experiment"],
+    ["experiment"],
         # argv that the direct parse must leave to argparse, or read as argparse does
         ["mech", "--query", "5,3,2,4", "--kind", "l1", "--eps=0.5"],
         ["cnd", "--f", "gdp:1", "--que", "0.25"],
@@ -594,9 +594,37 @@ def _readme_examples():
     return [shlex.split(line.partition("#")[0])[1:] for line in block.splitlines() if line.strip()]
 
 
+#: ``experiment`` argv the direct parse answers: ``which`` first, then pairs
+EXPERIMENT_DIRECT = [
+    ["experiment", "knorm"],
+    ["experiment", "gaussian", "--mu", "-1", "--k", "3"],
+    ["experiment", "gaussian", "--mu", "1", "--mu", "2", "--model", "II"],
+]
+
+#: ``experiment`` argv left to argparse: ``which`` placed after an option,
+#: missing, repeated, respelled or replaced by an option string, and bad values
+EXPERIMENT_DEFERRED = [
+    ["experiment"],
+    ["experiment", "--k", "2", "knorm"],
+    ["experiment", "--k", "2", "knorm", "--eps", "1"],
+    ["experiment", "--eps", "1"],
+    ["experiment", "knorm", "gaussian", "--eps", "1"],
+    ["experiment", "knorm", "--eps", "1", "gaussian"],
+    ["experiment", "knorm", "--eps", "1", "knorm"],
+    ["experiment", "KNORM", "--eps", "1"],
+    ["experiment", "kn", "--eps", "1"],
+    ["experiment", "-1", "--eps", "1"],
+    ["experiment", "--", "knorm", "--eps", "1"],
+    ["experiment", "knorm", "--", "--eps", "1"],
+    ["experiment", "gaussian", "--mu", "1", "--model", "III"],
+    ["experiment", "knorm", "--eps", "1", "--replicates", "2.5"],
+]
+
+
 def _argv_corpus():
     """Every README example, and each of them with one value replaced, one
-    flag respelled, one pair repeated or the last token dropped."""
+    flag respelled, one pair repeated or the last token dropped, and the
+    ``experiment`` variants."""
     values = ["-1", "-.5", "-1e-5", "-", "--", "", " 1", "1 ", "2.5", "nan", "inf", "1e400",
               "x", "csv", "dp", "knorm", "gdp:1", "--r", "-h", "--help", "--seed", "-5 "]
     corpus = []
@@ -609,7 +637,7 @@ def _argv_corpus():
                 if i + 1 < len(argv):
                     corpus.append(argv[:i] + [f"{argv[i]}={argv[i + 1]}"] + argv[i + 2:])
             corpus += [argv[:i] + [value] + argv[i + 1:] for value in values]
-    return corpus
+    return corpus + EXPERIMENT_DIRECT + EXPERIMENT_DEFERRED
 
 
 def test_direct_parse_defers_or_equals_argparse(capsys):
@@ -627,7 +655,11 @@ def test_direct_parse_defers_or_equals_argparse(capsys):
     capsys.readouterr()
     assert answered > 100
     for argv in _readme_examples():
-        assert (cli._parse_direct(argv) is None) == (argv[0] == "experiment"), argv
+        assert cli._parse_direct(argv) is not None, argv
+    for argv in EXPERIMENT_DIRECT:
+        assert cli._parse_direct(argv) is not None, argv
+    for argv in EXPERIMENT_DEFERRED:
+        assert cli._parse_direct(argv) is None, argv
 
 
 def test_readme_examples_exit_0_without_argparse(capsys, monkeypatch):
@@ -637,8 +669,9 @@ def test_readme_examples_exit_0_without_argparse(capsys, monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
-    examples = [argv for argv in _readme_examples() if argv[0] != "experiment"]
-    assert sorted({argv[0] for argv in examples}) == ["account", "census", "cnd", "mech", "sens", "test"]
+    examples = _readme_examples()
+    assert sorted({argv[0] for argv in examples}) == [
+        "account", "census", "cnd", "experiment", "mech", "sens", "test"]
     for argv in examples:
         assert run(capsys, argv)[0] == 0, argv
 

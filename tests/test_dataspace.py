@@ -1,8 +1,10 @@
 """Dataspace enumeration, invariants, and adjacency geometry."""
 
 import functools
+import gc
 import itertools
 import math
+import operator
 import resource
 import tracemalloc
 
@@ -22,6 +24,7 @@ from semidp.dataspace import (
     semi_adjacent_bound,
     semi_adjacent_parameter,
 )
+from semidp import sensitivity
 from semidp.sensitivity import brute_force_sensitivity_space, cell_count_query
 
 # the binary cube {0,1}^3 modeled as one 2-level feature per record,
@@ -118,6 +121,22 @@ def test_invariant_eval_rejects_bad_features():
         invariant_eval(OneWayMargins((0, 0)), x, space)
     with pytest.raises(ValueError):
         invariant_eval(OneWayMargins((5,)), x, space)
+
+
+@pytest.mark.parametrize("level,message", [
+    (1.5, "feature 0's level must be an integer, got 1.5"),
+    (2.0, "feature 0's level must be an integer, got 2.0"),
+    ("1", "feature 0's level must be an integer, got '1'"),
+    (0, "feature 0's level must be >= 1, got 0"),
+    (3, "feature 0's level must be <= 2, got 3"),
+])
+def test_invariant_eval_names_a_level_that_is_no_integer_in_range(level, message):
+    space = DataspaceSpec(2, (2, 2))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        invariant_eval(OneWayMargins((0, 1)), ((level, 1), (1, 2)), space)
+    # numpy integers are integers
+    t = invariant_eval(OneWayMargins((0, 1)), ((np.int64(2), 1), (1, np.uint8(2))), space)
+    assert t == ((1, 1), (1, 1))
 
 
 def test_conforming_set_binary_cube():
@@ -674,3 +693,160 @@ def test_pair_scans_refuse_before_touching_a_dataset():
     with pytest.raises(EnumerationCapExceeded):
         indistinguishable_pairs(iter(watched), 3)
     assert touched == []
+
+
+def _fresh(datasets):
+    """Equal datasets in new objects, which no cached conforming set holds."""
+    return [tuple(list(x)) for x in datasets]
+
+
+def _dense_distances(datasets):
+    """The full matrix of Hamming distances, from the datasets themselves."""
+    rows = np.array(datasets)
+    return (rows[:, None] != rows[None]).any(axis=3).sum(axis=2)
+
+
+def _dense_brute_force(datasets, query, radius):
+    """The brute-force vectors from the full distance matrix: the reference."""
+    values = np.array([query(x) for x in datasets], dtype=np.int64)
+    i, j = np.nonzero(_dense_distances(datasets) <= radius)
+    return tuple(sorted(set(map(tuple, (values[i] - values[j]).tolist()))))
+
+
+def _radii(space, inv, t):
+    return sorted({0, 1, 2, semi_adjacent_parameter(space, inv, t)})
+
+
+def test_cached_codes_equal_the_general_path_on_acceptance_02_instances():
+    # each set as conforming_set returns it (its cached codes read) and as
+    # fresh objects (coded afresh); pairs are checked key by key against the
+    # dense distance matrix of the sorted members
+    inv = OneWayMargins((0, 1))
+    count = 0
+    for space, t in _acceptance_02_instances():
+        members = conforming_set(space, inv, t)
+        fresh = _fresh(members)
+        assert dataspace._cached_conforming(members) is not None
+        assert dataspace._cached_conforming(fresh) is None
+        query = cell_count_query(space)
+        dist = _dense_distances(members)
+        for radius in _radii(space, inv, t):
+            want = _per_block_brute_force(space, inv, t, radius)
+            assert brute_force_sensitivity_space(space, members, query, radius).vectors == want
+            assert brute_force_sensitivity_space(space, fresh, query, radius).vectors == want
+            keys = np.flatnonzero(np.triu(dist <= radius, 1))
+            for datasets in (members, fresh):
+                view = indistinguishable_pairs(datasets, radius)
+                assert view._items == tuple(members), (space, t, radius)
+                assert np.array_equal(view._keys, keys), (space, t, radius)
+        count += 1
+    assert count == 114
+
+
+@pytest.mark.parametrize("joint", [False, True], ids=["one_way_p3", "joint"])
+def test_cached_codes_equal_the_general_path_on_random_sweeps(joint):
+    # seeds fixed before the first run; sets above 150 datasets are drawn again
+    # so that the combinations oracle stays quick
+    rng = np.random.default_rng(2029 + joint)
+    for n in [1, 2, 3, 4, 5] * 4:
+        while True:
+            p = int(rng.integers(2, 4)) if joint else 3
+            space = DataspaceSpec(n=n, levels=tuple(int(rng.integers(2, 4)) for _ in range(p)))
+            if joint:
+                features = [int(f) for f in rng.permutation(p)[: int(rng.integers(1, p + 1))]]
+                cut = int(rng.integers(1, len(features) + 1))
+                inv = JointMargins(
+                    tuple(g for g in (tuple(features[:cut]), tuple(features[cut:])) if g)
+                )
+            else:
+                inv = OneWayMargins((0, 1, 2))
+            x = tuple(tuple(int(rng.integers(1, l + 1)) for l in space.levels) for _ in range(n))
+            t = invariant_eval(inv, x, space)
+            if space.size() <= 250_000 and len(conforming_set(space, inv, t)) <= 150:
+                break
+        members = conforming_set(space, inv, t)
+        fresh = _fresh(members)
+        query = cell_count_query(space)
+        for radius in _radii(space, inv, t):
+            want = _dense_brute_force(members, query, radius)
+            assert brute_force_sensitivity_space(space, members, query, radius).vectors == want
+            assert brute_force_sensitivity_space(space, fresh, query, radius).vectors == want
+            pairs = _pairs_oracle(members, radius)
+            assert indistinguishable_pairs(members, radius) == pairs, (space, inv, t, radius)
+            assert indistinguishable_pairs(fresh, radius) == pairs, (space, inv, t, radius)
+
+
+def test_a_cached_set_needs_neither_coding_nor_its_query(monkeypatch):
+    # with the general path's coding and the cell query refused, brute force
+    # and pairs still answer on the lists conforming_set returns
+    cases = []
+    for space, t in [(PAIR_SPACE, ((2, 2), (1, 2, 1))), (DataspaceSpec(6, (3, 3)), ((2, 2, 2),) * 2)]:
+        inv = OneWayMargins((0, 1))
+        members, query = conforming_set(space, inv, t), cell_count_query(space)
+        radius = semi_adjacent_parameter(space, inv, t)
+        cases.append((space, members, query, radius,
+                      brute_force_sensitivity_space(space, _fresh(members), query, radius).vectors,
+                      indistinguishable_pairs(_fresh(members), radius)._keys))
+
+    def refuse(*args):
+        raise AssertionError("the general path ran on a cached set")
+
+    monkeypatch.setattr(dataspace, "_record_codes", refuse)
+    monkeypatch.setattr(sensitivity, "_record_codes", refuse)
+    monkeypatch.setattr(sensitivity._CellCountQuery, "__call__", refuse)
+    for space, members, query, radius, vectors, keys in cases:
+        assert brute_force_sensitivity_space(space, members, query, radius).vectors == vectors
+        assert np.array_equal(indistinguishable_pairs(members, radius)._keys, keys)
+
+
+def test_other_lists_and_queries_take_the_general_path():
+    inv = OneWayMargins((0, 1))
+    members = conforming_set(PAIR_SPACE, inv, ((2, 2), (1, 2, 1)))
+    query = cell_count_query(PAIR_SPACE)
+    # a dataset of another invariant value, so appending it changes the answers
+    outsider = ((2, 3),) * PAIR_SPACE.n
+    swapped = [members[1], members[0], *members[2:]]
+    replaced = members[:5] + [tuple(list(members[5]))] + members[6:]
+    for datasets in (swapped, members + [outsider], replaced, members[:-1]):
+        assert dataspace._cached_conforming(datasets) is None
+        for radius in range(PAIR_SPACE.n + 1):
+            got = brute_force_sensitivity_space(PAIR_SPACE, datasets, query, radius)
+            assert got.vectors == _dense_brute_force(datasets, query, radius)
+            assert indistinguishable_pairs(datasets, radius) == _pairs_oracle(datasets, radius)
+    # a custom query, and the cell query of other levels, are called once a dataset
+    calls = []
+
+    def first_record(x):
+        calls.append(x)
+        return operator.itemgetter(0)(x)
+
+    # levels (2, 4) give the records of (2, 3) other cell indices
+    wider = cell_count_query(DataspaceSpec(PAIR_SPACE.n, (2, 4)))
+    for custom in (first_record, wider):
+        for radius in range(PAIR_SPACE.n + 1):
+            got = brute_force_sensitivity_space(PAIR_SPACE, members, custom, radius)
+            assert got.vectors == _dense_brute_force(members, custom, radius)
+    assert len(calls) == 2 * (PAIR_SPACE.n + 1) * len(members)
+    assert all(map(operator.is_, calls, members * 2 * (PAIR_SPACE.n + 1)))
+
+
+def test_the_registry_holds_only_the_cached_sets():
+    cache = dataspace._conforming_cached
+    cache.cache_clear()
+    gc.collect()
+    assert len(dataspace._CONFORMING) == 0
+    maxsize = cache.cache_info().maxsize
+    space, inv = PAIR_SPACE, OneWayMargins((0, 1))
+    values = [((a, PAIR_SPACE.n - a), cols) for a in range(PAIR_SPACE.n + 1)
+              for cols in [(1, 2, 1), (2, 1, 1), (1, 1, 2)]]
+    assert len(values) > maxsize
+    # the callers keep every list, and so every dataset, alive
+    held = [conforming_set(space, inv, t) for t in values]
+    gc.collect()
+    assert 0 < len(dataspace._CONFORMING) <= maxsize
+    assert [dataspace._cached_conforming(members) is not None for members in held] == (
+        [False] * (len(values) - maxsize) + [True] * maxsize)
+    cache.cache_clear()
+    gc.collect()
+    assert len(dataspace._CONFORMING) == 0
+    assert not any(map(dataspace._cached_conforming, held))
